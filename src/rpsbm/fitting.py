@@ -79,10 +79,12 @@ class Bandwidth:
 
 @dataclass(frozen=True)
 class GraphMixture:
-    """Uniform mixture of RPSBM components, one per corpus graph."""
+    """Uniform mixture of RPSBM components, one per corpus graph, with the
+    corpus moments the fit was made from."""
 
     components: tuple[RpsbmModel, ...]
     dirac_fallback: tuple[tuple[int, ...], ...] = ()
+    moments: SampleMoments | None = None
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -275,14 +277,14 @@ def silverman_bandwidth(N: int, sigma) -> Bandwidth:
 
 
 def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | str = "silverman",
-                      law_kind: str = "uniform",
                       s_per_graph: np.ndarray | None = None) -> GraphMixture:
     """Graph-space kernel mixture: one RPSBM component per corpus graph.
 
-    The shared bandwidth H plays the role of the eigenvalue covariance when
-    solving each component's J-moments.  Coordinates where
-    H_ii <= 2 lambda_i / (n s_i) fall back to a Dirac marginal (local
-    over-smoothing), recorded per component.
+    Each component has a uniform product law.  The shared bandwidth H plays
+    the role of the eigenvalue covariance when solving each component's
+    J-moments.  Coordinates where H_ii <= 2 lambda_i / (n s_i) fall back to a
+    Dirac marginal (local over-smoothing), recorded per component.  The
+    corpus moments ride along on the returned mixture.
     """
     from .moments import compute_moments
 
@@ -321,12 +323,7 @@ def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | str = "silverman",
         inherent_ok = H.diagonal() - 2.0 * lam / (g.n * s) > 0
         dirac_idx = tuple(int(i) for i in np.nonzero(~inherent_ok)[0])
         var[~inherent_ok] = 0.0
-        if law_kind == "uniform":
-            law = UniformProductLaw(mean, np.sqrt(12.0 * var))
-        elif law_kind == "gauss":
-            law = TruncGaussianProductLaw(mean, np.sqrt(var))
-        else:
-            raise ValueError(f"unsupported kernel law {law_kind!r}")
+        law = UniformProductLaw(mean, np.sqrt(12.0 * var))
         eps = _epsilon_hat(mean, s, 1.0)
         if np.isnan(eps):
             eps = 0.0
@@ -334,7 +331,7 @@ def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | str = "silverman",
         components.append(RpsbmModel(omega=rho_k, law=law, epsilon=eps, s=s))
         fallbacks.append(dirac_idx)
     return GraphMixture(components=tuple(components),
-                        dirac_fallback=tuple(fallbacks))
+                        dirac_fallback=tuple(fallbacks), moments=mom)
 
 
 def sample_mixture(mix: GraphMixture, n: int, count: int, seed: int) -> list[Graph]:
@@ -419,7 +416,7 @@ def critical_sample_size(p_values, n: int, omega: float, N_max: int,
 
 @dataclass(frozen=True)
 class CurveTable:
-    """Density curves on a shared grid, ready for CSV export."""
+    """Density curves of lambda_1 on a shared grid."""
 
     z: np.ndarray
     f_true: np.ndarray
@@ -470,10 +467,3 @@ def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
         p_hat=p_hat,
         h_N=h_N,
     )
-
-
-def curves_to_csv(table: CurveTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("z,f_true,f_hat,f_silverman\n")
-        for row in zip(table.z, table.f_true, table.f_hat, table.f_silverman):
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -69,19 +69,14 @@ def _degenerate_clusters(w: np.ndarray) -> list[list[int]]:
     return clusters
 
 
-def _magnitude_columns(w: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Per-vector node magnitudes, degeneracy-safe.
-
-    Within a degenerate cluster every column is replaced by the rotation-
-    invariant sqrt(diag(projector)/size).
-    """
-    out = np.abs(U).copy()
+def _invariant_columns(w: np.ndarray, U: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """cols with every column of a degenerate cluster replaced, in place, by
+    the rotation-invariant sqrt(diag(projector)/size)."""
     for cluster in _degenerate_clusters(w):
         if len(cluster) > 1:
-            mass = np.sqrt((U[:, cluster] ** 2).sum(axis=1) / len(cluster))
-            for j in cluster:
-                out[:, j] = mass
-    return out
+            cols[:, cluster] = np.sqrt((U[:, cluster] ** 2).sum(axis=1)
+                                       / len(cluster))[:, None]
+    return cols
 
 
 def eigenvector_profile(g: Graph, K: int) -> np.ndarray:
@@ -94,7 +89,7 @@ def eigenvector_profile(g: Graph, K: int) -> np.ndarray:
     if K < 1:
         raise ValueError("K must be positive")
     w, U = eigenpairs(g, K)
-    mags = _magnitude_columns(w, U)
+    mags = _invariant_columns(w, U, np.abs(U))
     return np.log(np.sort(mags, axis=0) + LOG_FLOOR).sum(axis=1)
 
 
@@ -105,14 +100,7 @@ def _detection_channels(w: np.ndarray, U: np.ndarray) -> np.ndarray:
     (mixing angle near pi/4 for symmetric blocks); degenerate clusters fall
     back to the unsigned invariant magnitudes.
     """
-    cols = U.copy()
-    clusters = _degenerate_clusters(w)
-    for cluster in clusters:
-        if len(cluster) > 1:
-            mass = np.sqrt((U[:, cluster] ** 2).sum(axis=1) / len(cluster))
-            for j in cluster:
-                cols[:, j] = mass
-    C = np.sort(cols, axis=0)
+    C = np.sort(_invariant_columns(w, U, U.copy()), axis=0)
     sd = C.std(axis=0)
     sd[sd < 1e-15] = 1.0
     return C / sd
@@ -191,10 +179,7 @@ def merge_change_points(points: Sequence[int], n: int, min_gap: int) -> list[int
 def detect_geometry(g: Graph, tau: float = DEFAULT_TAU,
                     beta: float = DEFAULT_BETA) -> GeometryEstimate:
     """Estimate K, change points, and the block-fraction vector s."""
-    if g.n < 2:
-        raise ValueError("need at least two nodes")
-    w_all = full_spectrum(g).values
-    K = int(np.sum(w_all > abs(w_all[-1])))
+    K = extremal_count(g)
     if K == 0:
         return GeometryEstimate(K=0, change_points=(), s=np.array([1.0]),
                                 community_count=1)
@@ -212,11 +197,10 @@ def detect_geometry(g: Graph, tau: float = DEFAULT_TAU,
                             community_count=len(sizes))
 
 
-def cluster_by_community_count(corpus: Sequence[Graph], tau: float = DEFAULT_TAU,
-                               beta: float = DEFAULT_BETA) -> dict[int, list[int]]:
+def cluster_by_community_count(
+        estimates: Sequence[GeometryEstimate]) -> dict[int, list[int]]:
     """Partition corpus indices by detected community count."""
     clusters: dict[int, list[int]] = {}
-    for idx, g in enumerate(corpus):
-        count = detect_geometry(g, tau=tau, beta=beta).community_count
-        clusters.setdefault(count, []).append(idx)
+    for idx, est in enumerate(estimates):
+        clusters.setdefault(est.community_count, []).append(idx)
     return clusters

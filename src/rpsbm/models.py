@@ -264,6 +264,8 @@ _LAW_KINDS = {
 
 
 def law_from_dict(d: dict) -> ParamLaw:
+    if not isinstance(d, dict):
+        raise ValueError("law must be a JSON object")
     kind = d.get("kind")
     if kind not in _LAW_KINDS:
         raise ValueError(f"unknown law kind {kind!r}")
@@ -407,6 +409,8 @@ def model_to_dict(model: RpsbmModel | SbmParams) -> dict:
 
 
 def model_from_dict(d: dict) -> RpsbmModel | SbmParams:
+    if not isinstance(d, dict):
+        raise ValueError("model spec must be a JSON object")
     if d.get("format") != 1:
         raise ValueError("unsupported model spec format")
     s = np.asarray(d["s"], dtype=float)

@@ -1,9 +1,10 @@
 """End-to-end experiment scenarios (synthetic benchmarks + contact data).
 
-Each scenario samples its corpus, runs the relevant fit, resamples, and
-returns flat result tables ready for CSV emission.  All randomness derives
-from the master seed; scenario parameters are overridable through the
-``params`` mapping of an experiment config file.
+Each scenario samples its corpus, runs the relevant fit and resamples.  Its
+runner returns ``{"tables": {file name: CSV rows}, "report": {...}}``: flat
+row dicts and a JSON-ready report, which the CLI writes out unchanged.  All
+randomness derives from the master seed; scenario parameters are overridable
+through the ``params`` mapping of an experiment config file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .fitting import (
     critical_sample_size,
-    curves_to_csv,
     fit_nonparametric,
     fit_parametric,
     run_er_mixture_pipeline,
@@ -25,6 +25,7 @@ from .models import (
     RpsbmModel,
     SbmParams,
     UniformProductLaw,
+    model_to_dict,
     sample_corpus,
     sample_sbm,
 )
@@ -48,14 +49,44 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
         if d.get("format") != 1:
             raise ValueError("unsupported config format")
+        params = d.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError("config params must be a JSON object")
         return cls(scenario=d["scenario"], seed=int(d.get("seed", 0)),
-                   params=dict(d.get("params", {})))
+                   params=dict(params))
+
+
+def run_scenario(scenario: str, seed: int, params: dict) -> dict:
+    """Run one scenario by name.
+
+    The runners are looked up when called, so that a wrapper installed on a
+    module attribute (a profiler, say) sees every scenario run.
+    """
+    runners = {"recoverability": run_recoverability,
+               "mixture-beta": run_mixture_beta,
+               "critical-n": run_critical_n,
+               "contacts": run_contacts}
+    return runners[scenario](seed, params)
 
 
 def _rel_err(est, truth):
     return abs(est - truth) / abs(truth)
+
+
+def _moment_rows(mom, new_mom) -> list[dict]:
+    """Per-index lambda_bar and sigma_hat of a corpus and its resample."""
+    return [{
+        "lambda_bar": mom.mean_spectrum[i],
+        "lambda_bar_new": new_mom.mean_spectrum[i],
+        "rel_err_lambda_bar": _rel_err(new_mom.mean_spectrum[i], mom.mean_spectrum[i]),
+        "sigma_hat": mom.cov[i, i],
+        "sigma_hat_new": new_mom.cov[i, i],
+        "rel_err_sigma_hat": _rel_err(new_mom.cov[i, i], mom.cov[i, i]),
+    } for i in range(mom.c)]
 
 
 def run_recoverability(seed: int, params: dict | None = None) -> dict:
@@ -84,10 +115,8 @@ def run_recoverability(seed: int, params: dict | None = None) -> dict:
 
     resample_n = N if p["resample"] is None else int(p["resample"])
     new = sample_corpus(fit.model, n, resample_n, seed, start_index=N)
-    new_mom = compute_moments(new, c)
-
     rows = []
-    for i in range(c):
+    for i, moment_row in enumerate(_moment_rows(mom, compute_moments(new, c))):
         rows.append({
             "component": i + 1,
             "omega_p_hat": omega_hat * law.center[i],
@@ -96,22 +125,13 @@ def run_recoverability(seed: int, params: dict | None = None) -> dict:
             "omega_delta_hat": omega_hat * law.width[i],
             "omega_delta_true": omega * widths[i],
             "rel_err_omega_delta": _rel_err(omega_hat * law.width[i], omega * widths[i]),
-            "lambda_bar": mom.mean_spectrum[i],
-            "lambda_bar_new": new_mom.mean_spectrum[i],
-            "rel_err_lambda_bar": _rel_err(new_mom.mean_spectrum[i], mom.mean_spectrum[i]),
-            "sigma_hat": mom.cov[i, i],
-            "sigma_hat_new": new_mom.cov[i, i],
-            "rel_err_sigma_hat": _rel_err(new_mom.cov[i, i], mom.cov[i, i]),
+            **moment_row,
         })
-    return {
-        "table": rows,
-        "eps_hat": fit.eps_raw,
-        "eps_true": float(p["eps"]),
-        "rel_err_eps": _rel_err(fit.eps_raw, float(p["eps"])),
-        "fit": fit,
-        "moments": mom,
-        "new_moments": new_mom,
-    }
+    eps = float(p["eps"])
+    return {"tables": {"errors.csv": rows},
+            "report": {"eps_hat": fit.eps_raw, "eps_true": eps,
+                       "rel_err_eps": _rel_err(fit.eps_raw, eps),
+                       "model": model_to_dict(fit.model)}}
 
 
 def run_mixture_beta(seed: int, params: dict | None = None) -> dict:
@@ -138,25 +158,11 @@ def run_mixture_beta(seed: int, params: dict | None = None) -> dict:
     fit = fit_parametric(mom, c, family="beta")
 
     new = sample_corpus(fit.model, n, N, seed, start_index=N)
-    new_mom = compute_moments(new, c)
-    rows = []
-    for i in range(c):
-        rows.append({
-            "component": i + 1,
-            "lambda_bar": mom.mean_spectrum[i],
-            "lambda_bar_new": new_mom.mean_spectrum[i],
-            "rel_err_lambda_bar": _rel_err(new_mom.mean_spectrum[i], mom.mean_spectrum[i]),
-            "sigma_hat": mom.cov[i, i],
-            "sigma_hat_new": new_mom.cov[i, i],
-            "rel_err_sigma_hat": _rel_err(new_mom.cov[i, i], mom.cov[i, i]),
-        })
-    return {
-        "table": rows,
-        "correlation": float(corr),
-        "fit": fit,
-        "moments": mom,
-        "new_moments": new_mom,
-    }
+    rows = [{"component": i + 1, **row}
+            for i, row in enumerate(_moment_rows(mom, compute_moments(new, c)))]
+    return {"tables": {"errors.csv": rows},
+            "report": {"correlation": float(corr),
+                       "model": model_to_dict(fit.model)}}
 
 
 def run_critical_n(seed: int, params: dict | None = None) -> dict:
@@ -170,13 +176,17 @@ def run_critical_n(seed: int, params: dict | None = None) -> dict:
     p_values = list(map(float, p["p_values"]))
     n_crit = critical_sample_size(p_values, n, omega, int(p["N_max"]),
                                   seed=seed, repetitions=int(p["repetitions"]))
-    curves = {}
+    tables = {}
     for label, size in (("subcritical", int(p["subcritical"])),
                         ("critical", n_crit),
                         ("supercritical", int(p["supercritical"]))):
-        curves[label] = run_er_mixture_pipeline(p_values, n, omega, size, seed=seed)
-    return {"n_crit": n_crit, "curves": curves,
-            "params": {"n": n, "omega": omega, "p_values": p_values}}
+        t = run_er_mixture_pipeline(p_values, n, omega, size, seed=seed)
+        tables[f"curves_{label}.csv"] = [
+            {"z": z, "f_true": f, "f_hat": f_hat, "f_silverman": f_silv}
+            for z, f, f_hat, f_silv in zip(t.z, t.f_true, t.f_hat, t.f_silverman)]
+    return {"tables": tables,
+            "report": {"n_crit": n_crit,
+                       "params": {"n": n, "omega": omega, "p_values": p_values}}}
 
 
 def run_contacts(seed: int, params: dict) -> dict:
@@ -191,9 +201,7 @@ def run_contacts(seed: int, params: dict) -> dict:
     if not corpus:
         raise ValueError("stream shorter than one window")
     geoms = [detect_geometry(g) for g in corpus]
-    clusters: dict[int, list[int]] = {}
-    for idx, est in enumerate(geoms):
-        clusters.setdefault(est.community_count, []).append(idx)
+    clusters = cluster_by_community_count(geoms)
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}
     for count, members in sizes[:2]:
@@ -209,13 +217,9 @@ def run_contacts(seed: int, params: dict) -> dict:
         new = sample_mixture(mix, corpus[0].n, int(p["resample"]), seed)
         fits[count] = {
             "members": members,
-            "mixture": mix,
-            "moments": compute_moments(sub, count),
-            "resampled_moments": compute_moments(new, count),
+            "lambda_bar": mix.moments.mean_spectrum,
+            "lambda_bar_resampled": compute_moments(new, count).mean_spectrum,
         }
-    return {
-        "n": corpus[0].n,
-        "N": len(corpus),
-        "clusters": {k: v for k, v in clusters.items()},
-        "fits": fits,
-    }
+    return {"tables": {},
+            "report": {"n": corpus[0].n, "N": len(corpus),
+                       "clusters": clusters, "fits": fits}}

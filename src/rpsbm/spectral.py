@@ -49,12 +49,6 @@ class Graph:
     def m(self) -> int:
         return self.edges.shape[0]
 
-    def degree_sequence(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
-
     def adjacency(self, dense: bool | None = None):
         """Adjacency matrix; dense ndarray up to n=4096, CSR above."""
         if dense is None:

@@ -195,3 +195,162 @@ class TestReplicateCommand:
                                  "--config", str(cfg),
                                  "--out", str(tmp_path / "x")])
         assert r.exit_code == 1
+
+
+def write_config(path, scenario, seed, params):
+    path.write_text(json.dumps({"format": 1, "scenario": scenario,
+                                "seed": seed, "params": params}))
+    return path
+
+
+def planted_contact_stream(path, n=60, seed=7):
+    """Two equal groups for 800 s, then three groups for 800 s."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    lines = []
+    t = 0
+    for groups in (((0.5, 0.05), (0.5, 0.05)),
+                   ((0.34, 0.08), (0.33, 0.07), (0.33, 0.06))):
+        fractions, rates = np.array(groups).T
+        cuts = np.round(np.cumsum(fractions)[:-1] * n).astype(int)
+        group = np.searchsorted(cuts, np.arange(n), side="right")
+        rate = np.where(group[iu] == group[ju], rates[group[iu]], 0.002)
+        for _ in range(40):
+            hit = np.nonzero(rng.random(len(iu)) < rate)[0]
+            lines += [f"{t} {iu[h]} {ju[h]}" for h in hit]
+            t += 20
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def replicate_twice(runner, tmp_path, scenario, seed, params):
+    """Run one scenario twice from the same config; returns the first output
+    directory after checking that both runs wrote the same bytes."""
+    cfg = write_config(tmp_path / "cfg.json", scenario, seed, params)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        r = runner.invoke(main, ["replicate", scenario, "--config", str(cfg),
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+    assert read_bytes(outs[0]) == read_bytes(outs[1])
+    manifest = json.loads((outs[0] / "manifest.json").read_text())
+    assert manifest["command"] == f"replicate {scenario}"
+    assert manifest["seed"] == seed
+    assert set(manifest["outputs"]) | {"manifest.json"} == set(read_bytes(outs[0]))
+    return outs[0]
+
+
+CURVES = ["curves_critical.csv", "curves_subcritical.csv",
+          "curves_supercritical.csv"]
+
+
+class TestReplicateScenarios:
+    def test_mixture_beta(self, runner, tmp_path):
+        out = replicate_twice(runner, tmp_path, "mixture-beta", 5,
+                              {"N": 40, "n": 200})
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["errors.csv", "report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"format", "correlation", "model"}
+        assert report["model"]["law"]["kind"] == "beta"
+        table = (out / "errors.csv").read_text().strip().split("\n")
+        assert table[0] == ("component,lambda_bar,lambda_bar_new,"
+                            "rel_err_lambda_bar,sigma_hat,sigma_hat_new,"
+                            "rel_err_sigma_hat")
+        assert len(table) == 3
+
+    def test_critical_n(self, runner, tmp_path):
+        out = replicate_twice(runner, tmp_path, "critical-n", 2,
+                              {"n": 200, "N_max": 200, "repetitions": 2,
+                               "supercritical": 30})
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == CURVES + ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"format", "n_crit", "params"}
+        assert set(report["params"]) == {"n", "omega", "p_values"}
+        for name in CURVES:
+            lines = (out / name).read_text().strip().split("\n")
+            assert lines[0] == "z,f_true,f_hat,f_silverman"
+            assert len(lines) == 2049
+
+    def test_contacts(self, runner, tmp_path):
+        stream = planted_contact_stream(tmp_path / "contacts.txt")
+        out = replicate_twice(runner, tmp_path, "contacts", 3,
+                              {"file": str(stream), "window": 300, "step": 20,
+                               "resample": 20})
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert set(report) == {"format", "n", "N", "clusters", "fits"}
+        assert report["n"] == 60
+        members = sorted(i for v in report["clusters"].values() for i in v)
+        assert members == list(range(report["N"]))
+        assert set(report["fits"]) == {"2", "3"}
+        for count, fit in report["fits"].items():
+            assert set(fit) == {"members", "lambda_bar", "lambda_bar_resampled"}
+            assert fit["members"] == report["clusters"][count]
+            assert len(fit["lambda_bar"]) == int(count)
+
+    def test_critical_n_command_matches_replicate(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"format": 1, "n": 200,
+                                    "p_values": [0.75, 0.85]}))
+        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
+                                 "--n-max", "200", "--seed", "4",
+                                 "--out", str(tmp_path / "cmd")])
+        assert r.exit_code == 0, r.output
+        cfg = write_config(tmp_path / "cfg.json", "critical-n", 4,
+                           {"n": 200, "p_values": [0.75, 0.85], "N_max": 200})
+        r = runner.invoke(main, ["replicate", "critical-n", "--config", str(cfg),
+                                 "--out", str(tmp_path / "rep")])
+        assert r.exit_code == 0, r.output
+        cmd, rep = read_bytes(tmp_path / "cmd"), read_bytes(tmp_path / "rep")
+        manifest = json.loads(cmd["manifest.json"])
+        assert manifest["outputs"] == ["critical_n.json"] + CURVES
+        assert cmd["critical_n.json"] == rep["report.json"]
+        for name in CURVES:
+            assert cmd[name] == rep[name]
+
+
+class TestInvalidJson:
+    """Malformed JSON inputs end in 'error: ...' and exit 1, not a traceback."""
+
+    def assert_clean_exit_1(self, r):
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert "error:" in r.output
+
+    def replicate(self, runner, tmp_path, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        return runner.invoke(main, ["replicate", "recoverability",
+                                    "--config", str(cfg),
+                                    "--out", str(tmp_path / "o")])
+
+    def test_config_list(self, runner, tmp_path):
+        self.assert_clean_exit_1(self.replicate(runner, tmp_path, [1, 2]))
+
+    def test_config_params_not_object(self, runner, tmp_path):
+        self.assert_clean_exit_1(self.replicate(runner, tmp_path, {
+            "format": 1, "scenario": "recoverability", "params": 5}))
+
+    def test_empty_config_is_not_ignored(self, runner, tmp_path):
+        self.assert_clean_exit_1(self.replicate(runner, tmp_path, {}))
+
+    def test_mixture_spec_list(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1000, 0.5]")
+        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
+                                 "--n-max", "10", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0, "law": []}',
+    ])
+    def test_model_list(self, runner, tmp_path, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        r = runner.invoke(main, ["sample", "--model", str(model), "--n", "10",
+                                 "--count", "1", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)

@@ -131,7 +131,7 @@ class TestDetectGeometry:
 class TestClustering:
     def test_identical_corpus_one_cluster(self):
         g = planted(200, [100, 100], [0.8, 0.8], 0.02, seed=49)
-        clusters = cluster_by_community_count([g, g, g])
+        clusters = cluster_by_community_count([detect_geometry(g) for g in [g, g, g]])
         assert len(clusters) == 1
         (members,) = clusters.values()
         assert members == [0, 1, 2]
@@ -150,7 +150,7 @@ class TestClustering:
             corpus.append(planted(600, [200, 200, 200], [0.85, 0.85, 0.85],
                                   0.01, seed=600 + t))
             labels.append(3)
-        clusters = cluster_by_community_count(corpus)
+        clusters = cluster_by_community_count([detect_geometry(g) for g in corpus])
         labels = np.array(labels)
         purity_hits = 0
         for members in clusters.values():
