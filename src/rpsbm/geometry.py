@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import Graph, eigenpairs, full_spectrum
+from .spectral import DENSE_EIG, Graph, eigenpairs, full_spectrum
 
 LOG_FLOOR = 1e-12
 DEGENERATE_GAP = 1e-8
@@ -53,8 +53,29 @@ def extremal_count(g: Graph) -> int:
     """Number of eigenvalues strictly above |lambda_min|."""
     if g.n < 2:
         raise ValueError("need at least two nodes")
-    w = full_spectrum(g).values
+    return _count_extremal(full_spectrum(g).values)
+
+
+def _count_extremal(w: np.ndarray) -> int:
+    """Entries of a full non-increasing spectrum strictly above |lambda_min|."""
     return int(np.sum(w > abs(w[-1])))
+
+
+def _extremal_pairs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The K extremal eigenvalues, non-increasing, and their eigenvectors.
+
+    Up to DENSE_EIG nodes one dense eigh gives both.  Above it an eigh costs
+    about 2.4 times an eigvalsh, so K comes from the full spectrum and the K
+    vectors from ARPACK.
+    """
+    if g.n > DENSE_EIG:
+        K = extremal_count(g)
+        return eigenpairs(g, K) if K else (np.empty(0), np.empty((g.n, 0)))
+    if g.n < 2:
+        raise ValueError("need at least two nodes")
+    w, U = eigenpairs(g, g.n)
+    K = _count_extremal(w)
+    return w[:K], U[:, :K]
 
 
 def _degenerate_clusters(w: np.ndarray) -> list[list[int]]:
@@ -179,11 +200,11 @@ def merge_change_points(points: Sequence[int], n: int, min_gap: int) -> list[int
 def detect_geometry(g: Graph, tau: float = DEFAULT_TAU,
                     beta: float = DEFAULT_BETA) -> GeometryEstimate:
     """Estimate K, change points, and the block-fraction vector s."""
-    K = extremal_count(g)
+    w, U = _extremal_pairs(g)
+    K = len(w)
     if K == 0:
         return GeometryEstimate(K=0, change_points=(), s=np.array([1.0]),
                                 community_count=1)
-    w, U = eigenpairs(g, K)
     Y = _detection_channels(w, U)
     lam1 = max(w[0], 0.0)
     gap = max(int(np.ceil(lam1)), 1)

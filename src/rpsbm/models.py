@@ -415,10 +415,18 @@ def model_from_dict(d: dict) -> RpsbmModel | SbmParams:
         raise ValueError("unsupported model spec format")
     s = np.asarray(d["s"], dtype=float)
     if "law" in d:
-        return RpsbmModel(float(d["omega"]), law_from_dict(d["law"]),
-                          float(d["epsilon"]), s)
-    return SbmParams(float(d["omega"]), s, np.asarray(d["p"], dtype=float),
-                     float(d["q"]))
+        return RpsbmModel(_json_float(d, "omega"), law_from_dict(d["law"]),
+                          _json_float(d, "epsilon"), s)
+    return SbmParams(_json_float(d, "omega"), s, np.asarray(d["p"], dtype=float),
+                     _json_float(d, "q"))
+
+
+def _json_float(d: dict, key: str) -> float:
+    """d[key] as a float; a list, object or null there is malformed input."""
+    try:
+        return float(d[key])
+    except TypeError:
+        raise ValueError(f"model spec {key!r} must be a number") from None
 
 
 def save_model(model: RpsbmModel | SbmParams, path) -> None:

@@ -56,8 +56,11 @@ class ExperimentConfig:
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise ValueError("config params must be a JSON object")
-        return cls(scenario=d["scenario"], seed=int(d.get("seed", 0)),
-                   params=dict(params))
+        try:
+            seed = int(d.get("seed", 0))
+        except TypeError:
+            raise ValueError("config seed must be a number") from None
+        return cls(scenario=d["scenario"], seed=seed, params=dict(params))
 
 
 def run_scenario(scenario: str, seed: int, params: dict) -> dict:
@@ -171,11 +174,16 @@ def run_critical_n(seed: int, params: dict | None = None) -> dict:
     p = dict(n=1000, p_values=[0.75, 0.85], N_max=400, repetitions=5,
              subcritical=10, supercritical=325)
     p.update(params or {})
-    n = int(p["n"])
-    omega = float(p.get("omega", 2.0 / np.sqrt(n)))
-    p_values = list(map(float, p["p_values"]))
-    n_crit = critical_sample_size(p_values, n, omega, int(p["N_max"]),
-                                  seed=seed, repetitions=int(p["repetitions"]))
+    try:
+        n = int(p["n"])
+        omega = float(p.get("omega", 2.0 / np.sqrt(n)))
+        p_values = list(map(float, p["p_values"]))
+        n_max, repetitions = int(p["N_max"]), int(p["repetitions"])
+    except TypeError:
+        raise ValueError("critical-n needs numbers for n, omega, N_max and "
+                         "repetitions, and a list of numbers for p_values") from None
+    n_crit = critical_sample_size(p_values, n, omega, n_max,
+                                  seed=seed, repetitions=repetitions)
     tables = {}
     for label, size in (("subcritical", int(p["subcritical"])),
                         ("critical", n_crit),

@@ -354,3 +354,22 @@ class TestInvalidJson:
         r = runner.invoke(main, ["sample", "--model", str(model), "--n", "10",
                                  "--count", "1", "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
+
+    def test_config_seed_not_scalar(self, runner, tmp_path):
+        self.assert_clean_exit_1(self.replicate(runner, tmp_path, {
+            "format": 1, "scenario": "recoverability", "seed": [1]}))
+
+    def test_model_omega_not_scalar(self, runner, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text('{"format": 1, "omega": [0.5], "s": [1.0], '
+                         '"p": [0.5], "q": 0.0}')
+        r = runner.invoke(main, ["sample", "--model", str(model), "--n", "10",
+                                 "--count", "1", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+
+    def test_mixture_spec_p_values_not_list(self, runner, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"format": 1, "n": 100, "p_values": 0.5}')
+        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
+                                 "--n-max", "10", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)

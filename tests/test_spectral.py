@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rpsbm import (
     Graph,
+    RpsbmModel,
+    UniformProductLaw,
     density,
     dist_truncated,
     full_spectrum,
     load_edgelist,
+    sample_rpsbm,
     save_edgelist,
     spectrum,
 )
+from rpsbm.spectral import DENSE_EIG, eigenpairs
 
 
 def dense_eigs(g: Graph) -> np.ndarray:
@@ -29,7 +34,55 @@ def random_graph(n, p, seed):
     return Graph(n, np.column_stack((iu[mask], ju[mask])))
 
 
+def lexsort_unique(pairs) -> np.ndarray:
+    """Oracle: the (i < j) rows lexsorted and deduplicated row-wise."""
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    i = np.minimum(e[:, 0], e[:, 1])
+    j = np.maximum(e[:, 0], e[:, 1])
+    order = np.lexsort((j, i))
+    return np.unique(np.column_stack((i, j))[order], axis=0)
+
+
+def cycle(n):
+    k = np.arange(n)
+    return Graph(n, np.column_stack((k, (k + 1) % n)))
+
+
+def star(n):
+    return Graph(n, np.column_stack((np.zeros(n - 1, dtype=int), np.arange(1, n))))
+
+
+def two_cliques(n):
+    """Two disjoint K10 and n - 20 isolated nodes: spectrum 9, 9, 0, ..., -1."""
+    i, j = np.triu_indices(10, 1)
+    k10 = np.column_stack((i, j))
+    return Graph(n, np.vstack((k10, k10 + 10)))
+
+
+SPECIAL = {"path": Graph.path, "cycle": cycle, "star": star,
+           "empty": Graph.empty, "two_cliques": two_cliques}
+
+
 class TestGraph:
+    @given(st.data())
+    def test_canonical_edges_match_lexsort_unique(self, data):
+        n = data.draw(st.one_of(st.integers(2, 12), st.integers(2, 2**31 - 1)),
+                      label="n")
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node).filter(
+            lambda p: p[0] != p[1]), max_size=60), label="pairs")
+        repeats = (data.draw(st.lists(st.sampled_from(pairs), max_size=20),
+                             label="repeats") if pairs else [])
+        reversed_repeats = [(j, i) for i, j in repeats]
+        edges = data.draw(st.permutations(pairs + repeats + reversed_repeats),
+                          label="edges")
+        g = Graph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        expect = lexsort_unique(edges)
+        assert g.edges.dtype == np.int64
+        assert g.edges.shape == expect.shape
+        np.testing.assert_array_equal(g.edges, expect)
+        assert not g.edges.flags.writeable
+
     def test_dedup_and_reversed_pairs(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
         assert g.m == 2
@@ -94,6 +147,39 @@ class TestSpectrum:
         g = random_graph(2500, 0.01, 3)
         top = spectrum(g, 3).values
         np.testing.assert_allclose(top, dense_eigs(g)[:3], atol=1e-9)
+
+    @pytest.mark.parametrize("n", [DENSE_EIG + 1, 2100])
+    @pytest.mark.parametrize("name", sorted(SPECIAL))
+    def test_symmetric_graphs_match_dense(self, name, n):
+        # a path's or cycle's second eigenvector is orthogonal to the all-ones
+        # vector, and the star and the cliques have fewer than three positive
+        # eigenvalues next to a large zero eigenspace
+        g = SPECIAL[name](n)
+        expect = dense_eigs(g)
+        for c in (1, 2, 3):
+            np.testing.assert_allclose(spectrum(g, c).values, expect[:c],
+                                       rtol=0, atol=1e-8, err_msg=f"c={c}")
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL))
+    def test_eigenpairs_of_symmetric_graphs(self, name):
+        g = SPECIAL[name](DENSE_EIG + 1)
+        expect = dense_eigs(g)
+        a = g.adjacency(dense=True)
+        for k in (1, 2, 3):
+            w, u = eigenpairs(g, k)
+            np.testing.assert_allclose(w, expect[:k], rtol=0, atol=1e-8)
+            np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-10)
+            assert np.max(np.abs(a @ u - u * w)) < 1e-8
+
+    @pytest.mark.parametrize("n", [DENSE_EIG + 1, 1000, 2000])
+    def test_rpsbm_draws_match_dense(self, n):
+        model = RpsbmModel(10 / np.sqrt(n),
+                           UniformProductLaw([0.85, 0.575], [0.1, 0.05]),
+                           0.05, np.array([0.5, 0.5]))
+        for seed in range(3):
+            g = sample_rpsbm(model, n, seed, 0)
+            np.testing.assert_allclose(spectrum(g, 2).values, dense_eigs(g)[:2],
+                                       rtol=1e-10, atol=0)
 
     def test_permutation_invariance(self):
         g = random_graph(50, 0.2, 4)
