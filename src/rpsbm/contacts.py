@@ -87,13 +87,9 @@ def window_contacts(stream: ContactStream, window: int, step: int) -> list[Graph
         raise ValueError("window and step must be positive")
     if stream.records.size == 0:
         raise ValueError("empty contact stream")
-    count = window_count(stream, window, step)
+    starts = step * np.arange(window_count(stream, window, step))
     t = stream.records[:, 0] - stream.t_min
-    n = stream.n
-    graphs = []
-    for k in range(1, count + 1):
-        start = step * (k - 1)
-        mask = (t >= start) & (t < start + window)
-        pairs = stream.records[mask, 1:3]
-        graphs.append(Graph(n, pairs))
-    return graphs
+    # t is sorted, so each window's records are one slice
+    lo = np.searchsorted(t, starts, side="left")
+    hi = np.searchsorted(t, starts + window, side="left")
+    return [Graph(stream.n, stream.records[a:b, 1:3]) for a, b in zip(lo, hi)]

@@ -19,8 +19,6 @@ import scipy.stats
 from . import rng as rngmod
 from .spectral import Graph
 
-_PAIR_CHUNK = 1 << 22
-
 
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
@@ -60,7 +58,7 @@ class SbmParams:
             raise ValueError("community sizes must sum to 1")
         if not 0 < self.omega <= 1:
             raise ValueError("omega must lie in (0, 1]")
-        if self.q < 0 or np.any(p < 0):
+        if not (self.q >= 0 and np.all(p >= 0)):  # NaN fails too
             raise ValueError("densities must be non-negative")
         if self.omega * max(p.max(), self.q) > 1 + 1e-12:
             raise ValueError("edge probability omega*max(p, q) exceeds 1")
@@ -222,26 +220,25 @@ class TruncGaussianProductLaw:
             raise ValueError("mu and sd must have equal length")
         if np.any(self.sd < 0):
             raise ValueError("sd must be non-negative")
+        # the frozen truncnorm, built once per law: building it takes about
+        # three times as long as a draw from it
+        sd = np.where(self.sd > 0, self.sd, 1.0)
+        object.__setattr__(self, "_dist", scipy.stats.truncnorm(
+            (0.0 - self.mu) / sd, (1.0 - self.mu) / sd, loc=self.mu, scale=sd))
 
     @property
     def c(self):
         return len(self.mu)
 
-    def _dist(self):
-        sd = np.where(self.sd > 0, self.sd, 1.0)
-        lo = (0.0 - self.mu) / sd
-        hi = (1.0 - self.mu) / sd
-        return scipy.stats.truncnorm(lo, hi, loc=self.mu, scale=sd)
-
     def draw(self, gen: np.random.Generator) -> np.ndarray:
-        out = self._dist().rvs(size=self.c, random_state=gen)
+        out = self._dist.rvs(size=self.c, random_state=gen)
         return np.where(self.sd > 0, out, np.clip(self.mu, 0.0, 1.0))
 
     def mean(self):
-        return np.where(self.sd > 0, self._dist().mean(), np.clip(self.mu, 0.0, 1.0))
+        return np.where(self.sd > 0, self._dist.mean(), np.clip(self.mu, 0.0, 1.0))
 
     def var(self):
-        return np.where(self.sd > 0, self._dist().var(), 0.0)
+        return np.where(self.sd > 0, self._dist.var(), 0.0)
 
     def support_upper(self):
         return np.minimum(np.where(self.sd > 0, 1.0, self.mu), 1.0)
@@ -307,38 +304,57 @@ class RpsbmModel:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _pair_uniforms(gen: np.random.Generator, n_pairs: int):
-    """Yield (start, uniforms) chunks of the per-pair counter stream."""
-    for start in range(0, n_pairs, _PAIR_CHUNK):
-        yield start, gen.random(min(_PAIR_CHUNK, n_pairs - start))
+def _triangle_cells(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unrank cells of a triangle: cell t is the pair (i, j), i < j, with
+    t = j(j - 1)/2 + i.
+
+    j is the floor of r = (1 + sqrt(8t + 1))/2.  Exact while j(j - 1) fits
+    int64, that is for every block of a graph whose edge key min*n + max fits
+    (n < 3.03e9): r in floats is off by less than 1e-5 there, so the floor of
+    r - 1/2 is j or j - 1, and one integer step up settles which.
+    """
+    t = np.asarray(t, dtype=np.int64)
+    j = (np.sqrt(8.0 * t + 1.0) / 2.0).astype(np.int64)
+    i = t - j * (j - 1) // 2
+    up = i >= j
+    i -= up * j
+    j += up
+    return i, j
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Graph:
     """Draw one SBM graph; pair (i,j) is an edge w.p. omega * f(i/n, j/n).
 
-    Deterministic given (seed, graph_index): pair t of the i<j lexicographic
-    order consumes the t-th value of the derived Philox stream.
+    The nodes of community a are the contiguous run ``block_labels == a``.
+    Blocks (a, b), a <= b, are drawn in row-major order from the derived
+    Philox stream: first the block's edge count m ~ Binomial(K, omega*f_ab),
+    with K = n_a*n_b cells off the diagonal and n_a(n_a - 1)/2 on it, then m
+    distinct cells out of K (``Generator.choice`` without replacement).  The
+    graph is a pure function of (params, n, seed, graph_index), given
+    numpy's ``binomial`` and ``choice`` algorithms.  The cost is O(n + m),
+    plus a K-entry index wherever ``choice`` shuffles one (K > 10^4 cells
+    with m > K/50).
     """
     if n < params.c:
         raise ValueError("graph size smaller than community count")
-    labels = block_labels(params.s, n)
     prob_table = np.full((params.c, params.c), params.omega * params.q)
     np.fill_diagonal(prob_table, params.omega * params.p)
     if prob_table.max() > 1 + 1e-12:
         raise ValueError("edge probability exceeds 1")
+    sizes = np.bincount(block_labels(params.s, n), minlength=params.c)
+    starts = np.cumsum(sizes) - sizes
     gen = rngmod.pair_stream(seed, graph_index)
-    n_pairs = n * (n - 1) // 2
-    iu, ju = np.triu_indices(n, 1)
-    edges = []
-    for start, u in _pair_uniforms(gen, n_pairs):
-        sl = slice(start, start + len(u))
-        probs = prob_table[labels[iu[sl]], labels[ju[sl]]]
-        hit = u < probs
-        if hit.any():
-            edges.append(np.column_stack((iu[sl][hit], ju[sl][hit])))
-    if edges:
-        return Graph(n, np.concatenate(edges))
-    return Graph.empty(n)
+    rows, cols = [], []
+    for a in range(params.c):
+        for b in range(a, params.c):
+            na, nb = int(sizes[a]), int(sizes[b])
+            cells = na * (na - 1) // 2 if a == b else na * nb
+            m = gen.binomial(cells, min(prob_table[a, b], 1.0))
+            t = gen.choice(cells, m, replace=False, shuffle=False)
+            i, j = _triangle_cells(t) if a == b else np.divmod(t, nb)
+            rows.append(starts[a] + i)
+            cols.append(starts[b] + j)
+    return Graph(n, np.column_stack((np.concatenate(rows), np.concatenate(cols))))
 
 
 def draw_params(model: RpsbmModel, seed: int, graph_index: int = 0,
@@ -367,7 +383,7 @@ def draw_params(model: RpsbmModel, seed: int, graph_index: int = 0,
 def sample_rpsbm(model: RpsbmModel, n: int, seed: int, graph_index: int = 0) -> Graph:
     """Draw one RPSBM graph: p ~ J, q = epsilon*min(p), then the SBM draw.
 
-    The pair stream is independent of the parameter stream, so a Dirac law
+    The edge stream is independent of the parameter stream, so a Dirac law
     reproduces ``sample_sbm`` with the same seed exactly.
     """
     params = draw_params(model, seed, graph_index)

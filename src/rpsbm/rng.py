@@ -1,14 +1,23 @@
 """Deterministic random stream derivation.
 
 Every randomized operation in the package draws from a counter-based Philox
-generator keyed by (master seed, purpose-specific spawn key).  The k-th value
-of a derived stream is a pure function of (seed, spawn key, k), so results are
-identical regardless of chunking or of which graphs are sampled in parallel.
+generator keyed by (master seed, purpose-specific spawn key).  A derived
+stream is a pure function of (seed, spawn key), so each graph is the same
+whichever other graphs are sampled, in whatever order or process.
 
 Substream conventions, per graph index g:
-    (g, PAIRS)  -- Bernoulli uniforms for node pairs, in i<j lexicographic order
+    (g, PAIRS)  -- the SBM edge draw for graph g: for each block (a, b),
+                   a <= b in row-major order, one Binomial(K_ab, omega*f_ab)
+                   edge count, then one draw of that many distinct cells
+                   (see ``models.sample_sbm``)
     (g, PARAMS) -- parameter draws (p ~ J) for graph g
     (g, MIX)    -- mixture component choice for graph g
+
+How the edge draw turns stream values into a count and cells is numpy's
+``Generator.binomial`` and ``Generator.choice``, so the graphs depend on the
+numpy version as well as on the package version; ``manifest.json`` records
+both.  This edge-draw contract holds from rpsbm 0.2.0; 0.1.0 drew one uniform
+per node pair, so its graphs differ for the same seed.
 """
 
 from __future__ import annotations

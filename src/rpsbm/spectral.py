@@ -24,10 +24,18 @@ import scipy.sparse.linalg
 # decides when ARPACK fails or the c-th Ritz value is <= 0: a graph with fewer
 # than c positive eigenvalues has a large zero eigenspace that Lanczos can
 # step over.
+# ARPACK_MAXITER caps the implicit restarts.  Block-model draws converge in one
+# restart (checked with maxiter=1 at n = 401 to 6000, c = 1 to 3), so 300
+# leaves them a wide margin.  Clustered top eigenvalues (paths, cycles) can
+# need thousands: on a 2100-node path with c = 2, 300 restarts take about
+# 0.3 s and the dense fallback then 1.2 s, where an uncapped solve takes
+# 10.5 s.  One restart costs O(ncv m) against O(n^3) for the dense solve, so
+# the cap's share of the fallback's cost shrinks as n grows.
 DENSE_EIG = 400
 DENSE_ADJ = 4096
 ARPACK_TOL = 0.0
 ARPACK_SEED = 20220705
+ARPACK_MAXITER = 300
 
 
 @dataclass(frozen=True)
@@ -130,12 +138,13 @@ def density(g: Graph) -> float:
 
 def _lanczos(g: Graph, k: int, return_eigenvectors: bool):
     """eigsh's top-k of the sparse adjacency, or None where the dense solver
-    must decide: ARPACK failed, or the k-th Ritz value is <= 0."""
+    must decide: ARPACK failed or hit its restart cap, or the k-th Ritz value
+    is <= 0."""
     v0 = np.random.default_rng(ARPACK_SEED).standard_normal(g.n)
     try:
         res = scipy.sparse.linalg.eigsh(
             g.adjacency(dense=False), k=k, which="LA", v0=v0, tol=ARPACK_TOL,
-            return_eigenvectors=return_eigenvectors,
+            maxiter=ARPACK_MAXITER, return_eigenvectors=return_eigenvectors,
         )
     except scipy.sparse.linalg.ArpackError:
         return None

@@ -1,13 +1,14 @@
 """CLI subcommands: outputs, determinism, and exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rpsbm import Graph, SbmParams, UniformProductLaw, RpsbmModel, save_model
+from rpsbm import Graph, SbmParams, UniformProductLaw, RpsbmModel, __version__, save_model
 from rpsbm.cli import main
 from rpsbm.models import sample_corpus
 from rpsbm.spectral import save_edgelist, spectrum, density
@@ -58,6 +59,18 @@ class TestSample:
         assert manifest["format"] == 1
         assert manifest["seed"] == 1
         assert "graph_0000.txt" in manifest["outputs"]
+
+    def test_versions_agree(self, runner, dirac_spec, tmp_path):
+        # manifests tell sampler contracts apart by the package version
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+        assert declared == __version__
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["sample", "--model", str(dirac_spec),
+                                 "--n", "30", "--count", "1", "--out", str(out)])
+        assert r.exit_code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["rpsbm"] == __version__
 
     def test_missing_model_is_io_error(self, runner, tmp_path):
         r = runner.invoke(main, ["sample", "--model", str(tmp_path / "nope.json"),

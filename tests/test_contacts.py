@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from rpsbm import ContactStream, load_contacts, window_contacts
+from rpsbm import ContactStream, Graph, load_contacts, window_contacts
 from rpsbm.contacts import window_count
 
 
@@ -29,6 +30,14 @@ def brute_force_windows(records, n, window, step):
         graphs.append(edges)
         k += 1
     return graphs
+
+
+def mask_windows(stream, window, step):
+    """Reference: select each window's records with a full boolean mask."""
+    t = stream.records[:, 0] - stream.t_min
+    starts = step * np.arange(window_count(stream, window, step))
+    return [Graph(stream.n, stream.records[(t >= s) & (t < s + window), 1:3])
+            for s in starts]
 
 
 class TestLoad:
@@ -122,6 +131,19 @@ class TestWindows:
                 ref_mapped = sorted(
                     (min(nm[i], nm[j]), max(nm[i], nm[j])) for i, j in ref)
                 assert [tuple(e) for e in g.edges.tolist()] == ref_mapped
+
+    @given(records=st.lists(
+               st.tuples(st.integers(0, 3000), st.integers(0, 6),
+                         st.integers(0, 6)).filter(lambda r: r[1] != r[2]),
+               min_size=1, max_size=80),
+           window=st.integers(1, 1500), step=st.integers(1, 400))
+    def test_slices_match_masks(self, records, window, step):
+        stream = self.stream(records)
+        got = window_contacts(stream, window, step)
+        expect = mask_windows(stream, window, step)
+        assert len(got) == len(expect)
+        for g, ref in zip(got, expect):
+            np.testing.assert_array_equal(g.edges, ref.edges)
 
     def test_invalid_window_params(self):
         stream = self.stream([(0, 0, 1), (5000, 1, 2)])

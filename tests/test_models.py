@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from rpsbm import (
     BetaProductLaw,
@@ -16,7 +17,15 @@ from rpsbm import (
     sample_rpsbm,
     sample_sbm,
 )
-from rpsbm.models import draw_params, law_from_dict, law_to_dict, model_from_dict, model_to_dict
+from rpsbm.models import (
+    _triangle_cells,
+    block_labels,
+    draw_params,
+    law_from_dict,
+    law_to_dict,
+    model_from_dict,
+    model_to_dict,
+)
 
 
 def two_block(omega=1.0, p=(0.8, 0.6), q=0.1):
@@ -33,6 +42,12 @@ class TestParams:
             SbmParams(omega=0.9, s=[1.0], p=[1.2], q=0.0)
         # p > 1 is fine while omega*p <= 1
         SbmParams(omega=0.4, s=[1.0], p=[2.0], q=0.0)
+
+    def test_nan_density_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SbmParams(omega=0.5, s=[1.0], p=[np.nan], q=0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            SbmParams(omega=0.5, s=[1.0], p=[0.5], q=np.nan)
 
     def test_kernel_values(self):
         params = two_block()
@@ -88,6 +103,77 @@ class TestSampleSbm:
         sides = (g.edges < 50).sum(axis=1)
         assert set(np.unique(sides)) <= {0, 2}
 
+    def test_empty_block(self):
+        # block 1 gets no node at n = 10; the other two come out complete
+        params = SbmParams(omega=1.0, s=[0.55, 0.01, 0.44], p=[1.0, 1.0, 1.0],
+                           q=0.0)
+        labels = block_labels(params.s, 10)
+        assert np.bincount(labels, minlength=3).tolist() == [6, 0, 4]
+        g = sample_sbm(params, 10, seed=3)
+        assert g.m == 6 * 5 // 2 + 4 * 3 // 2
+        assert np.all(labels[g.edges[:, 0]] == labels[g.edges[:, 1]])
+
+    def test_probability_at_tolerance_above_one_gives_complete_graph(self):
+        # omega*p = 1 + 1e-12 passes validation and is drawn as 1
+        params = SbmParams(omega=1.0, s=[0.5, 0.5], p=[1 + 1e-12, 1 + 1e-12],
+                           q=1 + 1e-12)
+        assert sample_sbm(params, 12, seed=0).m == 12 * 11 // 2
+
+    def test_block_edge_counts_match_binomial_mean(self):
+        n, reps = 50, 400
+        params = SbmParams(omega=0.5, s=[0.5, 0.3, 0.2], p=[0.8, 0.6, 0.4],
+                           q=0.2)
+        labels = block_labels(params.s, n)
+        sizes = np.bincount(labels, minlength=3)
+        counts = np.zeros((reps, 3, 3))
+        for k in range(reps):
+            e = sample_sbm(params, n, seed=8, graph_index=k).edges
+            a, b = labels[e[:, 0]], labels[e[:, 1]]
+            np.add.at(counts[k], (np.minimum(a, b), np.maximum(a, b)), 1)
+        for a in range(3):
+            for b in range(a, 3):
+                cells = (sizes[a] * (sizes[a] - 1) // 2 if a == b
+                         else sizes[a] * sizes[b])
+                prob = params.omega * (params.p[a] if a == b else params.q)
+                se = np.sqrt(cells * prob * (1 - prob) / reps)
+                assert abs(counts[:, a, b].mean() - cells * prob) < 4 * se, (a, b)
+
+    def test_pair_frequencies_are_uniform(self):
+        n, reps = 12, 2000
+        params = SbmParams(omega=0.5, s=[0.5, 0.5], p=[0.8, 0.4], q=0.3)
+        freq = np.zeros((n, n))
+        for k in range(reps):
+            e = sample_sbm(params, n, seed=9, graph_index=k).edges
+            freq[e[:, 0], e[:, 1]] += 1
+        freq /= reps
+        labels = block_labels(params.s, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = labels[i], labels[j]
+                prob = params.omega * (params.p[a] if a == b else params.q)
+                se = np.sqrt(prob * (1 - prob) / reps)
+                assert abs(freq[i, j] - prob) < 4.5 * se, (i, j)
+
+
+class TestTriangleCells:
+    def test_enumerates_pairs_in_order(self):
+        for k in range(61):
+            i, j = _triangle_cells(np.arange(k * (k - 1) // 2))
+            expect = [(a, b) for b in range(k) for a in range(b)]
+            assert list(zip(i.tolist(), j.tolist())) == expect, k
+
+    @pytest.mark.parametrize("k", [10**5, 10**8, 10**9, 3 * 10**9])
+    def test_round_trip_in_large_blocks(self, k):
+        cells = k * (k - 1) // 2
+        rows = np.array([1, 2, 3, k // 2, k - 2, k - 1], dtype=np.int64)
+        first = rows * (rows - 1) // 2
+        t = np.concatenate([first - 1, first, first + 1, [0, cells - 1],
+                            np.random.default_rng(k).integers(0, cells, 1000)])
+        t = t[(t >= 0) & (t < cells)]
+        i, j = _triangle_cells(t)
+        np.testing.assert_array_equal(j * (j - 1) // 2 + i, t)
+        assert np.all((0 <= i) & (i < j) & (j < k))
+
 
 class TestLaws:
     def test_uniform_support(self):
@@ -123,6 +209,15 @@ class TestLaws:
                 np.testing.assert_allclose(mean_i, expect_i, atol=atol_i)
             np.testing.assert_allclose(draws.var(axis=0, ddof=1), law.var(),
                                        rtol=0.08)
+
+    def test_gauss_cached_dist_draws_like_a_fresh_one(self):
+        law = TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.05])
+        cached, fresh = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(3):
+            ref = scipy.stats.truncnorm(
+                (0.0 - law.mu) / law.sd, (1.0 - law.mu) / law.sd,
+                loc=law.mu, scale=law.sd).rvs(size=2, random_state=fresh)
+            np.testing.assert_array_equal(law.draw(cached), ref)
 
     def test_json_round_trip(self):
         for law in (DiracLaw([0.5]),
