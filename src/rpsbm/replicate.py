@@ -101,14 +101,20 @@ def run_recoverability(seed: int, params: dict | None = None) -> dict:
     p = dict(N=50, n=1000, eps=0.05, centers=[0.85, 0.575],
              widths=[0.1, 0.05], s=[0.5, 0.5], resample=None)
     p.update(params or {})
-    n, N = int(p["n"]), int(p["N"])
-    omega = float(p.get("omega", 10.0 / np.sqrt(n)))
+    try:
+        n, N = int(p["n"]), int(p["N"])
+        omega = float(p.get("omega", 10.0 / np.sqrt(n)))
+        eps = float(p["eps"])
+        resample_n = N if p["resample"] is None else int(p["resample"])
+    except TypeError:
+        raise ValueError("recoverability needs numbers for n, N, omega, eps "
+                         "and resample") from None
     s = np.asarray(p["s"], dtype=float)
     centers = np.asarray(p["centers"], dtype=float)
     widths = np.asarray(p["widths"], dtype=float)
     c = len(s)
     truth = RpsbmModel(omega=omega, law=UniformProductLaw(centers, widths),
-                       epsilon=float(p["eps"]), s=s)
+                       epsilon=eps, s=s)
 
     corpus = sample_corpus(truth, n, N, seed)
     mom = compute_moments(corpus, c)
@@ -116,7 +122,6 @@ def run_recoverability(seed: int, params: dict | None = None) -> dict:
     law = fit.model.law
     omega_hat = fit.model.omega
 
-    resample_n = N if p["resample"] is None else int(p["resample"])
     new = sample_corpus(fit.model, n, resample_n, seed, start_index=N)
     rows = []
     for i, moment_row in enumerate(_moment_rows(mom, compute_moments(new, c))):
@@ -130,7 +135,6 @@ def run_recoverability(seed: int, params: dict | None = None) -> dict:
             "rel_err_omega_delta": _rel_err(omega_hat * law.width[i], omega * widths[i]),
             **moment_row,
         })
-    eps = float(p["eps"])
     return {"tables": {"errors.csv": rows},
             "report": {"eps_hat": fit.eps_raw, "eps_true": eps,
                        "rel_err_eps": _rel_err(fit.eps_raw, eps),
@@ -142,10 +146,13 @@ def run_mixture_beta(seed: int, params: dict | None = None) -> dict:
     p = dict(N=200, n=1000, q=0.05, s=[0.5, 0.5],
              p_values=[[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]])
     p.update(params or {})
-    n, N = int(p["n"]), int(p["N"])
-    omega = float(p.get("omega", 10.0 / np.sqrt(n)))
+    try:
+        n, N = int(p["n"]), int(p["N"])
+        omega = float(p.get("omega", 10.0 / np.sqrt(n)))
+        q = float(p["q"])
+    except TypeError:
+        raise ValueError("mixture-beta needs numbers for n, N, omega and q") from None
     s = np.asarray(p["s"], dtype=float)
-    q = float(p["q"])
     p_values = [np.asarray(v, dtype=float) for v in p["p_values"]]
     c = len(s)
 
@@ -204,8 +211,14 @@ def run_contacts(seed: int, params: dict) -> dict:
     p.update(params or {})
     if "file" not in p:
         raise ValueError("contacts scenario needs a 'file' parameter")
+    try:
+        window, step = int(p["window"]), int(p["step"])
+        resample, min_cluster = int(p["resample"]), int(p["min_cluster"])
+    except TypeError:
+        raise ValueError("contacts needs numbers for window, step, resample "
+                         "and min_cluster") from None
     stream = load_contacts(p["file"])
-    corpus = window_contacts(stream, int(p["window"]), int(p["step"]))
+    corpus = window_contacts(stream, window, step)
     if not corpus:
         raise ValueError("stream shorter than one window")
     geoms = [detect_geometry(g) for g in corpus]
@@ -213,7 +226,7 @@ def run_contacts(seed: int, params: dict) -> dict:
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}
     for count, members in sizes[:2]:
-        if len(members) < int(p["min_cluster"]) or count < 1:
+        if len(members) < min_cluster or count < 1:
             continue
         sub = [corpus[i] for i in members]
         s_rows = np.vstack([
@@ -222,7 +235,7 @@ def run_contacts(seed: int, params: dict) -> dict:
         ])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)
         mix = fit_nonparametric(sub, count, s_per_graph=s_rows)
-        new = sample_mixture(mix, corpus[0].n, int(p["resample"]), seed)
+        new = sample_mixture(mix, corpus[0].n, resample, seed)
         fits[count] = {
             "members": members,
             "lambda_bar": mix.moments.mean_spectrum,

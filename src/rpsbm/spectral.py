@@ -31,11 +31,24 @@ import scipy.sparse.linalg
 # 0.3 s and the dense fallback then 1.2 s, where an uncapped solve takes
 # 10.5 s.  One restart costs O(ncv m) against O(n^3) for the dense solve, so
 # the cap's share of the fallback's cost shrinks as n grows.
+# Every dense solve yields the whole spectrum, so the first one on a Graph
+# keeps its eigenvalues (non-increasing, read-only) in the instance's
+# __dict__ under SPECTRUM_MEMO; a Graph is immutable, so they stay valid.
+# spectrum() then returns a slice of them at any n, and a clustered window
+# whose eigenvectors detect_geometry took from eigenpairs() costs no second
+# LAPACK call in compute_moments.  Only the n values are kept, never the
+# n x n eigenvectors.
+# The sparse adjacency lists the lower half (row j, column i) before the upper
+# half (row i, column j).  Edges are sorted by (i, j), so the COO to CSR
+# conversion, a stable counting sort by row, leaves every row's columns
+# ascending, and SciPy skips its per-row index sort (half the build time at
+# n = 6000); indptr, indices and data equal those of the upper-first order.
 DENSE_EIG = 400
 DENSE_ADJ = 4096
 ARPACK_TOL = 0.0
 ARPACK_SEED = 20220705
 ARPACK_MAXITER = 300
+SPECTRUM_MEMO = "_spectrum"
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,8 @@ class Graph:
 
     ``edges`` is an (m, 2) int array with i < j per row, lexicographically
     sorted and deduplicated.  Instances are immutable and safe to share.
+    The first dense eigensolve on an instance stores its full spectrum on it
+    (``__dict__[SPECTRUM_MEMO]``, read-only), which ``spectrum`` reuses.
     """
 
     n: int
@@ -73,7 +88,11 @@ class Graph:
         return self.edges.shape[0]
 
     def adjacency(self, dense: bool | None = None):
-        """Adjacency matrix; dense ndarray up to n=4096, CSR above."""
+        """Adjacency matrix; dense ndarray up to n=4096, CSR above.
+
+        The CSR matrix is built from the lower half first, so its rows come
+        out of the COO conversion with sorted column indices.
+        """
         if dense is None:
             dense = self.n <= DENSE_ADJ
         i, j = self.edges[:, 0], self.edges[:, 1]
@@ -83,8 +102,8 @@ class Graph:
             a[j, i] = 1.0
             return a
         data = np.ones(2 * self.m)
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
+        rows = np.concatenate([j, i])
+        cols = np.concatenate([i, j])
         return scipy.sparse.csr_matrix(
             (data, (rows, cols)), shape=(self.n, self.n)
         )
@@ -152,19 +171,32 @@ def _lanczos(g: Graph, k: int, return_eigenvectors: bool):
     return res if w.min() > 0 else None
 
 
+def _remember(g: Graph, w: np.ndarray) -> np.ndarray:
+    """Store LAPACK's ascending w on g as its full spectrum, unless a dense
+    solve already stored one; return the stored spectrum."""
+    v = w[::-1].copy()
+    v.setflags(write=False)
+    return g.__dict__.setdefault(SPECTRUM_MEMO, v)
+
+
 def _top_eigenvalues(g: Graph, c: int) -> np.ndarray:
-    if g.n > DENSE_EIG and c < g.n - 1:
-        if g.m == 0:
-            return np.zeros(c)
-        w = _lanczos(g, c, return_eigenvectors=False)
-        if w is not None:
-            return np.sort(w)[::-1]
-    w = np.linalg.eigvalsh(g.adjacency(dense=True))
-    return w[::-1][:c]
+    w = g.__dict__.get(SPECTRUM_MEMO)
+    if w is None:
+        if g.n > DENSE_EIG and c < g.n - 1:
+            if g.m == 0:
+                return np.zeros(c)
+            w = _lanczos(g, c, return_eigenvectors=False)
+            if w is not None:
+                return np.sort(w)[::-1]
+        w = _remember(g, np.linalg.eigvalsh(g.adjacency(dense=True)))
+    return w[:c]
 
 
 def spectrum(g: Graph, c: int) -> SpectralSignature:
-    """The c algebraically largest adjacency eigenvalues, non-increasing."""
+    """The c algebraically largest adjacency eigenvalues, non-increasing.
+
+    An exact prefix of g's stored full spectrum whenever one is stored.
+    """
     if not 1 <= c <= g.n:
         raise ValueError(f"truncation order must satisfy 1 <= c <= {g.n}")
     return SpectralSignature(_top_eigenvalues(g, c), c, g.n)
@@ -179,7 +211,9 @@ def eigenpairs(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenvalues (non-increasing) and matching unit eigenvectors.
 
     Returns (w, U) with U[:, j] the eigenvector of w[j].  Dense path up to
-    DENSE_EIG nodes, ARPACK (fixed start vector, dense fallback) above.
+    DENSE_EIG nodes, ARPACK (fixed start vector, dense fallback) above.  A
+    dense solve stores the full spectrum on g, but w is always the one that
+    solve returned with U, even where an earlier solve stored a spectrum.
     """
     if not 1 <= k <= g.n:
         raise ValueError("k out of range")
@@ -190,6 +224,7 @@ def eigenpairs(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
             order = np.argsort(w)[::-1]
             return w[order], v[:, order]
     w, v = np.linalg.eigh(g.adjacency(dense=True))
+    _remember(g, w)
     return w[::-1][:k], v[:, ::-1][:, :k]
 
 
@@ -222,6 +257,8 @@ def load_edgelist(path: str | os.PathLike) -> Graph:
             if not parts:
                 continue
             if parts[0] == "n":
+                if len(parts) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 'n <count>'")
                 n_header = int(parts[1])
                 continue
             if len(parts) < 2:

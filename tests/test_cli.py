@@ -386,3 +386,30 @@ class TestInvalidJson:
         r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
                                  "--n-max", "10", "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
+
+    def test_edgelist_header_without_count(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "graph_0000.txt").write_text("n\n0 1\n")
+        r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "1",
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("recoverability", {"n": [300]}),
+        ("recoverability", {"N": None}),
+        ("mixture-beta", {"q": [0.05]}),
+    ])
+    def test_scenario_param_not_scalar(self, runner, tmp_path, scenario, params):
+        cfg = write_config(tmp_path / "cfg.json", scenario, 0, params)
+        r = runner.invoke(main, ["replicate", scenario, "--config", str(cfg),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+
+    def test_contacts_window_not_scalar(self, runner, tmp_path):
+        stream = planted_contact_stream(tmp_path / "contacts.txt")
+        cfg = write_config(tmp_path / "cfg.json", "contacts", 0,
+                           {"file": str(stream), "window": [10]})
+        r = runner.invoke(main, ["replicate", "contacts", "--config", str(cfg),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)

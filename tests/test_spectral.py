@@ -1,22 +1,28 @@
 """Graph representation, spectra, and pseudometric properties."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
 from rpsbm import (
     Graph,
     RpsbmModel,
+    SbmParams,
     UniformProductLaw,
     density,
+    detect_geometry,
     dist_truncated,
     full_spectrum,
     load_edgelist,
     sample_rpsbm,
+    sample_sbm,
     save_edgelist,
     spectrum,
 )
-from rpsbm.spectral import DENSE_EIG, eigenpairs
+from rpsbm.spectral import DENSE_EIG, SPECTRUM_MEMO, eigenpairs
 
 
 def dense_eigs(g: Graph) -> np.ndarray:
@@ -41,6 +47,30 @@ def lexsort_unique(pairs) -> np.ndarray:
     j = np.maximum(e[:, 0], e[:, 1])
     order = np.lexsort((j, i))
     return np.unique(np.column_stack((i, j))[order], axis=0)
+
+
+def upper_first_csr(g: Graph) -> scipy.sparse.csr_matrix:
+    """Reference: the sparse adjacency listing the upper half first, whose
+    rows SciPy has to sort after the COO conversion."""
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    return scipy.sparse.csr_matrix(
+        (np.ones(2 * g.m), (np.concatenate([i, j]), np.concatenate([j, i]))),
+        shape=(g.n, g.n))
+
+
+def sparse_adjacency_and_sorts(g: Graph):
+    """g.adjacency(dense=False), and for each index sort SciPy ran while
+    building it, whether the rows were already sorted."""
+    seen = []
+    original = scipy.sparse.csr_matrix.sort_indices
+
+    def spy(self):
+        seen.append(self.has_sorted_indices)
+        return original(self)
+
+    with mock.patch.object(scipy.sparse.csr_matrix, "sort_indices", spy):
+        a = g.adjacency(dense=False)
+    return a, seen
 
 
 def cycle(n):
@@ -100,6 +130,22 @@ class TestGraph:
         g = Graph.complete(4)
         with pytest.raises(ValueError):
             g.edges[0, 0] = 5
+
+    @given(st.data())
+    def test_sparse_adjacency_needs_no_index_sort(self, data):
+        n = data.draw(st.integers(2, 40), label="n")
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node).filter(
+            lambda p: p[0] != p[1]), max_size=120), label="pairs")
+        g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+        a, sorts = sparse_adjacency_and_sorts(g)
+        assert all(sorts)
+        assert a.has_canonical_format
+        np.testing.assert_array_equal(a.toarray(), g.adjacency(dense=True))
+        ref = upper_first_csr(g)
+        np.testing.assert_array_equal(a.indptr, ref.indptr)
+        np.testing.assert_array_equal(a.indices, ref.indices)
+        np.testing.assert_array_equal(a.data, ref.data)
 
 
 class TestSpectrum:
@@ -197,6 +243,92 @@ class TestSpectrum:
             h = Graph(g.n, edges)
             diff = full_spectrum(g).values - full_spectrum(h).values
             assert np.max(np.abs(diff)) <= 1.0 + 1e-9
+
+
+def count_lapack_calls(monkeypatch) -> list[str]:
+    """Names of the numpy.linalg eigensolvers called from here on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def spy(a, _name=name, _original=original):
+            calls.append(_name)
+            return _original(a)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+class TestSpectrumMemo:
+    """The first dense solve on a Graph stores its full spectrum, and
+    spectrum() returns exact prefixes of it."""
+
+    @pytest.mark.parametrize("n", [60, DENSE_EIG + 1])
+    @pytest.mark.parametrize("first", ["full_spectrum", "spectrum", "eigenpairs"])
+    def test_spectrum_is_prefix_of_full_in_any_call_order(self, first, n):
+        g = random_graph(n, 0.1, 10)
+        cs = (1, 2, 5)
+        if first == "spectrum":
+            before = [spectrum(g, c).values for c in cs]
+        elif first == "eigenpairs":
+            w, _ = eigenpairs(g, g.n)
+        full = full_spectrum(g).values
+        for c in cs:
+            np.testing.assert_array_equal(spectrum(g, c).values, full[:c])
+        if first == "eigenpairs":
+            np.testing.assert_array_equal(full, w)
+        if first == "spectrum":
+            for c, v in zip(cs, before):
+                if n <= DENSE_EIG:
+                    np.testing.assert_array_equal(v, full[:c])
+                else:
+                    # ARPACK's top-c, computed before any dense solve
+                    np.testing.assert_allclose(v, full[:c], rtol=0, atol=1e-9)
+
+    def test_one_dense_solve_per_graph(self, monkeypatch):
+        calls = count_lapack_calls(monkeypatch)
+        g = random_graph(60, 0.2, 11)
+        spectrum(g, 2)
+        full_spectrum(g)
+        spectrum(g, 5)
+        assert calls == ["eigvalsh"]
+        h = random_graph(60, 0.2, 12)
+        eigenpairs(h, h.n)
+        spectrum(h, 2)
+        full_spectrum(h)
+        assert calls == ["eigvalsh", "eigh"]
+
+    def test_memo_is_read_only_values(self):
+        g = random_graph(60, 0.2, 13)
+        w, _ = eigenpairs(g, g.n)
+        w[0] = 99.0
+        memo = g.__dict__[SPECTRUM_MEMO]
+        assert memo.shape == (g.n,)
+        assert not memo.flags.writeable
+        with pytest.raises(ValueError):
+            memo[0] = 1.0
+        assert full_spectrum(g).values[0] != 99.0
+
+    def test_arpack_path_stores_nothing(self):
+        g = random_graph(DENSE_EIG + 1, 0.1, 14)
+        spectrum(g, 2)
+        eigenpairs(g, 2)
+        assert SPECTRUM_MEMO not in g.__dict__
+
+    @pytest.mark.parametrize("n, omega, s", [
+        (120, 0.3, [0.5, 0.5]), (DENSE_EIG + 1, 0.1, [1 / 3, 1 / 3, 1 / 3])])
+    def test_geometry_unchanged_by_prior_spectrum(self, n, omega, s):
+        params = SbmParams(omega=omega, s=s, p=[0.9] * len(s), q=0.05)
+        edges = sample_sbm(params, n, 3, 0).edges
+        expect = detect_geometry(Graph(n, edges))
+        assert expect.community_count == len(s)
+        g = Graph(n, edges)
+        spectrum(g, 2)
+        got = detect_geometry(g)
+        assert got.K == expect.K
+        assert got.change_points == expect.change_points
+        assert got.community_count == expect.community_count
+        np.testing.assert_array_equal(got.s, expect.s)
 
 
 class TestDistance:
