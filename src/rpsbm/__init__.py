@@ -26,7 +26,6 @@ from .models import (
     SbmParams,
     TruncGaussianProductLaw,
     UniformProductLaw,
-    canonical_kernel_value,
     load_model,
     sample_corpus,
     sample_rpsbm,
@@ -40,7 +39,6 @@ from .theory import (
     eigenfunction_values,
     eigenvalue_covariance,
     expected_eigenvalue,
-    first_order_check,
     limiting_covariance,
     predict_eig_law_moments,
 )
@@ -68,7 +66,6 @@ from .geometry import (
     GeometryEstimate,
     cluster_by_community_count,
     detect_geometry,
-    eigenvector_profile,
     extremal_count,
 )
 from .contacts import ContactStream, load_contacts, window_contacts

@@ -24,7 +24,7 @@ from . import __version__
 from .contacts import load_contacts, window_contacts
 from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
 from .geometry import cluster_by_community_count, detect_geometry
-from .models import load_model, model_to_dict, sample_corpus
+from .models import LAWS, load_model, model_to_dict, sample_corpus
 from .moments import classify_regimes, compute_moments, moments_report
 from .replicate import SCENARIOS, ExperimentConfig, run_scenario
 from .spectral import Graph, density, load_edgelist, save_edgelist, spectrum
@@ -248,7 +248,7 @@ def _geometry_s(corpus, trunc):
 @common_options
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
-@click.option("--family", type=click.Choice(["dirac", "uniform", "beta", "gauss"]),
+@click.option("--family", type=click.Choice(list(LAWS)),
               default="uniform", show_default=True)
 @click.option("--s-from-geometry", is_flag=True,
               help="Estimate the geometry vector from eigenvector profiles.")

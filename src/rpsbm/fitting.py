@@ -18,7 +18,7 @@ SBM-inherent variance.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
@@ -40,6 +40,8 @@ from .spectral import Graph, density, spectrum
 
 EPSILON_MAX = 0.2
 EPSILON_WARN = 0.1
+#: Points of the shared z grid of the ER-mixture density curves.
+CURVE_POINTS = 2048
 
 
 class InfeasibleFitError(ValueError):
@@ -59,7 +61,7 @@ class FitResult:
     cov_J: np.ndarray
     eps_raw: float
     feasibility: dict
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 @dataclass(frozen=True)
@@ -101,17 +103,15 @@ class GraphMixture:
 # ---------------------------------------------------------------------------
 
 def _j_moments(lam: np.ndarray, second: np.ndarray, n: int, omega: float,
-               s: np.ndarray, drop_inherent: bool = False):
+               s: np.ndarray):
     """First/second J-moments from eigenvalue moments.
 
-    ``second`` is the c x c eigenvalue covariance (corpus Sigma or kernel H).
-    ``drop_inherent`` applies the large-variance simplification (omit the
-    2*lambda_bar correction on the diagonal).
+    ``second`` is the c x c eigenvalue covariance (corpus Sigma or kernel H);
+    the SBM-inherent 2*lambda_bar term comes off its diagonal.
     """
     mean = lam / (n * omega * s)
-    cov = second / (n**2 * omega**2 * np.outer(s, s))
-    if not drop_inherent:
-        cov = cov - np.diag(2.0 * lam / (n**3 * omega**2 * s**3))
+    cov = (second / (n**2 * omega**2 * np.outer(s, s))
+           - np.diag(2.0 * lam / (n**3 * omega**2 * s**3)))
     return mean, cov
 
 
@@ -171,12 +171,12 @@ def fit_beta_product(mean, var, a, b) -> BetaProductLaw:
 
 def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
                    s_override: np.ndarray | None = None,
-                   omega: float | None = None, scale_c: float = 1.0,
-                   drop_inherent: bool = False,
-                   eps_max: float | None = EPSILON_MAX) -> FitResult:
+                   omega: float | None = None, scale_c: float = 1.0) -> FitResult:
     """Fit an RPSBM by matching corpus spectral moments (parametric J).
 
-    omega defaults to scale_c * rho_bar.  Raises ``InfeasibleFitError`` when
+    omega defaults to scale_c * rho_bar.  The J-variance keeps the
+    SBM-inherent correction, and epsilon is clamped to [0, EPSILON_MAX], each
+    clamp noted in the result's warnings.  Raises ``InfeasibleFitError`` when
     any index is in the small-variance regime or when a mean eigenvalue
     exceeds its block size.
     """
@@ -210,8 +210,7 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
     if omega <= 0:
         raise InfeasibleFitError("corpus density is zero; nothing to fit")
 
-    mean, cov = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s,
-                           drop_inherent=drop_inherent)
+    mean, cov = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s)
     var = np.diag(cov).copy()
     if family == "dirac":
         var = np.maximum(var, 0.0)
@@ -226,11 +225,11 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
         )
 
     if family == "beta":
-        lam_lo = m.min_spectrum / (m.n * omega * s)
-        lam_hi = m.max_spectrum / (m.n * omega * s)
-        law = _solve_family(family, mean, var, lam_lo, lam_hi, notes)
+        bounds = (m.min_spectrum / (m.n * omega * s),
+                  m.max_spectrum / (m.n * omega * s))
     else:
-        law = _solve_family(family, mean, var, None, None, notes)
+        bounds = (None, None)
+    law = _solve_family(family, mean, var, *bounds, notes)
 
     eps_raw = _epsilon_hat(mean, s, scale_c)
     if np.isnan(eps_raw):
@@ -240,9 +239,9 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
     if eps < 0:
         notes.append(f"epsilon clamped to 0 (raw {eps_raw:.4g})")
         eps = 0.0
-    if eps_max is not None and eps > eps_max:
-        notes.append(f"epsilon clamped to {eps_max} (raw {eps_raw:.4g})")
-        eps = eps_max
+    if eps > EPSILON_MAX:
+        notes.append(f"epsilon clamped to {EPSILON_MAX} (raw {eps_raw:.4g})")
+        eps = EPSILON_MAX
     elif eps > EPSILON_WARN:
         notes.append(f"epsilon {eps:.4g} above {EPSILON_WARN}; expansions assume eps << 1")
 
@@ -323,7 +322,7 @@ def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | str = "silverman",
         inherent_ok = H.diagonal() - 2.0 * lam / (g.n * s) > 0
         dirac_idx = tuple(int(i) for i in np.nonzero(~inherent_ok)[0])
         var[~inherent_ok] = 0.0
-        law = UniformProductLaw(mean, np.sqrt(12.0 * var))
+        law = _solve_family("uniform", mean, var, None, None, [])
         eps = _epsilon_hat(mean, s, 1.0)
         if np.isnan(eps):
             eps = 0.0
@@ -434,7 +433,7 @@ def _normal_mixture(z, means, sds):
 
 
 def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
-                            seed: int = 0, grid_points: int = 2048) -> CurveTable:
+                            seed: int = 0) -> CurveTable:
     """Oracle, mixture-kernel, and Silverman density curves for lambda_1.
 
     Per corpus draw: p_hat = (lambda_1 - 1)/(n rho).  f_true uses the known
@@ -458,7 +457,7 @@ def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
     max_sd = max(true_sds.max(), hat_sds.max(), np.sqrt(h_N))
     lo = all_means.min() - 6.0 * max_sd
     hi = all_means.max() + 6.0 * max_sd
-    z = np.linspace(lo, hi, grid_points)
+    z = np.linspace(lo, hi, CURVE_POINTS)
     return CurveTable(
         z=z,
         f_true=_normal_mixture(z, true_means, true_sds),

@@ -25,10 +25,9 @@ import numpy as np
 
 from .spectral import DENSE_EIG, Graph, eigenpairs, full_spectrum
 
-LOG_FLOOR = 1e-12
 DEGENERATE_GAP = 1e-8
-DEFAULT_TAU = 0.70
-DEFAULT_BETA = 2.0
+TAU = 0.70
+BETA = 2.0
 
 
 @dataclass(frozen=True)
@@ -100,20 +99,6 @@ def _invariant_columns(w: np.ndarray, U: np.ndarray, cols: np.ndarray) -> np.nda
     return cols
 
 
-def eigenvector_profile(g: Graph, K: int) -> np.ndarray:
-    """Sum over the top-K eigenvectors of log sorted node magnitudes.
-
-    Each eigenvector's |entries| are sorted ascending before the log, so the
-    profile is a label-free staircase with steps at cumulative block sizes.
-    Sign flips of any eigenvector leave it unchanged.
-    """
-    if K < 1:
-        raise ValueError("K must be positive")
-    w, U = eigenpairs(g, K)
-    mags = _invariant_columns(w, U, np.abs(U))
-    return np.log(np.sort(mags, axis=0) + LOG_FLOOR).sum(axis=1)
-
-
 def _detection_channels(w: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Sorted signed eigenvector curves, standardized per channel.
 
@@ -142,8 +127,6 @@ def _best_joint_split(Y: np.ndarray, min_len: int):
     if tot <= 0.0:
         return None, 0.0, 0.0, tot
     ks = np.arange(min_len, n - min_len + 1)
-    if len(ks) == 0:
-        return None, 0.0, 0.0, tot
     kk = ks[:, None]
     left = c2[ks - 1] - c1[ks - 1] ** 2 / kk
     right = (c2[-1] - c2[ks - 1]) - (c1[-1] - c1[ks - 1]) ** 2 / (n - kk)
@@ -162,19 +145,23 @@ def _noise_scale(Y: np.ndarray) -> float:
     return float((1.4826 * mad) ** 2 / 2.0)
 
 
-def segment_profile(Y: np.ndarray, min_len: int = 2, tau: float = DEFAULT_TAU,
-                    beta: float = DEFAULT_BETA) -> list[int]:
-    """Binary segmentation of a (possibly multichannel) sorted profile."""
+def segment_profile(Y: np.ndarray, min_len: int) -> list[int]:
+    """Binary segmentation of a (possibly multichannel) sorted profile.
+
+    A split is kept when its relative SSE gain reaches TAU and its absolute
+    gain exceeds the floor BETA * log n * noise variance; both segments hold
+    at least ``min_len`` points.
+    """
     if Y.ndim == 1:
         Y = Y[:, None]
     n = Y.shape[0]
-    floor = beta * np.log(max(n, 2)) * _noise_scale(Y)
+    floor = BETA * np.log(max(n, 2)) * _noise_scale(Y)
     points: list[int] = []
     stack = [(0, n)]
     while stack:
         a, b = stack.pop()
         k, gain, rel, _ = _best_joint_split(Y[a:b], min_len)
-        if k is None or rel < tau or gain <= floor:
+        if k is None or rel < TAU or gain <= floor:
             continue
         points.append(a + k)
         stack.append((a, a + k))
@@ -197,8 +184,7 @@ def merge_change_points(points: Sequence[int], n: int, min_gap: int) -> list[int
     return [p for p in pts if p >= min_gap and n - p >= min_gap]
 
 
-def detect_geometry(g: Graph, tau: float = DEFAULT_TAU,
-                    beta: float = DEFAULT_BETA) -> GeometryEstimate:
+def detect_geometry(g: Graph) -> GeometryEstimate:
     """Estimate K, change points, and the block-fraction vector s."""
     w, U = _extremal_pairs(g)
     K = len(w)
@@ -209,7 +195,7 @@ def detect_geometry(g: Graph, tau: float = DEFAULT_TAU,
     lam1 = max(w[0], 0.0)
     gap = max(int(np.ceil(lam1)), 1)
     min_len = max(2, min(gap, g.n // 2))
-    points = segment_profile(Y, min_len=min_len, tau=tau, beta=beta)
+    points = segment_profile(Y, min_len)
     points = merge_change_points(points, g.n, gap)
     bounds = [0, *points, g.n]
     sizes = np.diff(bounds)

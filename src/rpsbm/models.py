@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.stats
@@ -68,16 +68,6 @@ class SbmParams:
         return len(self.s)
 
 
-def canonical_kernel_value(params: SbmParams, x: float, y: float) -> float:
-    """Piecewise-constant block kernel f(x, y) for x, y in [0, 1)."""
-    if not (0 <= x < 1 and 0 <= y < 1):
-        raise ValueError("kernel arguments must lie in [0, 1)")
-    cum = np.cumsum(params.s)
-    bx = int(np.searchsorted(cum, x, side="right"))
-    by = int(np.searchsorted(cum, y, side="right"))
-    return float(params.p[bx]) if bx == by else float(params.q)
-
-
 def block_labels(s: np.ndarray, n: int) -> np.ndarray:
     """Block index of each node under the x = i/n embedding."""
     cum = np.cumsum(np.asarray(s, dtype=float))
@@ -111,12 +101,6 @@ class DiracLaw:
     def var(self):
         return np.zeros(self.c)
 
-    def support_upper(self):
-        return self.center.copy()
-
-    def params_dict(self):
-        return {"center": self.center.tolist()}
-
 
 @dataclass(frozen=True)
 class UniformProductLaw:
@@ -147,12 +131,6 @@ class UniformProductLaw:
 
     def var(self):
         return self.width**2 / 12.0
-
-    def support_upper(self):
-        return self.center + self.width / 2.0
-
-    def params_dict(self):
-        return {"center": self.center.tolist(), "width": self.width.tolist()}
 
 
 @dataclass(frozen=True)
@@ -193,17 +171,6 @@ class BetaProductLaw:
         ab = self.alpha + self.beta
         return (self.b - self.a) ** 2 * self.alpha * self.beta / (ab**2 * (ab + 1))
 
-    def support_upper(self):
-        return self.b.copy()
-
-    def params_dict(self):
-        return {
-            "a": self.a.tolist(),
-            "b": self.b.tolist(),
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-        }
-
 
 @dataclass(frozen=True)
 class TruncGaussianProductLaw:
@@ -240,37 +207,28 @@ class TruncGaussianProductLaw:
     def var(self):
         return np.where(self.sd > 0, self._dist.var(), 0.0)
 
-    def support_upper(self):
-        return np.minimum(np.where(self.sd > 0, 1.0, self.mu), 1.0)
-
-    def params_dict(self):
-        return {"mu": self.mu.tolist(), "sd": self.sd.tolist()}
-
 
 ParamLaw = DiracLaw | UniformProductLaw | BetaProductLaw | TruncGaussianProductLaw
 
-_LAW_KINDS = {
-    "dirac": lambda d: DiracLaw(np.asarray(d["center"])),
-    "uniform": lambda d: UniformProductLaw(np.asarray(d["center"]), np.asarray(d["width"])),
-    "beta": lambda d: BetaProductLaw(
-        np.asarray(d["a"]), np.asarray(d["b"]),
-        np.asarray(d["alpha"]), np.asarray(d["beta"]),
-    ),
-    "gauss": lambda d: TruncGaussianProductLaw(np.asarray(d["mu"]), np.asarray(d["sd"])),
-}
+#: Every parameter law by its JSON ``kind``; a law's dataclass fields, all
+#: vectors, are its JSON keys.
+LAWS = {law.kind: law for law in (DiracLaw, UniformProductLaw, BetaProductLaw,
+                                  TruncGaussianProductLaw)}
 
 
 def law_from_dict(d: dict) -> ParamLaw:
     if not isinstance(d, dict):
         raise ValueError("law must be a JSON object")
     kind = d.get("kind")
-    if kind not in _LAW_KINDS:
+    law = LAWS.get(kind) if isinstance(kind, str) else None
+    if law is None:
         raise ValueError(f"unknown law kind {kind!r}")
-    return _LAW_KINDS[kind]({k: v for k, v in d.items() if k != "kind"})
+    return law(*(np.asarray(d[f.name]) for f in fields(law)))
 
 
 def law_to_dict(law: ParamLaw) -> dict:
-    return {"kind": law.kind, **law.params_dict()}
+    return {"kind": law.kind, **{f.name: getattr(law, f.name).tolist()
+                                 for f in fields(law)}}
 
 
 @dataclass(frozen=True)
@@ -357,20 +315,17 @@ def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Gr
     return Graph(n, np.column_stack((np.concatenate(rows), np.concatenate(cols))))
 
 
-def draw_params(model: RpsbmModel, seed: int, graph_index: int = 0,
-                clamp_counter: list | None = None) -> SbmParams:
+def draw_params(model: RpsbmModel, seed: int, graph_index: int = 0) -> SbmParams:
     """Draw p ~ J and build the SBM parameters for one graph.
 
-    Draws are clamped to [0, 1/omega] so that edge probabilities stay valid;
-    each clamped draw appends an entry to ``clamp_counter`` when given.
+    Draws are clamped to [0, 1/omega] so that edge probabilities stay valid,
+    with a warning.
     """
     gen = rngmod.param_stream(seed, graph_index)
     p = model.law.draw(gen)
     hi = 1.0 / model.omega
     clipped = np.clip(p, 0.0, hi)
     if np.any(clipped != p):
-        if clamp_counter is not None:
-            clamp_counter.append(graph_index)
         warnings.warn("parameter draw clamped to the valid probability range")
         p = clipped
     if np.all(p <= 0):

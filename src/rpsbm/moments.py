@@ -111,8 +111,7 @@ def frechet_total_variance(corpus: Sequence[Graph], c: int) -> float:
     return float(np.sum(diff * diff) / (m.N - 1))
 
 
-def classify_regimes(m: SampleMoments, s: np.ndarray,
-                     large_ratio: float = LARGE_REGIME_RATIO) -> RegimeReport:
+def classify_regimes(m: SampleMoments, s: np.ndarray) -> RegimeReport:
     """Small/medium/large variance regime per eigenvalue index."""
     s = np.asarray(s, dtype=float)
     if len(s) != m.c:
@@ -125,7 +124,7 @@ def classify_regimes(m: SampleMoments, s: np.ndarray,
     for d, r in zip(diagnostic, ratio):
         if d < 0:
             regimes.append(SMALL)
-        elif r < large_ratio:
+        elif r < LARGE_REGIME_RATIO:
             regimes.append(LARGE)
         else:
             regimes.append(MEDIUM)

@@ -4,15 +4,17 @@ Each scenario samples its corpus, runs the relevant fit and resamples.  Its
 runner returns ``{"tables": {file name: CSV rows}, "report": {...}}``: flat
 row dicts and a JSON-ready report, which the CLI writes out unchanged.  All
 randomness derives from the master seed; scenario parameters are overridable
-through the ``params`` mapping of an experiment config file.
+through the ``params`` mapping of an experiment config file, and a key there
+that the runner does not read is an error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .fitting import (
     critical_sample_size,
     fit_nonparametric,
@@ -41,7 +43,7 @@ class ExperimentConfig:
 
     scenario: str
     seed: int
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -76,6 +78,16 @@ def run_scenario(scenario: str, seed: int, params: dict) -> dict:
     return runners[scenario](seed, params)
 
 
+def _with_defaults(scenario: str, params: dict, defaults: dict,
+                   optional: str) -> dict:
+    """``params`` over ``defaults``.  A key that is neither a default nor
+    ``optional`` is one the runner would not read, so it is rejected."""
+    unknown = sorted(set(params) - set(defaults) - {optional})
+    if unknown:
+        raise ValueError(f"{scenario} does not read params {unknown}")
+    return {**defaults, **params}
+
+
 def _rel_err(est, truth):
     return abs(est - truth) / abs(truth)
 
@@ -92,15 +104,15 @@ def _moment_rows(mom, new_mom) -> list[dict]:
     } for i in range(mom.c)]
 
 
-def run_recoverability(seed: int, params: dict | None = None) -> dict:
+def run_recoverability(seed: int, params: dict) -> dict:
     """Sample an RPSBM corpus with known parameters, fit, and resample.
 
     Defaults: N=50, n=1000, omega=10/sqrt(n), eps=0.05, s=[0.5,0.5],
     J = U[0.8,0.9] x U[0.55,0.6].
     """
-    p = dict(N=50, n=1000, eps=0.05, centers=[0.85, 0.575],
-             widths=[0.1, 0.05], s=[0.5, 0.5], resample=None)
-    p.update(params or {})
+    p = _with_defaults("recoverability", params, dict(
+        N=50, n=1000, eps=0.05, centers=[0.85, 0.575], widths=[0.1, 0.05],
+        s=[0.5, 0.5], resample=None), optional="omega")
     try:
         n, N = int(p["n"]), int(p["N"])
         omega = float(p.get("omega", 10.0 / np.sqrt(n)))
@@ -141,11 +153,12 @@ def run_recoverability(seed: int, params: dict | None = None) -> dict:
                        "model": model_to_dict(fit.model)}}
 
 
-def run_mixture_beta(seed: int, params: dict | None = None) -> dict:
+def run_mixture_beta(seed: int, params: dict) -> dict:
     """Four-component SBM mixture fitted with a product-of-betas law."""
-    p = dict(N=200, n=1000, q=0.05, s=[0.5, 0.5],
-             p_values=[[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]])
-    p.update(params or {})
+    p = _with_defaults("mixture-beta", params, dict(
+        N=200, n=1000, q=0.05, s=[0.5, 0.5],
+        p_values=[[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]),
+        optional="omega")
     try:
         n, N = int(p["n"]), int(p["N"])
         omega = float(p.get("omega", 10.0 / np.sqrt(n)))
@@ -155,8 +168,6 @@ def run_mixture_beta(seed: int, params: dict | None = None) -> dict:
     s = np.asarray(p["s"], dtype=float)
     p_values = [np.asarray(v, dtype=float) for v in p["p_values"]]
     c = len(s)
-
-    from . import rng as rngmod
 
     corpus = []
     for k in range(N):
@@ -175,12 +186,12 @@ def run_mixture_beta(seed: int, params: dict | None = None) -> dict:
                        "model": model_to_dict(fit.model)}}
 
 
-def run_critical_n(seed: int, params: dict | None = None) -> dict:
+def run_critical_n(seed: int, params: dict) -> dict:
     """Critical sample size for the two-component ER mixture, plus the
     density curves at sub/critical/super sample sizes."""
-    p = dict(n=1000, p_values=[0.75, 0.85], N_max=400, repetitions=5,
-             subcritical=10, supercritical=325)
-    p.update(params or {})
+    p = _with_defaults("critical-n", params, dict(
+        n=1000, p_values=[0.75, 0.85], N_max=400, repetitions=5,
+        subcritical=10, supercritical=325), optional="omega")
     try:
         n = int(p["n"])
         omega = float(p.get("omega", 2.0 / np.sqrt(n)))
@@ -207,8 +218,8 @@ def run_critical_n(seed: int, params: dict | None = None) -> dict:
 def run_contacts(seed: int, params: dict) -> dict:
     """Window a contact stream, detect geometry, cluster, and fit the two
     largest clusters nonparametrically."""
-    p = dict(window=2700, step=20, resample=500, min_cluster=5, c_max=None)
-    p.update(params or {})
+    p = _with_defaults("contacts", params, dict(
+        window=2700, step=20, resample=500, min_cluster=5), optional="file")
     if "file" not in p:
         raise ValueError("contacts scenario needs a 'file' parameter")
     try:
@@ -226,13 +237,11 @@ def run_contacts(seed: int, params: dict) -> dict:
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}
     for count, members in sizes[:2]:
-        if len(members) < min_cluster or count < 1:
+        if len(members) < min_cluster:
             continue
         sub = [corpus[i] for i in members]
-        s_rows = np.vstack([
-            np.pad(geoms[i].s, (0, count - len(geoms[i].s)))[:count]
-            for i in members
-        ])
+        # a detected s has community_count entries, one per block
+        s_rows = np.vstack([geoms[i].s for i in members])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)
         mix = fit_nonparametric(sub, count, s_per_graph=s_rows)
         new = sample_mixture(mix, corpus[0].n, resample, seed)

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-# Dense adjacency / dense eigensolver limits.  n <= DENSE_EIG uses LAPACK on
-# the full matrix; above that the top-c eigenpairs come from ARPACK (implicitly
-# restarted Lanczos).  Measured at one BLAS thread on two-block SBM graphs,
+# Dense eigensolver limit.  n <= DENSE_EIG uses LAPACK on the full matrix;
+# above that the top-c eigenpairs come from ARPACK (implicitly restarted
+# Lanczos).  Measured at one BLAS thread on two-block SBM graphs,
 # matrix construction included, c = 2: n = 100 dense 0.7 ms vs ARPACK 1.4 ms,
 # n = 200 2.6 vs 2.8 ms, n = 400 12 vs 3.4 ms, n = 2000 945 vs 25 ms; the
 # crossover lies near n = 200.  The cut-off sits at 400 so that graphs of a
@@ -44,7 +44,6 @@ import scipy.sparse.linalg
 # ascending, and SciPy skips its per-row index sort (half the build time at
 # n = 6000); indptr, indices and data equal those of the upper-first order.
 DENSE_EIG = 400
-DENSE_ADJ = 4096
 ARPACK_TOL = 0.0
 ARPACK_SEED = 20220705
 ARPACK_MAXITER = 300
@@ -87,14 +86,12 @@ class Graph:
     def m(self) -> int:
         return self.edges.shape[0]
 
-    def adjacency(self, dense: bool | None = None):
-        """Adjacency matrix; dense ndarray up to n=4096, CSR above.
+    def adjacency(self, dense: bool):
+        """Adjacency matrix: a dense ndarray when ``dense``, else CSR.
 
         The CSR matrix is built from the lower half first, so its rows come
         out of the COO conversion with sorted column indices.
         """
-        if dense is None:
-            dense = self.n <= DENSE_ADJ
         i, j = self.edges[:, 0], self.edges[:, 1]
         if dense:
             a = np.zeros((self.n, self.n))

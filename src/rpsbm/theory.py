@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng as rngmod
-from .models import RpsbmModel, SbmParams, draw_params
+from .models import DiracLaw, RpsbmModel, SbmParams, draw_params
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,9 @@ def build_theory_matrices(params: SbmParams) -> TheoryMatrices:
     return TheoryMatrices(M=M, Mf=Mf, nu=nu, V=V, s=np.asarray(s, float))
 
 
-def eigenfunction_values(tm: TheoryMatrices, s: np.ndarray | None = None) -> np.ndarray:
+def eigenfunction_values(tm: TheoryMatrices) -> np.ndarray:
     """Table r[k, i] = value of the k-th operator eigenfunction on block i."""
-    s = tm.s if s is None else np.asarray(s, dtype=float)
-    if len(s) != tm.c:
-        raise ValueError("geometry length must match the matrices")
-    return (tm.V / np.sqrt(s)[:, None]).T
+    return (tm.V / np.sqrt(tm.s)[:, None]).T
 
 
 def _quadratic_covariance(tm: TheoryMatrices, kernel: np.ndarray) -> np.ndarray:
@@ -111,34 +107,6 @@ def limiting_covariance(params: SbmParams) -> np.ndarray:
     """
     tm = build_theory_matrices(params)
     return _quadratic_covariance(tm, tm.Mf)
-
-
-def covariance_block_integral(params: SbmParams) -> np.ndarray:
-    """Block-sum evaluation of 2 iint r_i r_i r_j r_j f dx dy.
-
-    Independent path: sums the kernel over the c x c block grid with weights
-    s_m s_w and eigenfunction values r_k(x_m*), for cross-checking
-    ``limiting_covariance``.
-    """
-    tm = build_theory_matrices(params)
-    r = eigenfunction_values(tm)          # r[k, m]
-    s = tm.s
-    c = tm.c
-    f = tm.Mf                             # f(x_m*, x_w*) on the block grid
-    cov = np.empty((c, c))
-    for i in range(c):
-        for j in range(c):
-            total = 0.0
-            for m in range(c):
-                for w in range(c):
-                    total += (
-                        s[m] * s[w]
-                        * r[i, m] * r[j, m]
-                        * f[m, w]
-                        * r[i, w] * r[j, w]
-                    )
-            cov[i, j] = 2.0 * total
-    return cov
 
 
 def correction_matrix(tm: TheoryMatrices, target_index: int) -> np.ndarray:
@@ -185,38 +153,17 @@ def expected_spectrum(params: SbmParams, n: int,
     ])
 
 
-def first_order_check(params: SbmParams, n: int,
-                      include_correction: bool = True) -> dict:
-    """Per-index errors of the first-order approximations.
-
-    Assumes the q = epsilon * min(p) regime with blocks ordered so that
-    s_i p_i is non-increasing.  Reports |E[lambda_i]/(n omega s_i) - p_i|
-    and |Cov(Z_i, Z_i) - 2 p_i|; used by diagnostics and scaling tests, not
-    by the fitting path.
-    """
-    cov = limiting_covariance(params)
-    mean_err = np.empty(params.c)
-    cov_err = np.empty(params.c)
-    for i in range(params.c):
-        lam = expected_eigenvalue(params, n, i + 1, include_correction)
-        mean_err[i] = abs(lam / (n * params.omega * params.s[i]) - params.p[i])
-        cov_err[i] = abs(cov[i, i] - 2.0 * params.p[i])
-    return {"mean_error": mean_err, "cov_error": cov_err}
-
-
 def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
-                            seed: int = 0,
-                            include_correction: bool = True) -> EigLawMoments:
+                            seed: int = 0) -> EigLawMoments:
     """Law-of-total-moments prediction for the top-c eigenvalue law.
 
-    Per J-draw, the conditional mean is ``expected_spectrum`` and the
+    Per J-draw, the conditional mean is ``expected_spectrum`` (B2 included)
+    and the
     conditional covariance omega * Cov(Z); a Dirac law is exact with one
     draw.  Draw streams are independent of any graph-sampling stream.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
-    from .models import DiracLaw
-
     if isinstance(model.law, DiracLaw):
         draws = 1
     c = model.c
@@ -224,7 +171,7 @@ def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
     cond_cov = np.zeros((c, c))
     for t in range(draws):
         params = draw_params(model, seed, t)
-        means[t] = expected_spectrum(params, n, include_correction)
+        means[t] = expected_spectrum(params, n)
         cond_cov += model.omega * limiting_covariance(params)
     cond_cov /= draws
     mean = means.mean(axis=0)
@@ -233,20 +180,3 @@ def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
     else:
         between = np.zeros((c, c))
     return EigLawMoments(mean=mean, cov=between + cond_cov)
-
-
-def kernel_operator_eigenvalues(params: SbmParams, grid: int = 512) -> np.ndarray:
-    """Top-c eigenvalues of the midpoint-discretized kernel operator.
-
-    Independent check that theta_k = nu_k: the operator L_f acting on
-    piecewise functions is discretized on ``grid`` midpoints with weight
-    1/grid; its top-c eigenvalues converge to nu as the grid refines.
-    """
-    x = (np.arange(grid) + 0.5) / grid
-    cum = np.cumsum(params.s)
-    lab = np.searchsorted(cum, x, side="right").clip(0, params.c - 1)
-    f = np.full((params.c, params.c), params.q)
-    np.fill_diagonal(f, params.p)
-    T = f[np.ix_(lab, lab)] / grid
-    w = np.linalg.eigvalsh(T)
-    return w[::-1][: params.c]

@@ -1,0 +1,107 @@
+"""Reference computations the tests compare the package against.
+
+Each is an independent route to a quantity the package computes another way
+(a block sum, a discretized operator, a pointwise kernel), or a diagnostic
+only the tests read.
+"""
+
+import numpy as np
+
+from rpsbm import (
+    SbmParams,
+    build_theory_matrices,
+    eigenfunction_values,
+    expected_eigenvalue,
+    limiting_covariance,
+)
+from rpsbm.geometry import _invariant_columns
+from rpsbm.spectral import Graph, eigenpairs
+
+LOG_FLOOR = 1e-12
+
+
+def canonical_kernel_value(params: SbmParams, x: float, y: float) -> float:
+    """Piecewise-constant block kernel f(x, y) for x, y in [0, 1)."""
+    if not (0 <= x < 1 and 0 <= y < 1):
+        raise ValueError("kernel arguments must lie in [0, 1)")
+    cum = np.cumsum(params.s)
+    bx = int(np.searchsorted(cum, x, side="right"))
+    by = int(np.searchsorted(cum, y, side="right"))
+    return float(params.p[bx]) if bx == by else float(params.q)
+
+
+def covariance_block_integral(params: SbmParams) -> np.ndarray:
+    """Block-sum evaluation of 2 iint r_i r_i r_j r_j f dx dy.
+
+    Independent path: sums the kernel over the c x c block grid with weights
+    s_m s_w and eigenfunction values r_k(x_m*), for cross-checking
+    ``limiting_covariance``.
+    """
+    tm = build_theory_matrices(params)
+    r = eigenfunction_values(tm)          # r[k, m]
+    s = tm.s
+    c = tm.c
+    f = tm.Mf                             # f(x_m*, x_w*) on the block grid
+    cov = np.empty((c, c))
+    for i in range(c):
+        for j in range(c):
+            total = 0.0
+            for m in range(c):
+                for w in range(c):
+                    total += (
+                        s[m] * s[w]
+                        * r[i, m] * r[j, m]
+                        * f[m, w]
+                        * r[i, w] * r[j, w]
+                    )
+            cov[i, j] = 2.0 * total
+    return cov
+
+
+def kernel_operator_eigenvalues(params: SbmParams, grid: int = 512) -> np.ndarray:
+    """Top-c eigenvalues of the midpoint-discretized kernel operator.
+
+    Independent check that theta_k = nu_k: the operator L_f acting on
+    piecewise functions is discretized on ``grid`` midpoints with weight
+    1/grid; its top-c eigenvalues converge to nu as the grid refines.
+    """
+    x = (np.arange(grid) + 0.5) / grid
+    cum = np.cumsum(params.s)
+    lab = np.searchsorted(cum, x, side="right").clip(0, params.c - 1)
+    f = np.full((params.c, params.c), params.q)
+    np.fill_diagonal(f, params.p)
+    T = f[np.ix_(lab, lab)] / grid
+    w = np.linalg.eigvalsh(T)
+    return w[::-1][: params.c]
+
+
+def first_order_check(params: SbmParams, n: int,
+                      include_correction: bool = True) -> dict:
+    """Per-index errors of the first-order approximations.
+
+    Assumes the q = epsilon * min(p) regime with blocks ordered so that
+    s_i p_i is non-increasing.  Reports |E[lambda_i]/(n omega s_i) - p_i|
+    and |Cov(Z_i, Z_i) - 2 p_i|.
+    """
+    cov = limiting_covariance(params)
+    mean_err = np.empty(params.c)
+    cov_err = np.empty(params.c)
+    for i in range(params.c):
+        lam = expected_eigenvalue(params, n, i + 1, include_correction)
+        mean_err[i] = abs(lam / (n * params.omega * params.s[i]) - params.p[i])
+        cov_err[i] = abs(cov[i, i] - 2.0 * params.p[i])
+    return {"mean_error": mean_err, "cov_error": cov_err}
+
+
+def eigenvector_profile(g: Graph, K: int) -> np.ndarray:
+    """Sum over the top-K eigenvectors of log sorted node magnitudes.
+
+    Each eigenvector's |entries| are sorted ascending before the log, so the
+    profile is a label-free staircase with steps at cumulative block sizes.
+    Sign flips of any eigenvector leave it unchanged.
+    """
+    if K < 1:
+        raise ValueError("K must be positive")
+    w, U = eigenpairs(g, K)
+    mags = _invariant_columns(w, U, np.abs(U))
+    return np.log(np.sort(mags, axis=0) + LOG_FLOOR).sum(axis=1)

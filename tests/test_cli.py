@@ -413,3 +413,24 @@ class TestInvalidJson:
         r = runner.invoke(main, ["replicate", "contacts", "--config", str(cfg),
                                  "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
+
+    @pytest.mark.parametrize("kind", [["uniform"], {"uniform": 1}])
+    def test_model_law_kind_not_string(self, runner, tmp_path, kind):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
+            "law": {"kind": kind, "center": [0.5], "width": [0.1]}}))
+        r = runner.invoke(main, ["sample", "--model", str(model), "--n", "10",
+                                 "--count", "1", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert "unknown law kind" in r.output
+
+    @pytest.mark.parametrize("scenario", ["recoverability", "mixture-beta",
+                                          "critical-n", "contacts"])
+    def test_scenario_unknown_param(self, runner, tmp_path, scenario):
+        cfg = write_config(tmp_path / "cfg.json", scenario, 0, {"Nn": 999})
+        r = runner.invoke(main, ["replicate", scenario, "--config", str(cfg),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert "['Nn']" in r.output
+        assert not (tmp_path / "o" / "manifest.json").exists()

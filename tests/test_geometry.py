@@ -8,11 +8,11 @@ from rpsbm import (
     SbmParams,
     cluster_by_community_count,
     detect_geometry,
-    eigenvector_profile,
     extremal_count,
     sample_sbm,
 )
 from rpsbm.geometry import merge_change_points
+from oracles import eigenvector_profile
 
 
 def planted(n, sizes, p, q, seed):

@@ -1,5 +1,7 @@
 """Block-model parameterizations and graph sampling."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -12,7 +14,6 @@ from rpsbm import (
     SbmParams,
     TruncGaussianProductLaw,
     UniformProductLaw,
-    canonical_kernel_value,
     density,
     sample_rpsbm,
     sample_sbm,
@@ -26,6 +27,7 @@ from rpsbm.models import (
     model_from_dict,
     model_to_dict,
 )
+from oracles import canonical_kernel_value
 
 
 def two_block(omega=1.0, p=(0.8, 0.6), q=0.1):
@@ -220,12 +222,28 @@ class TestLaws:
             np.testing.assert_array_equal(law.draw(cached), ref)
 
     def test_json_round_trip(self):
-        for law in (DiracLaw([0.5]),
-                    UniformProductLaw([0.5], [0.1]),
-                    BetaProductLaw([0.1], [0.9], [2.0], [3.0]),
-                    TruncGaussianProductLaw([0.5], [0.1])):
-            back = law_from_dict(law_to_dict(law))
+        cases = [
+            (DiracLaw([0.5, 0.25]), {"kind": "dirac", "center": [0.5, 0.25]}),
+            (UniformProductLaw([0.5], [0.1]),
+             {"kind": "uniform", "center": [0.5], "width": [0.1]}),
+            (BetaProductLaw([0.1], [0.9], [2.0], [3.0]),
+             {"kind": "beta", "a": [0.1], "b": [0.9], "alpha": [2.0],
+              "beta": [3.0]}),
+            (TruncGaussianProductLaw([0.5], [0.1]),
+             {"kind": "gauss", "mu": [0.5], "sd": [0.1]}),
+        ]
+        for law, as_dict in cases:
+            d = law_to_dict(law)
+            assert d == as_dict
+            assert list(d) == list(as_dict)
+            back = law_from_dict(json.loads(json.dumps(d)))
             assert type(back) is type(law)
+            for name in as_dict.keys() - {"kind"}:
+                np.testing.assert_array_equal(getattr(back, name),
+                                              getattr(law, name))
+                assert getattr(back, name).dtype == float
+            gen_a, gen_b = np.random.default_rng(6), np.random.default_rng(6)
+            np.testing.assert_array_equal(back.draw(gen_a), law.draw(gen_b))
 
 
 class TestSampleRpsbm:

@@ -12,15 +12,15 @@ from rpsbm import (
     eigenfunction_values,
     eigenvalue_covariance,
     expected_eigenvalue,
-    first_order_check,
     limiting_covariance,
     predict_eig_law_moments,
     sample_sbm,
     spectrum,
 )
-from rpsbm.theory import (
+from rpsbm.theory import expected_spectrum
+from oracles import (
     covariance_block_integral,
-    expected_spectrum,
+    first_order_check,
     kernel_operator_eigenvalues,
 )
 
