@@ -223,7 +223,20 @@ def law_from_dict(d: dict) -> ParamLaw:
     law = LAWS.get(kind) if isinstance(kind, str) else None
     if law is None:
         raise ValueError(f"unknown law kind {kind!r}")
-    return law(*(np.asarray(d[f.name]) for f in fields(law)))
+    names = [f.name for f in fields(law)]
+    _check_keys(f"{kind} law", d, ["kind", *names])
+    return law(*(np.asarray(d[name]) for name in names))
+
+
+def _check_keys(what: str, d: dict, keys: list[str]) -> None:
+    """Reject a key of d that is not in keys, and a key of keys missing
+    from d; ``what`` names the object in the message."""
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValueError(f"{what} does not read keys {unknown}")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValueError(f"{what} needs keys {missing}")
 
 
 def law_to_dict(law: ParamLaw) -> dict:
@@ -384,12 +397,15 @@ def model_from_dict(d: dict) -> RpsbmModel | SbmParams:
         raise ValueError("model spec must be a JSON object")
     if d.get("format") != 1:
         raise ValueError("unsupported model spec format")
-    s = np.asarray(d["s"], dtype=float)
     if "law" in d:
+        _check_keys("RPSBM model spec", d,
+                    ["format", "omega", "s", "law", "epsilon"])
         return RpsbmModel(_json_float(d, "omega"), law_from_dict(d["law"]),
-                          _json_float(d, "epsilon"), s)
-    return SbmParams(_json_float(d, "omega"), s, np.asarray(d["p"], dtype=float),
-                     _json_float(d, "q"))
+                          _json_float(d, "epsilon"),
+                          np.asarray(d["s"], dtype=float))
+    _check_keys("fixed SBM model spec", d, ["format", "omega", "s", "p", "q"])
+    return SbmParams(_json_float(d, "omega"), np.asarray(d["s"], dtype=float),
+                     np.asarray(d["p"], dtype=float), _json_float(d, "q"))
 
 
 def _json_float(d: dict, key: str) -> float:

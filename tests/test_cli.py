@@ -434,3 +434,28 @@ class TestInvalidJson:
         self.assert_clean_exit_1(r)
         assert "['Nn']" in r.output
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
+          "law": {"kind": "dirac", "center": [0.8], "junk": 1}},
+         "dirac law does not read keys ['junk']"),
+        ({"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0, "p": [0.5],
+          "q": 0.0, "law": {"kind": "dirac", "center": [0.8]}},
+         "RPSBM model spec does not read keys ['p', 'q']"),
+        ({"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5], "q": 0.0,
+          "extra": True},
+         "fixed SBM model spec does not read keys ['extra']"),
+        ({"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
+          "law": {"kind": "uniform", "center": [0.5]}},
+         "uniform law needs keys ['width']"),
+        ({"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5]},
+         "fixed SBM model spec needs keys ['q']"),
+    ], ids=["law_unknown_key", "fixed_sbm_with_law", "fixed_sbm_unknown_key",
+            "law_missing_key", "fixed_sbm_missing_key"])
+    def test_model_keys_checked(self, runner, tmp_path, spec, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(spec))
+        r = runner.invoke(main, ["sample", "--model", str(model), "--n", "10",
+                                 "--count", "1", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert f"error: {message}" in r.output

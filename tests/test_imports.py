@@ -1,8 +1,11 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports, and nothing private of
+numpy or scipy.
 
-No linter ships with the test environment, so the check reads each module's
-syntax tree: a name bound by an import must be read somewhere in the module.
-``__init__.py`` is skipped, because its imports are the package's exports.
+No linter ships with the test environment, so the checks read each module's
+syntax tree.  A name bound by an import must be read somewhere in the module;
+``__init__.py`` is skipped there, because its imports are the package's
+exports.  No module may reach an underscore-prefixed numpy or scipy module or
+name: those are not API and change between releases without notice.
 """
 
 import ast
@@ -12,8 +15,9 @@ import pytest
 
 import rpsbm
 
-MODULES = sorted(p for p in Path(rpsbm.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(rpsbm.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+LIBRARIES = ("numpy", "scipy")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +44,59 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_library_uses(source: str) -> list[str]:
+    """Underscore-prefixed numpy or scipy modules and names that ``source``
+    imports, or reads as an attribute of an imported numpy or scipy module."""
+    tree = ast.parse(source)
+    found = []
+    libraries = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+            libraries.update(alias.asname or alias.name.split(".")[0]
+                             for alias in node.names
+                             if alias.name.split(".")[0] in LIBRARIES)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"{path} (line {node.lineno})" for path in paths
+                  if path.split(".")[0] in LIBRARIES
+                  and any(map(_private, path.split(".")))]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in libraries:
+                found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_finds_a_private_library_use():
+    src = ("import numpy as np\n"
+           "import scipy.sparse._sparsetools\n"
+           "from scipy.sparse import _sputils, csr_matrix\n"
+           "from numpy._core import multiarray\n"
+           "from ._private import helper\n"
+           "import os._x\n"
+           "matvec = scipy.sparse._sparsetools.csr_matvec\n"
+           "version, novalue = np.__version__, np._NoValue\n")
+    assert private_library_uses(src) == [
+        "np._NoValue (line 8)",
+        "numpy._core.multiarray (line 4)",
+        "scipy.sparse._sparsetools (line 2)",
+        "scipy.sparse._sparsetools (line 7)",
+        "scipy.sparse._sputils (line 3)",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_numpy_or_scipy_use(path):
+    assert private_library_uses(path.read_text(encoding="utf-8")) == []

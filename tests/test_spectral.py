@@ -1,5 +1,6 @@
 """Graph representation, spectra, and pseudometric properties."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,13 @@ from rpsbm import (
     save_edgelist,
     spectrum,
 )
-from rpsbm.spectral import DENSE_EIG, SPECTRUM_MEMO, eigenpairs
+from rpsbm.spectral import (
+    DENSE_EIG,
+    SPECTRUM_MEMO,
+    _adjacency_operator,
+    _upper_adjacency,
+    eigenpairs,
+)
 
 
 def dense_eigs(g: Graph) -> np.ndarray:
@@ -49,28 +56,39 @@ def lexsort_unique(pairs) -> np.ndarray:
     return np.unique(np.column_stack((i, j))[order], axis=0)
 
 
-def upper_first_csr(g: Graph) -> scipy.sparse.csr_matrix:
-    """Reference: the sparse adjacency listing the upper half first, whose
-    rows SciPy has to sort after the COO conversion."""
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    return scipy.sparse.csr_matrix(
-        (np.ones(2 * g.m), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(g.n, g.n))
-
-
-def sparse_adjacency_and_sorts(g: Graph):
-    """g.adjacency(dense=False), and for each index sort SciPy ran while
-    building it, whether the rows were already sorted."""
+def upper_adjacency_conversions(g: Graph):
+    """_upper_adjacency(g), and the COO matrices SciPy made and the index
+    sorts it ran while building it."""
     seen = []
-    original = scipy.sparse.csr_matrix.sort_indices
+    with contextlib.ExitStack() as stack:
+        for cls, name in ((scipy.sparse.coo_matrix, "__init__"),
+                          (scipy.sparse.coo_array, "__init__"),
+                          (scipy.sparse.csr_matrix, "sort_indices")):
+            def spy(self, *args, _name=f"{cls.__name__}.{name}",
+                    _original=getattr(cls, name), **kwargs):
+                seen.append(_name)
+                return _original(self, *args, **kwargs)
 
-    def spy(self):
-        seen.append(self.has_sorted_indices)
-        return original(self)
+            stack.enter_context(mock.patch.object(cls, name, spy))
+        # the spies see the full-matrix build through COO that U replaces
+        i, j = g.edges[:, 0], g.edges[:, 1]
+        scipy.sparse.csr_matrix((np.ones(2 * g.m), (np.r_[i, j], np.r_[j, i])),
+                                shape=(g.n, g.n))
+        assert "coo_matrix.__init__" in seen
+        seen.clear()
+        u = _upper_adjacency(g)
+    return u, seen
 
-    with mock.patch.object(scipy.sparse.csr_matrix, "sort_indices", spy):
-        a = g.adjacency(dense=False)
-    return a, seen
+
+@st.composite
+def graphs(draw, max_n=40, max_pairs=120):
+    """Graphs on 1..max_n nodes from random pairs: empty graphs and isolated
+    nodes included."""
+    n = draw(st.integers(1, max_n), label="n")
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
+                          max_size=max_pairs), label="pairs")
+    return Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def cycle(n):
@@ -131,21 +149,20 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.edges[0, 0] = 5
 
-    @given(st.data())
-    def test_sparse_adjacency_needs_no_index_sort(self, data):
-        n = data.draw(st.integers(2, 40), label="n")
-        node = st.integers(0, n - 1)
-        pairs = data.draw(st.lists(st.tuples(node, node).filter(
-            lambda p: p[0] != p[1]), max_size=120), label="pairs")
-        g = Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
-        a, sorts = sparse_adjacency_and_sorts(g)
-        assert all(sorts)
-        assert a.has_canonical_format
-        np.testing.assert_array_equal(a.toarray(), g.adjacency(dense=True))
-        ref = upper_first_csr(g)
-        np.testing.assert_array_equal(a.indptr, ref.indptr)
-        np.testing.assert_array_equal(a.indices, ref.indices)
-        np.testing.assert_array_equal(a.data, ref.data)
+    @given(graphs())
+    def test_upper_adjacency_needs_no_coo_or_sort(self, g):
+        u, conversions = upper_adjacency_conversions(g)
+        assert conversions == []
+        assert isinstance(u, scipy.sparse.csr_matrix)
+        assert u.has_canonical_format
+        assert u.indices.dtype == u.indptr.dtype == np.int32
+        np.testing.assert_array_equal(u.toarray(), np.triu(g.adjacency()))
+
+    @given(graphs(), st.integers(0, 2**32 - 1))
+    def test_operator_matches_dense_adjacency(self, g, seed):
+        x = np.random.default_rng(seed).standard_normal(g.n)
+        np.testing.assert_allclose(_adjacency_operator(g).matvec(x),
+                                   g.adjacency() @ x, rtol=0, atol=1e-12)
 
 
 class TestSpectrum:
@@ -210,7 +227,7 @@ class TestSpectrum:
     def test_eigenpairs_of_symmetric_graphs(self, name):
         g = SPECIAL[name](DENSE_EIG + 1)
         expect = dense_eigs(g)
-        a = g.adjacency(dense=True)
+        a = g.adjacency()
         for k in (1, 2, 3):
             w, u = eigenpairs(g, k)
             np.testing.assert_allclose(w, expect[:k], rtol=0, atol=1e-8)
