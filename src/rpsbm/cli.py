@@ -287,9 +287,9 @@ def fit_np(seed, out, config, corpus_dir, trunc, bandwidth):
     corpus = _load_corpus(corpus_dir)
     if bandwidth.startswith("fixed:"):
         h = float(bandwidth.split(":", 1)[1])
-        bw = Bandwidth(np.eye(trunc) * h)
+        bw = Bandwidth(np.diag(np.full(trunc, h)))
     elif bandwidth == "silverman":
-        bw = "silverman"
+        bw = None
     else:
         raise ValueError(f"unknown bandwidth rule {bandwidth!r}")
     mix = fit_nonparametric(corpus, trunc, bandwidth=bw)

@@ -5,14 +5,16 @@ The parametric fit aligns the first two moments of the parameter law J with
 the corpus spectral moments:
 
     E[P_i]        = lambda_bar_i / (n omega s_i)
-    Cov(P_i, P_j) = Sigma_ij / (n^2 omega^2 s_i s_j)
-                    - delta_ij * 2 lambda_bar_i / (n^3 omega^2 s_i^3)
+    Var P_i       = (Sigma_ii - inherent_variance_i) / (n omega s_i)^2
+    Cov(P_i, P_j) = Sigma_ij / (n^2 omega^2 s_i s_j),   i != j
 
-with omega = C * rho_bar and epsilon chosen so the expected sampled density
-matches the corpus density.  The nonparametric fit runs the same moment
-equations per corpus graph with a shared kernel bandwidth H in place of
-Sigma, falling back to a Dirac coordinate wherever H_ii cannot cover the
-SBM-inherent variance.
+where inherent_variance_i = 2 lambda_bar_i / (n s_i) is the SBM-inherent
+variance (``moments.inherent_variance``), omega = C * rho_bar, and epsilon
+is chosen so the expected sampled density matches the corpus density.
+Var P_i takes its sign from the excess that ``classify_regimes`` tests.  The
+nonparametric fit runs the same equations per corpus graph with a shared
+kernel bandwidth H in place of Sigma, falling back to a Dirac coordinate
+wherever the excess H_ii - inherent_variance_i is not positive.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .models import (
     sample_rpsbm,
     sample_sbm,
 )
-from .moments import SMALL, SampleMoments, classify_regimes
+from .moments import (SMALL, SampleMoments, classify_regimes, compute_moments,
+                      inherent_variance)
 from .spectral import Graph, density, spectrum
 
 EPSILON_MAX = 0.2
@@ -75,6 +78,8 @@ class Bandwidth:
         object.__setattr__(self, "H", H)
         if H.shape[0] != H.shape[1]:
             raise ValueError("bandwidth matrix must be square")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("bandwidth matrix must be finite")
         if np.any(np.linalg.eigvalsh((H + H.T) / 2) < -1e-10):
             raise ValueError("bandwidth matrix must be PSD")
 
@@ -104,29 +109,49 @@ class GraphMixture:
 
 def _j_moments(lam: np.ndarray, second: np.ndarray, n: int, omega: float,
                s: np.ndarray):
-    """First/second J-moments from eigenvalue moments.
+    """J-mean, J-covariance and the excess variance from eigenvalue moments.
 
-    ``second`` is the c x c eigenvalue covariance (corpus Sigma or kernel H);
-    the SBM-inherent 2*lambda_bar term comes off its diagonal.
+    ``second`` is the c x c eigenvalue covariance (corpus Sigma or kernel H).
+    The excess is its diagonal less the inherent variance; the J-variance is
+    the excess over (n omega s_i)^2, so the two share their sign.
     """
-    mean = lam / (n * omega * s)
-    cov = (second / (n**2 * omega**2 * np.outer(s, s))
-           - np.diag(2.0 * lam / (n**3 * omega**2 * s**3)))
-    return mean, cov
+    scale = n * omega * s
+    excess = np.diag(second) - inherent_variance(lam, n, s)
+    cov = second / (n**2 * omega**2 * np.outer(s, s))
+    np.fill_diagonal(cov, excess / scale**2)
+    return lam / scale, cov, excess
 
 
-def _epsilon_hat(mean: np.ndarray, s: np.ndarray, scale_c: float) -> float:
-    """Density-preserving epsilon; 1/C target when omega = C * rho_bar."""
+def _epsilon(mean: np.ndarray, s: np.ndarray, scale_c: float,
+             notes: list[str]) -> tuple[float, float]:
+    """Density-preserving epsilon, raw and clamped to [0, EPSILON_MAX].
+
+    The raw value aims at density 1/C when omega = C * rho_bar.  A single
+    community leaves it undefined and it is set to 0; that and each clamp
+    go to ``notes``.
+    """
     denom = float(mean.min()) * (1.0 - float(np.sum(s**2)))
     if denom == 0.0:
-        return float("nan")
-    return (1.0 / scale_c - float(np.sum(mean * s**2))) / denom
+        notes.append("single community: epsilon undefined, set to 0")
+        return 0.0, 0.0
+    raw = (1.0 / scale_c - float(np.sum(mean * s**2))) / denom
+    eps = min(max(raw, 0.0), EPSILON_MAX)
+    if eps != raw:
+        notes.append(f"epsilon clamped to {eps:g} (raw {raw:.4g})")
+    elif eps > EPSILON_WARN:
+        notes.append(f"epsilon {eps:.4g} above {EPSILON_WARN}; expansions assume eps << 1")
+    return raw, eps
 
 
-def _geometry_guard(lam: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
-    """Eq. feasibility: lambda_bar_i must not exceed the block size n*s_i."""
+def _geometry_guard(lam: np.ndarray, n: int, s: np.ndarray, what: str,
+                    report=None) -> None:
+    """Eq. feasibility: lambda_i must lie in [0, n*s_i], the block size;
+    raises ``InfeasibleFitError`` naming ``what`` and the indices otherwise."""
     scaled = lam / (n * s)
-    return (scaled >= 0) & (scaled <= 1)
+    bad = np.nonzero(~((scaled >= 0) & (scaled <= 1)))[0].tolist()
+    if bad:
+        raise InfeasibleFitError(
+            f"{what} exceeds block size at indices {bad}", report)
 
 
 def _solve_family(kind: str, mean: np.ndarray, var: np.ndarray,
@@ -139,8 +164,6 @@ def _solve_family(kind: str, mean: np.ndarray, var: np.ndarray,
     if kind == "uniform":
         return UniformProductLaw(mean, np.sqrt(12.0 * var))
     if kind == "beta":
-        if lo is None or hi is None:
-            raise ValueError("beta family needs per-coordinate ranges")
         return fit_beta_product(mean, var, lo, hi)
     if kind == "gauss":
         if np.any(mean < 0) or np.any(mean > 1):
@@ -171,11 +194,11 @@ def fit_beta_product(mean, var, a, b) -> BetaProductLaw:
 
 def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
                    s_override: np.ndarray | None = None,
-                   omega: float | None = None, scale_c: float = 1.0) -> FitResult:
+                   scale_c: float = 1.0) -> FitResult:
     """Fit an RPSBM by matching corpus spectral moments (parametric J).
 
-    omega defaults to scale_c * rho_bar.  The J-variance keeps the
-    SBM-inherent correction, and epsilon is clamped to [0, EPSILON_MAX], each
+    omega is scale_c * rho_bar.  The J-variance is the excess over the
+    SBM-inherent variance, and epsilon is clamped to [0, EPSILON_MAX], each
     clamp noted in the result's warnings.  Raises ``InfeasibleFitError`` when
     any index is in the small-variance regime or when a mean eigenvalue
     exceeds its block size.
@@ -190,33 +213,23 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
     notes: list[str] = []
 
     report = classify_regimes(m, s)
-    if report.any_small() and family != "dirac":
+    bad = [i for i, r in enumerate(report.regimes) if r == SMALL]
+    if bad and family != "dirac":
         # a Dirac law never matches variance, so the small-regime corpus is
         # only infeasible for variance-carrying families
-        bad = [i for i, r in enumerate(report.regimes) if r == SMALL]
         raise InfeasibleFitError(
             f"small-variance regime at indices {bad}: no J can match the "
             "corpus variance", report,
         )
-    geom_ok = _geometry_guard(m.mean_spectrum, m.n, s)
-    if not geom_ok.all():
-        bad = [i for i, ok in enumerate(geom_ok) if not ok]
-        raise InfeasibleFitError(
-            f"mean eigenvalue exceeds block size at indices {bad}", report,
-        )
+    _geometry_guard(m.mean_spectrum, m.n, s, "mean eigenvalue", report)
 
-    if omega is None:
-        omega = scale_c * m.mean_density
+    omega = scale_c * m.mean_density
     if omega <= 0:
         raise InfeasibleFitError("corpus density is zero; nothing to fit")
 
-    mean, cov = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s)
-    var = np.diag(cov).copy()
-    if family == "dirac":
-        var = np.maximum(var, 0.0)
-    elif np.any(var < 0):
-        # regime gate above should prevent this; guard with a clear message
-        raise InfeasibleFitError("negative implied J-variance", report)
+    mean, cov, _ = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s)
+    # negative only at small-regime indices, which only the Dirac family reaches
+    var = np.maximum(np.diag(cov), 0.0)
     in_unit = (mean >= 0) & (mean <= 1)
     if not in_unit.all():
         notes.append(
@@ -230,26 +243,13 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
     else:
         bounds = (None, None)
     law = _solve_family(family, mean, var, *bounds, notes)
-
-    eps_raw = _epsilon_hat(mean, s, scale_c)
-    if np.isnan(eps_raw):
-        notes.append("single community: epsilon undefined, set to 0")
-        eps_raw = 0.0
-    eps = eps_raw
-    if eps < 0:
-        notes.append(f"epsilon clamped to 0 (raw {eps_raw:.4g})")
-        eps = 0.0
-    if eps > EPSILON_MAX:
-        notes.append(f"epsilon clamped to {EPSILON_MAX} (raw {eps_raw:.4g})")
-        eps = EPSILON_MAX
-    elif eps > EPSILON_WARN:
-        notes.append(f"epsilon {eps:.4g} above {EPSILON_WARN}; expansions assume eps << 1")
+    eps_raw, eps = _epsilon(mean, s, scale_c, notes)
 
     for note in notes:
         warnings.warn(note)
     model = RpsbmModel(omega=omega, law=law, epsilon=eps, s=s)
     feas = {
-        "geometry": geom_ok.tolist(),
+        "geometry": [True] * c,  # the guard above raised otherwise
         "support_in_unit": in_unit.tolist(),
         "variance_nonneg": (var >= 0).tolist(),
         "regimes": list(report.regimes),
@@ -275,26 +275,20 @@ def silverman_bandwidth(N: int, sigma) -> Bandwidth:
     return Bandwidth(np.diag(h))
 
 
-def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | str = "silverman",
+def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | None = None,
                       s_per_graph: np.ndarray | None = None) -> GraphMixture:
     """Graph-space kernel mixture: one RPSBM component per corpus graph.
 
-    Each component has a uniform product law.  The shared bandwidth H plays
-    the role of the eigenvalue covariance when solving each component's
-    J-moments.  Coordinates where H_ii <= 2 lambda_i / (n s_i) fall back to a
-    Dirac marginal (local over-smoothing), recorded per component.  The
-    corpus moments ride along on the returned mixture.
+    Each component has a uniform product law.  The shared bandwidth H (by
+    default Silverman's rule on the corpus scale) plays the role of the
+    eigenvalue covariance when solving each component's J-moments.
+    Coordinates whose excess H_ii - inherent_variance_i is not positive fall
+    back to a Dirac marginal (local over-smoothing), recorded per component.
+    The corpus moments ride along on the returned mixture.
     """
-    from .moments import compute_moments
-
-    if len(corpus) == 0:
-        raise ValueError("empty corpus")
     mom = compute_moments(corpus, c)
-    if isinstance(bandwidth, str):
-        if bandwidth != "silverman":
-            raise ValueError(f"unknown bandwidth rule {bandwidth!r}")
-        sigma = np.sqrt(np.diag(mom.cov)) if mom.N > 1 else np.zeros(c)
-        bandwidth = silverman_bandwidth(mom.N, sigma)
+    if bandwidth is None:
+        bandwidth = silverman_bandwidth(mom.N, np.sqrt(np.diag(mom.cov)))
     H = bandwidth.H
     if H.shape != (c, c):
         raise ValueError("bandwidth dimension must equal truncation order")
@@ -312,23 +306,14 @@ def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | str = "silverman",
                 raise ValueError("per-graph geometry length must equal c")
         else:
             s = np.full(c, 1.0 / c)
-        geom_ok = _geometry_guard(lam, g.n, s)
-        if not geom_ok.all():
-            bad = [i for i, ok in enumerate(geom_ok) if not ok]
-            raise InfeasibleFitError(
-                f"graph {k}: eigenvalue exceeds block size at indices {bad}")
-        mean, cov = _j_moments(lam, H, g.n, rho_k, s)
-        var = np.diag(cov).copy()
-        inherent_ok = H.diagonal() - 2.0 * lam / (g.n * s) > 0
-        dirac_idx = tuple(int(i) for i in np.nonzero(~inherent_ok)[0])
-        var[~inherent_ok] = 0.0
+        _geometry_guard(lam, g.n, s, f"graph {k}: eigenvalue")
+        mean, cov, excess = _j_moments(lam, H, g.n, rho_k, s)
+        dirac = excess <= 0
+        var = np.where(dirac, 0.0, np.diag(cov))
         law = _solve_family("uniform", mean, var, None, None, [])
-        eps = _epsilon_hat(mean, s, 1.0)
-        if np.isnan(eps):
-            eps = 0.0
-        eps = float(np.clip(eps, 0.0, EPSILON_MAX))
+        _, eps = _epsilon(mean, s, 1.0, [])
         components.append(RpsbmModel(omega=rho_k, law=law, epsilon=eps, s=s))
-        fallbacks.append(dirac_idx)
+        fallbacks.append(tuple(np.nonzero(dirac)[0].tolist()))
     return GraphMixture(components=tuple(components),
                         dirac_fallback=tuple(fallbacks), moments=mom)
 

@@ -78,6 +78,16 @@ def block_labels(s: np.ndarray, n: int) -> np.ndarray:
 # Parameter laws J
 # ---------------------------------------------------------------------------
 
+def _law_fields(law) -> None:
+    """Store each field of a law as a 1-D float vector, rejecting NaN and inf;
+    every law reads its parameters through here."""
+    for f in fields(law):
+        v = _as_vector(getattr(law, f.name), f.name)
+        if not np.isfinite(v).all():
+            raise ValueError(f"{law.kind} law {f.name} must be finite")
+        object.__setattr__(law, f.name, v)
+
+
 @dataclass(frozen=True)
 class DiracLaw:
     """Point mass at a fixed density vector."""
@@ -86,7 +96,7 @@ class DiracLaw:
     kind = "dirac"
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_vector(self.center, "center"))
+        _law_fields(self)
 
     @property
     def c(self):
@@ -111,8 +121,7 @@ class UniformProductLaw:
     kind = "uniform"
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _as_vector(self.center, "center"))
-        object.__setattr__(self, "width", _as_vector(self.width, "width"))
+        _law_fields(self)
         if len(self.center) != len(self.width):
             raise ValueError("center and width must have equal length")
         if np.any(self.width < 0):
@@ -147,8 +156,7 @@ class BetaProductLaw:
     kind = "beta"
 
     def __post_init__(self):
-        for name in ("a", "b", "alpha", "beta"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name), name))
+        _law_fields(self)
         if not len(self.a) == len(self.b) == len(self.alpha) == len(self.beta):
             raise ValueError("beta parameter vectors must share length")
         if np.any(self.a > self.b):
@@ -181,8 +189,7 @@ class TruncGaussianProductLaw:
     kind = "gauss"
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _as_vector(self.mu, "mu"))
-        object.__setattr__(self, "sd", _as_vector(self.sd, "sd"))
+        _law_fields(self)
         if len(self.mu) != len(self.sd):
             raise ValueError("mu and sd must have equal length")
         if np.any(self.sd < 0):

@@ -20,8 +20,8 @@ SMALL = "small"
 MEDIUM = "medium"
 LARGE = "large"
 
-#: "<<" threshold: index i is large-variance when 2*lambda_bar_i/(n s_i)
-#: is below this fraction of Sigma_ii.
+#: "<<" threshold: index i is large-variance when its inherent variance is
+#: below this fraction of Sigma_ii.
 LARGE_REGIME_RATIO = 0.1
 
 
@@ -40,7 +40,6 @@ class SampleMoments:
     n: int
     c: int
     spectra: np.ndarray | None = None
-    degenerate: bool = False
 
     @property
     def min_spectrum(self) -> np.ndarray:
@@ -59,16 +58,13 @@ class SampleMoments:
 class RegimeReport:
     """Per-index variance-regime classification.
 
-    diagnostic_i = Sigma_ii - 2 lambda_bar_i / (n s_i); negative means the
-    corpus is less variable than a single SBM allows (no feasible J).
+    diagnostic_i = Sigma_ii - inherent_variance_i; negative means the corpus
+    is less variable than a single SBM allows (no feasible J).
     """
 
     regimes: tuple[str, ...]
     diagnostic: np.ndarray
     ratio: np.ndarray
-
-    def any_small(self) -> bool:
-        return SMALL in self.regimes
 
 
 def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
@@ -85,8 +81,7 @@ def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
     spectra = np.vstack([spectrum(g, c).values for g in corpus])
     dens = np.array([density(g) for g in corpus])
     mean_spec = spectra.mean(axis=0)
-    degenerate = N == 1
-    if degenerate:
+    if N == 1:
         warnings.warn("single-graph corpus: covariance degenerate (zeros)")
         cov = np.zeros((c, c))
     else:
@@ -94,7 +89,7 @@ def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
         cov = diff.T @ diff / (N - 1)
     return SampleMoments(
         mean_spectrum=mean_spec, cov=cov, mean_density=float(dens.mean()),
-        N=N, n=n, c=c, spectra=spectra, degenerate=degenerate,
+        N=N, n=n, c=c, spectra=spectra,
     )
 
 
@@ -111,12 +106,23 @@ def frechet_total_variance(corpus: Sequence[Graph], c: int) -> float:
     return float(np.sum(diff * diff) / (m.N - 1))
 
 
+def inherent_variance(lam: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
+    """SBM-inherent eigenvalue variance 2 lambda_i / (n s_i): the spread of
+    lambda_i over draws of one SBM, which no parameter law J can undercut."""
+    return 2.0 * lam / (n * s)
+
+
 def classify_regimes(m: SampleMoments, s: np.ndarray) -> RegimeReport:
-    """Small/medium/large variance regime per eigenvalue index."""
+    """Small/medium/large variance regime per eigenvalue index.
+
+    Index i is small when Sigma_ii - inherent_variance_i, the excess the fits
+    turn into a J-variance, is negative; large when the inherent variance is
+    below ``LARGE_REGIME_RATIO`` of Sigma_ii; medium otherwise.
+    """
     s = np.asarray(s, dtype=float)
     if len(s) != m.c:
         raise ValueError("geometry length must equal truncation order")
-    inherent = 2.0 * m.mean_spectrum / (m.n * s)
+    inherent = inherent_variance(m.mean_spectrum, m.n, s)
     diagnostic = np.diag(m.cov) - inherent
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.diag(m.cov) > 0, inherent / np.diag(m.cov), np.inf)

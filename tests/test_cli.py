@@ -459,3 +459,35 @@ class TestInvalidJson:
                                  "--count", "1", "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
         assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize("law, message", [
+        ({"kind": "gauss", "mu": [0.5], "sd": [float("nan")]},
+         "gauss law sd must be finite"),
+        ({"kind": "uniform", "center": [0.5], "width": [float("nan")]},
+         "uniform law width must be finite"),
+        ({"kind": "uniform", "center": [float("inf")], "width": [0.1]},
+         "uniform law center must be finite"),
+        ({"kind": "dirac", "center": [float("nan")]},
+         "dirac law center must be finite"),
+        ({"kind": "beta", "a": [0.0], "b": [1.0], "alpha": [float("nan")],
+          "beta": [2.0]},
+         "beta law alpha must be finite"),
+    ], ids=["gauss_sd_nan", "uniform_width_nan", "uniform_center_inf",
+            "dirac_center_nan", "beta_alpha_nan"])
+    def test_law_parameters_finite(self, runner, tmp_path, law, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"format": 1, "omega": 0.5, "s": [1.0],
+                                     "epsilon": 0.0, "law": law}))
+        r = runner.invoke(main, ["sample", "--model", str(model), "--n", "10",
+                                 "--count", "1", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+    def test_fit_np_bandwidth_finite(self, runner, tmp_path, h):
+        corpus_dir = make_corpus_dir(tmp_path, count=2, n=60)
+        r = runner.invoke(main, ["fit-np", "--corpus", str(corpus_dir),
+                                 "-c", "2", "--bandwidth", f"fixed:{h}",
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert "error: bandwidth matrix must be finite" in r.output

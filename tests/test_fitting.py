@@ -1,7 +1,11 @@
 """Moment-matching fits, bandwidths, mixtures, and the ER pipeline."""
 
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rpsbm import (
     Bandwidth,
@@ -12,6 +16,7 @@ from rpsbm import (
     SampleMoments,
     SbmParams,
     UniformProductLaw,
+    classify_regimes,
     compute_moments,
     critical_sample_size,
     fit_beta_product,
@@ -24,6 +29,8 @@ from rpsbm import (
     silverman_bandwidth,
 )
 from rpsbm.fitting import GraphMixture, critical_n_for_threshold, oracle_sigma
+from rpsbm.moments import MEDIUM, SMALL, inherent_variance
+from rpsbm import fitting
 from rpsbm import rng as rngmod
 
 
@@ -39,8 +46,8 @@ def synthetic_moments(lam, sigma_diag, n, rho, N=10, spectra_pad=0.0):
 
 class TestParametricFit:
     def test_step7_mean_arithmetic(self):
-        m = synthetic_moments([50.0], [3.0], n=100, rho=0.6)
-        fit = fit_parametric(m, 1, family="dirac", omega=1.0)
+        m = synthetic_moments([50.0], [3.0], n=100, rho=1.0)
+        fit = fit_parametric(m, 1, family="dirac")
         assert fit.mean_J[0] == pytest.approx(0.5)
 
     def test_step9_epsilon(self):
@@ -49,15 +56,15 @@ class TestParametricFit:
         lam = np.array([n * omega * 0.5, n * omega * 0.5])
         m = synthetic_moments(lam, [0.5, 0.5], n=n, rho=omega, N=10)
         with pytest.warns(UserWarning):
-            fit = fit_parametric(m, 2, family="dirac", omega=omega)
+            fit = fit_parametric(m, 2, family="dirac")
         np.testing.assert_allclose(fit.mean_J, [1.0, 1.0], atol=1e-12)
         assert fit.eps_raw == pytest.approx(1.0)
         assert fit.model.epsilon == pytest.approx(0.2)  # clamped, recorded raw
 
     def test_single_community_epsilon_zero(self):
-        m = synthetic_moments([40.0], [2.0], n=100, rho=0.4)
+        m = synthetic_moments([40.0], [2.0], n=100, rho=1.0)
         with pytest.warns(UserWarning, match="epsilon"):
-            fit = fit_parametric(m, 1, family="uniform", omega=1.0)
+            fit = fit_parametric(m, 1, family="uniform")
         assert fit.model.epsilon == 0.0
 
     def test_small_regime_raises_for_variance_families(self):
@@ -181,8 +188,83 @@ class TestNonparametric:
 
     def test_silverman_rule_from_corpus_scale(self):
         corpus = self.corpus()
-        mix = fit_nonparametric(corpus, 2, bandwidth="silverman")
+        mix = fit_nonparametric(corpus, 2)
         assert len(mix.components) == len(corpus)
+
+
+@st.composite
+def boundary_moments(draw):
+    """(n, s, lambda, rho, second): lambda inside the block sizes n*s_i, and
+    each diagonal entry of ``second`` within 4 ulp of the inherent variance."""
+    c = draw(st.integers(1, 3))
+    n = draw(st.integers(10, 100_000))
+    s = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=c, max_size=c)))
+    s = s / s.sum()
+    lam = np.array(draw(st.lists(st.floats(1e-3, 0.999), min_size=c,
+                                 max_size=c))) * n * s
+    k = np.array(draw(st.lists(st.integers(-4, 4), min_size=c, max_size=c)))
+    rho = draw(st.floats(0.01, 1.0))
+    return n, s, lam, rho, inherent_variance(lam, n, s) * (1 + k * np.finfo(float).eps)
+
+
+class TestMomentInversion:
+    """Both fits take the sign of each J-variance from the excess over the
+    inherent variance, the quantity ``classify_regimes`` tests."""
+
+    def test_kernel_width_finite_beside_the_boundary(self):
+        truth = RpsbmModel(omega=0.3, law=UniformProductLaw([0.8, 0.5], [0.1, 0.1]),
+                           epsilon=0.05, s=np.array([0.5, 0.5]))
+        g = sample_rpsbm(truth, 200, seed=0, graph_index=1)
+        H = Bandwidth(np.diag([0.4049624205733839, 0.385213520414832]))
+        with pytest.warns(UserWarning, match="degenerate"):
+            mix = fit_nonparametric(
+                [g], 2, H, s_per_graph=[[0.6106732457369192, 0.38932675426308083]])
+        width = mix.components[0].law.width
+        assert np.all(np.isfinite(width)) and np.all(width > 0)
+        assert mix.dirac_fallback == ((),)
+
+    def test_medium_regime_fits_at_the_boundary(self):
+        m = synthetic_moments([592.31, 289.761],
+                              [1.2423911903513372, 0.6077839538542216],
+                              n=1907, rho=0.9)
+        assert classify_regimes(m, [0.5, 0.5]).regimes == (MEDIUM, MEDIUM)
+        with pytest.warns(UserWarning, match="epsilon clamped"):
+            fit = fit_parametric(m, 2, family="uniform")
+        width = fit.model.law.width
+        assert np.all(np.isfinite(width)) and np.all(width >= 0)
+
+    @settings(max_examples=500)
+    @given(boundary_moments())
+    def test_parametric_fails_exactly_in_the_small_regime(self, case):
+        n, s, lam, rho, second = case
+        m = synthetic_moments(lam, second, n=n, rho=rho)
+        small = SMALL in classify_regimes(m, s).regimes
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            if small:
+                with pytest.raises(InfeasibleFitError, match="small-variance"):
+                    fit_parametric(m, len(s), family="uniform", s_override=s)
+                return
+            fit = fit_parametric(m, len(s), family="uniform", s_override=s)
+        width = fit.model.law.width
+        assert np.all(np.isfinite(width)) and np.all(width >= 0)
+
+    @settings(max_examples=500)
+    @given(boundary_moments())
+    def test_kernel_widths_zero_exactly_at_the_fallback(self, case):
+        n, s, lam, rho, second = case
+        # one corpus graph with the drawn spectrum and density
+        c = len(s)
+        mom = SampleMoments(mean_spectrum=lam, cov=np.zeros((c, c)),
+                            mean_density=rho, N=1, n=n, c=c, spectra=lam[None, :])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fitting, "compute_moments", lambda corpus, c: mom)
+            mp.setattr(fitting, "density", lambda g: rho)
+            mix = fit_nonparametric([SimpleNamespace(n=n)], c,
+                                    Bandwidth(np.diag(second)), s_per_graph=[s])
+        width = mix.components[0].law.width
+        assert np.all(np.isfinite(width))
+        assert tuple(np.nonzero(width == 0)[0].tolist()) == mix.dirac_fallback[0]
 
 
 class TestMixtureSampling:
