@@ -7,7 +7,7 @@ random-parameter stochastic block model, parametrically or as a graph-space
 kernel mixture, and samples new graphs from the fitted law.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .spectral import (
     Graph,

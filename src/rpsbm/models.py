@@ -282,22 +282,39 @@ class RpsbmModel:
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _triangle_cells(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unrank cells of a triangle: cell t is the pair (i, j), i < j, with
-    t = j(j - 1)/2 + i.
+def _gap_chunk(left: int, prob: float) -> int:
+    """Geometric gaps drawn at once when ``left`` cells remain: the expected
+    edge count plus four of its Poisson standard deviations plus 16, so a
+    block rarely needs a second chunk."""
+    mean = left * prob
+    return int(mean + 4.0 * np.sqrt(mean)) + 16
 
-    j is the floor of r = (1 + sqrt(8t + 1))/2.  Exact while j(j - 1) fits
-    int64, that is for every block of a graph whose edge key min*n + max fits
-    (n < 3.03e9): r in floats is off by less than 1e-5 there, so the floor of
-    r - 1/2 is j or j - 1, and one integer step up settles which.
+
+def _block_cells(gen: np.random.Generator, cells: int, prob: float) -> np.ndarray:
+    """Strictly increasing positions in [0, cells) of a block's edges, each
+    cell an edge w.p. prob: cumulative Geometric(prob) gaps (Batagelj &
+    Brandes 2005), drawn ``_gap_chunk`` at a time until one passes the end.
+
+    A gap is clipped to one past the end before the cumulative sum, so no
+    sum up to the first one past the end can overflow (cells < 4.6e18); the
+    sums after it are discarded.
     """
-    t = np.asarray(t, dtype=np.int64)
-    j = (np.sqrt(8.0 * t + 1.0) / 2.0).astype(np.int64)
-    i = t - j * (j - 1) // 2
-    up = i >= j
-    i -= up * j
-    j += up
-    return i, j
+    if cells == 0 or prob <= 0:
+        return np.empty(0, dtype=np.int64)
+    runs = []
+    last = -1
+    while True:
+        left = cells - 1 - last
+        pos = gen.geometric(prob, _gap_chunk(left, prob))
+        np.minimum(pos, left + 1, out=pos)
+        pos.cumsum(out=pos)
+        pos += last
+        end = int((pos >= cells).argmax())
+        if pos[end] >= cells:
+            runs.append(pos[:end])
+            return np.concatenate(runs) if len(runs) > 1 else runs[0]
+        runs.append(pos)
+        last = int(pos[-1])
 
 
 def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Graph:
@@ -305,13 +322,19 @@ def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Gr
 
     The nodes of community a are the contiguous run ``block_labels == a``.
     Blocks (a, b), a <= b, are drawn in row-major order from the derived
-    Philox stream: first the block's edge count m ~ Binomial(K, omega*f_ab),
-    with K = n_a*n_b cells off the diagonal and n_a(n_a - 1)/2 on it, then m
-    distinct cells out of K (``Generator.choice`` without replacement).  The
-    graph is a pure function of (params, n, seed, graph_index), given
-    numpy's ``binomial`` and ``choice`` algorithms.  The cost is O(n + m),
-    plus a K-entry index wherever ``choice`` shuffles one (K > 10^4 cells
-    with m > K/50).
+    Philox stream.  Each block's K cells (n_a*n_b off the diagonal,
+    n_a(n_a - 1)/2 on it) are numbered in row-major order, and its edges are
+    the cells reached by cumulative Geometric(omega*f_ab) gaps
+    (``_block_cells``; the chunking is part of the stream contract in
+    ``rng``).  The graph is a pure function of (params, n, seed,
+    graph_index), given numpy's ``geometric`` algorithm.  Memory is O(n + m)
+    and time O(m + n log m): a binary search of the row offsets finds the row
+    of each block's cells.
+
+    The cells come out sorted, so each block's edge keys i*n + j strictly
+    increase; one stable sort (a merge of the c(c+1)/2 sorted runs) orders
+    them all, and the edges reach ``Graph`` canonical, where an O(m) check
+    replaces the sort.
     """
     if n < params.c:
         raise ValueError("graph size smaller than community count")
@@ -322,17 +345,34 @@ def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Gr
     sizes = np.bincount(block_labels(params.s, n), minlength=params.c)
     starts = np.cumsum(sizes) - sizes
     gen = rngmod.pair_stream(seed, graph_index)
-    rows, cols = [], []
+    keys = []
     for a in range(params.c):
         for b in range(a, params.c):
             na, nb = int(sizes[a]), int(sizes[b])
+            sa, sb = int(starts[a]), int(starts[b])
             cells = na * (na - 1) // 2 if a == b else na * nb
-            m = gen.binomial(cells, min(prob_table[a, b], 1.0))
-            t = gen.choice(cells, m, replace=False, shuffle=False)
-            i, j = _triangle_cells(t) if a == b else np.divmod(t, nb)
-            rows.append(starts[a] + i)
-            cols.append(starts[b] + j)
-    return Graph(n, np.column_stack((np.concatenate(rows), np.concatenate(cols))))
+            t = _block_cells(gen, cells, min(prob_table[a, b], 1.0))
+            # local row r starts at cell off[r] and column first[r], so the
+            # edge key of cell t in row r is t + base[r]; off[na] = cells
+            rows = np.arange(na + 1)
+            if a == b:
+                first, off = rows + 1, rows * (2 * na - rows - 1) // 2
+            else:
+                first, off = 0, rows * nb
+            base = (sa + rows) * n + sb + first - off
+            at = np.searchsorted(t, off)
+            key = np.repeat(base[:-1], at[1:] - at[:-1])
+            key += t
+            keys.append(key)
+    # the block keys, then the merged keys, are freed as soon as they are
+    # spent: the peak stays near three times the edges' own memory
+    key = np.concatenate(keys)
+    del keys
+    key.sort(kind="stable")
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    del key
+    return Graph(n, edges)
 
 
 def draw_params(model: RpsbmModel, seed: int, graph_index: int = 0) -> SbmParams:

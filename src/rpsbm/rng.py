@@ -7,17 +7,23 @@ whichever other graphs are sampled, in whatever order or process.
 
 Substream conventions, per graph index g:
     (g, PAIRS)  -- the SBM edge draw for graph g: for each block (a, b),
-                   a <= b in row-major order, one Binomial(K_ab, omega*f_ab)
-                   edge count, then one draw of that many distinct cells
-                   (see ``models.sample_sbm``)
+                   a <= b in row-major order, the cumulative Geometric(P)
+                   gaps, P = min(omega*f_ab, 1), that pick the block's
+                   edges among its K cells (see ``models.sample_sbm``)
     (g, PARAMS) -- parameter draws (p ~ J) for graph g
     (g, MIX)    -- mixture component choice for graph g
 
-How the edge draw turns stream values into a count and cells is numpy's
-``Generator.binomial`` and ``Generator.choice``, so the graphs depend on the
-numpy version as well as on the package version; ``manifest.json`` records
-both.  This edge-draw contract holds from rpsbm 0.2.0; 0.1.0 drew one uniform
-per node pair, so its graphs differ for the same seed.
+The gap draws are part of the contract.  A block with K = 0 or P = 0 draws
+nothing.  Otherwise gaps are drawn in chunks, ``Generator.geometric(P, size)``
+with size = floor(R P + 4 sqrt(R P)) + 16 where R cells remain after the last
+edge drawn (R = K at first), until a cumulative gap passes the block's end;
+the unused rest of the last chunk is dropped, and the next block continues
+the same stream.  How the stream values become gaps is numpy's
+``Generator.geometric``, so the graphs depend on the numpy version as well
+as on the package version; ``manifest.json`` records both.  This edge-draw
+contract holds from rpsbm 0.3.0.  0.2.0 drew a Binomial(K, P) edge count and
+then that many distinct cells (``Generator.choice``), and 0.1.0 one uniform
+per node pair, so their graphs differ for the same seed.
 """
 
 from __future__ import annotations

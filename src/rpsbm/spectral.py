@@ -62,7 +62,9 @@ class Graph:
     ``edges`` is an (m, 2) int array with i < j per row, lexicographically
     sorted and deduplicated, so the rows are also the entries of the upper
     triangle of the adjacency in CSR order, from which ARPACK's half-stored
-    operator is built.  Instances are immutable and safe to share.  The
+    operator is built.  Input already in that form, as ``sample_sbm`` emits
+    it, is copied and checked in O(m) without a sort; any other pair list is
+    canonicalised.  Instances are immutable and safe to share.  The
     first dense eigensolve on an instance stores its full spectrum on it
     (``__dict__[SPECTRUM_MEMO]``, read-only), which ``spectrum`` reuses.
     """
@@ -79,14 +81,21 @@ class Graph:
                 raise ValueError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ValueError("self-loops are not allowed")
-        # one int64 key per pair, min * n + max: sorted, deduplicated by an
-        # adjacent difference, then split back into (i, j) rows
-        i = np.minimum(e[:, 0], e[:, 1])
-        j = np.maximum(e[:, 0], e[:, 1])
-        key = np.sort(i * self.n + j)
-        key = key[np.diff(key, prepend=-1) != 0]
-        canon = np.column_stack(np.divmod(key, self.n))
-        object.__setattr__(self, "edges", canon)
+        # one int64 key per pair, min * n + max.  Canonical input (i < j in
+        # every row, keys strictly increasing) is copied after an O(m) check;
+        # other input is sorted, deduplicated by an adjacent difference, then
+        # split back into (i, j) rows
+        i, j = e[:, 0], e[:, 1]
+        ordered = (i < j).all()
+        key = (i * self.n + j if ordered
+               else np.minimum(i, j) * self.n + np.maximum(i, j))
+        if ordered and (key[1:] > key[:-1]).all():
+            e = e.copy()
+        else:
+            key.sort()
+            key = key[np.diff(key, prepend=-1) != 0]
+            e = np.column_stack(np.divmod(key, self.n))
+        object.__setattr__(self, "edges", e)
         self.edges.setflags(write=False)
 
     @property

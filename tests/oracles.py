@@ -5,6 +5,8 @@ Each is an independent route to a quantity the package computes another way
 only the tests read.
 """
 
+import math
+
 import numpy as np
 
 from rpsbm import (
@@ -14,7 +16,9 @@ from rpsbm import (
     expected_eigenvalue,
     limiting_covariance,
 )
+from rpsbm import rng
 from rpsbm.geometry import _invariant_columns
+from rpsbm.models import block_labels
 from rpsbm.spectral import Graph, eigenpairs
 
 LOG_FLOOR = 1e-12
@@ -105,3 +109,53 @@ def eigenvector_profile(g: Graph, K: int) -> np.ndarray:
     w, U = eigenpairs(g, K)
     mags = _invariant_columns(w, U, np.abs(U))
     return np.log(np.sort(mags, axis=0) + LOG_FLOOR).sum(axis=1)
+
+
+def triangle_cells(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unrank cells of a triangle in column-major order: cell t is the pair
+    (i, j), i < j, with t = j(j - 1)/2 + i.
+
+    Closed form, against the sampler's row-offset search: j is the floor of
+    r = (1 + sqrt(8t + 1))/2.  Exact while j(j - 1) fits int64 (blocks of
+    fewer than 3.03e9 nodes): r in floats is off by less than 1e-5 there, so
+    the floor of r - 1/2 is j or j - 1, and one integer step up settles which.
+    """
+    t = np.asarray(t, dtype=np.int64)
+    j = (np.sqrt(8.0 * t + 1.0) / 2.0).astype(np.int64)
+    i = t - j * (j - 1) // 2
+    up = i >= j
+    i -= up * j
+    j += up
+    return i, j
+
+
+def contract_edges(params: SbmParams, n: int, seed: int, graph_index: int) -> np.ndarray:
+    """The SBM edge draw as the (g, PAIRS) contract in ``rpsbm.rng`` states
+    it, one gap at a time in Python integers: blocks in row-major order,
+    gaps in chunks of floor(R P + 4 sqrt(R P)) + 16, cells unranked with
+    ``triangle_cells`` (reflected) and ``divmod``; rows in canonical order."""
+    sizes = np.bincount(block_labels(params.s, n), minlength=params.c)
+    starts = np.cumsum(sizes) - sizes
+    gen = rng.pair_stream(seed, graph_index)
+    edges = []
+    for a in range(params.c):
+        for b in range(a, params.c):
+            na, nb = int(sizes[a]), int(sizes[b])
+            cells = na * (na - 1) // 2 if a == b else na * nb
+            prob = min(params.omega * (params.p[a] if a == b else params.q), 1.0)
+            t, pos = [], -1
+            while cells and prob > 0 and pos < cells:
+                mean = (cells - 1 - pos) * prob
+                for gap in gen.geometric(prob, int(mean + 4 * math.sqrt(mean)) + 16):
+                    pos += int(gap)
+                    if pos >= cells:
+                        break
+                    t.append(pos)
+            t = np.array(t, dtype=np.int64)
+            if a == b:
+                i, j = triangle_cells(cells - 1 - t)
+                i, j = na - 1 - j, na - 1 - i
+            else:
+                i, j = np.divmod(t, nb)
+            edges += zip((starts[a] + i).tolist(), (starts[b] + j).tolist())
+    return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)

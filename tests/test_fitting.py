@@ -27,6 +27,7 @@ from rpsbm import (
     sample_mixture,
     sample_rpsbm,
     silverman_bandwidth,
+    spectrum,
 )
 from rpsbm.fitting import GraphMixture, critical_n_for_threshold, oracle_sigma
 from rpsbm.moments import MEDIUM, SMALL, inherent_variance
@@ -212,16 +213,21 @@ class TestMomentInversion:
     inherent variance, the quantity ``classify_regimes`` tests."""
 
     def test_kernel_width_finite_beside_the_boundary(self):
+        # H one ulp above each draw's own inherent variance 2 lambda/(n s):
+        # the excess is one ulp positive, so no coordinate falls back to a
+        # Dirac marginal and every width must come out finite and positive
         truth = RpsbmModel(omega=0.3, law=UniformProductLaw([0.8, 0.5], [0.1, 0.1]),
                            epsilon=0.05, s=np.array([0.5, 0.5]))
-        g = sample_rpsbm(truth, 200, seed=0, graph_index=1)
-        H = Bandwidth(np.diag([0.4049624205733839, 0.385213520414832]))
-        with pytest.warns(UserWarning, match="degenerate"):
-            mix = fit_nonparametric(
-                [g], 2, H, s_per_graph=[[0.6106732457369192, 0.38932675426308083]])
-        width = mix.components[0].law.width
-        assert np.all(np.isfinite(width)) and np.all(width > 0)
-        assert mix.dirac_fallback == ((),)
+        s = np.array([0.6106732457369192, 0.38932675426308083])
+        for k in range(20):
+            g = sample_rpsbm(truth, 200, seed=0, graph_index=k)
+            lam = spectrum(g, 2).values
+            H = Bandwidth(np.diag(np.nextafter(2.0 * lam / (200 * s), np.inf)))
+            with pytest.warns(UserWarning, match="degenerate"):
+                mix = fit_nonparametric([g], 2, H, s_per_graph=[s])
+            width = mix.components[0].law.width
+            assert np.all(np.isfinite(width)) and np.all(width > 0), k
+            assert mix.dirac_fallback == ((),), k
 
     def test_medium_regime_fits_at_the_boundary(self):
         m = synthetic_moments([592.31, 289.761],

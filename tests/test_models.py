@@ -1,10 +1,13 @@
 """Block-model parameterizations and graph sampling."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, strategies as st
 
 from rpsbm import (
     BetaProductLaw,
@@ -18,8 +21,10 @@ from rpsbm import (
     sample_rpsbm,
     sample_sbm,
 )
+from rpsbm import models
+from rpsbm import rng as rngmod
 from rpsbm.models import (
-    _triangle_cells,
+    _block_cells,
     block_labels,
     draw_params,
     law_from_dict,
@@ -27,7 +32,7 @@ from rpsbm.models import (
     model_from_dict,
     model_to_dict,
 )
-from oracles import canonical_kernel_value
+from oracles import canonical_kernel_value, contract_edges, triangle_cells
 
 
 def two_block(omega=1.0, p=(0.8, 0.6), q=0.1):
@@ -157,10 +162,109 @@ class TestSampleSbm:
                 assert abs(freq[i, j] - prob) < 4.5 * se, (i, j)
 
 
+#: Edge probabilities at the limits of the gap draw: none; so small that
+#: numpy returns the int64 maximum as the gap; tiny; sure; and above 1
+#: within SbmParams' tolerance, which the sampler draws as sure.
+EDGE_PROBS = st.sampled_from([0.0, 1e-300, 1e-12, 1.0, 1 + 1e-12])
+
+
+@st.composite
+def small_sbms(draw):
+    """(params, n): one to four blocks with omega = 1, block sizes from
+    weights that may leave a block without nodes."""
+    c = draw(st.integers(1, 4), label="c")
+    n = draw(st.integers(c, 30), label="n")
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.001), st.floats(0.01, 1.0)),
+                                     min_size=c, max_size=c), label="weights"))
+    prob = st.one_of(EDGE_PROBS, st.floats(0.0, 1.0))
+    p = draw(st.lists(prob, min_size=c, max_size=c), label="p")
+    return SbmParams(omega=1.0, s=weights / weights.sum(), p=p,
+                     q=draw(prob, label="q")), n
+
+
+def emitted_edges(params, n, seed):
+    """The edge array sample_sbm hands to Graph, and the Graph it made."""
+    with mock.patch.object(models, "Graph", wraps=Graph) as made:
+        g = sample_sbm(params, n, seed)
+    return made.call_args.args[1], g
+
+
+class TestBlockSampler:
+    @given(st.one_of(st.sampled_from([0, 1, 2, 3]), st.integers(0, 2000)),
+           st.one_of(EDGE_PROBS.filter(lambda p: p <= 1), st.floats(0.0, 1.0)),
+           st.integers(0, 2**32 - 1))
+    def test_block_cells_strictly_increase_inside_the_block(self, cells, prob, seed):
+        t = _block_cells(rngmod.pair_stream(seed, 0), cells, prob)
+        assert t.dtype == np.int64
+        assert np.all(np.diff(t) > 0)
+        assert np.all((0 <= t) & (t < cells))
+        if prob == 0.0:
+            assert t.size == 0
+        if prob == 1.0:
+            np.testing.assert_array_equal(t, np.arange(cells))
+
+    @given(st.integers(0, 300), st.floats(0.0, 1.0), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_block_cells_independent_of_chunking(self, cells, prob, chunk, seed):
+        # numpy draws the gaps one after another, so any chunking yields the
+        # same cells; a chunk of 1 to 3 gaps exercises every top-up
+        expect = _block_cells(rngmod.pair_stream(seed, 0), cells, prob)
+        with mock.patch.object(models, "_gap_chunk", return_value=chunk):
+            got = _block_cells(rngmod.pair_stream(seed, 0), cells, prob)
+        np.testing.assert_array_equal(got, expect)
+
+    @given(small_sbms(), st.integers(0, 2**32 - 1))
+    def test_keys_strictly_increase_inside_their_block(self, case, seed):
+        params, n = case
+        e, g = emitted_edges(params, n, seed)
+        assert e.dtype == np.int64 and e.shape == (g.m, 2)
+        key = e[:, 0] * n + e[:, 1]
+        assert np.all(e[:, 0] < e[:, 1]) and np.all(np.diff(key) > 0)
+        np.testing.assert_array_equal(g.edges, e)
+        labels = block_labels(params.s, n)
+        sizes = np.bincount(labels, minlength=params.c)
+        prob = np.full((params.c, params.c), params.omega * params.q)
+        np.fill_diagonal(prob, params.omega * params.p)
+        counts = np.zeros((params.c, params.c), dtype=int)
+        np.add.at(counts, (labels[e[:, 0]], labels[e[:, 1]]), 1)
+        for a in range(params.c):
+            for b in range(a, params.c):
+                cells = (sizes[a] * (sizes[a] - 1) // 2 if a == b
+                         else sizes[a] * sizes[b])
+                assert counts[a, b] <= cells
+                if prob[a, b] == 0:
+                    assert counts[a, b] == 0
+                if prob[a, b] >= 1:
+                    assert counts[a, b] == cells
+
+    @pytest.mark.parametrize("s, p, q", [
+        ([1.0], [0.3], 0.0),
+        ([0.25, 0.75], [0.0, 0.0], 0.3),
+        ([0.55, 0.01, 0.44], [0.9, 0.5, 0.2], 0.1),
+        ([0.2, 0.3, 0.1, 0.4], [1.0, 0.05, 0.6, 0.3], 0.02)])
+    def test_edges_follow_the_stream_contract(self, s, p, q):
+        params = SbmParams(omega=1.0, s=s, p=p, q=q)
+        for k in range(3):
+            np.testing.assert_array_equal(sample_sbm(params, 40, 5, k).edges,
+                                          contract_edges(params, 40, 5, k))
+
+    def test_draw_memory_is_a_small_multiple_of_its_edges(self):
+        n = 6000
+        params = SbmParams(omega=10 / np.sqrt(n), s=[0.5, 0.5], p=[0.85, 0.575],
+                           q=0.05 * 0.575)
+        tracemalloc.start()
+        try:
+            g = sample_sbm(params, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.edges.nbytes
+
+
 class TestTriangleCells:
     def test_enumerates_pairs_in_order(self):
         for k in range(61):
-            i, j = _triangle_cells(np.arange(k * (k - 1) // 2))
+            i, j = triangle_cells(np.arange(k * (k - 1) // 2))
             expect = [(a, b) for b in range(k) for a in range(b)]
             assert list(zip(i.tolist(), j.tolist())) == expect, k
 
@@ -172,7 +276,7 @@ class TestTriangleCells:
         t = np.concatenate([first - 1, first, first + 1, [0, cells - 1],
                             np.random.default_rng(k).integers(0, cells, 1000)])
         t = t[(t >= 0) & (t < cells)]
-        i, j = _triangle_cells(t)
+        i, j = triangle_cells(t)
         np.testing.assert_array_equal(j * (j - 1) // 2 + i, t)
         assert np.all((0 <= i) & (i < j) & (j < k))
 
