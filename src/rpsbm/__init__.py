@@ -7,7 +7,7 @@ random-parameter stochastic block model, parametrically or as a graph-space
 kernel mixture, and samples new graphs from the fitted law.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .spectral import (
     Graph,
@@ -66,6 +66,5 @@ from .geometry import (
     GeometryEstimate,
     cluster_by_community_count,
     detect_geometry,
-    extremal_count,
 )
 from .contacts import ContactStream, load_contacts, window_contacts

@@ -251,7 +251,7 @@ def _geometry_s(corpus, trunc):
 @click.option("--family", type=click.Choice(list(LAWS)),
               default="uniform", show_default=True)
 @click.option("--s-from-geometry", is_flag=True,
-              help="Estimate the geometry vector from eigenvector profiles.")
+              help="Estimate the geometry vector from the Bethe Hessian.")
 def fit(seed, out, config, corpus_dir, trunc, family, s_from_geometry):
     """Parametric moment-matching fit of a random-parameter block model."""
     outdir = _outdir(out)

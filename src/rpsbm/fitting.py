@@ -249,9 +249,7 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
         warnings.warn(note)
     model = RpsbmModel(omega=omega, law=law, epsilon=eps, s=s)
     feas = {
-        "geometry": [True] * c,  # the guard above raised otherwise
         "support_in_unit": in_unit.tolist(),
-        "variance_nonneg": (var >= 0).tolist(),
         "regimes": list(report.regimes),
     }
     return FitResult(model=model, mean_J=mean, cov_J=cov, eps_raw=eps_raw,

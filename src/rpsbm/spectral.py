@@ -34,10 +34,8 @@ import scipy.sparse.linalg
 # Every dense solve yields the whole spectrum, so the first one on a Graph
 # keeps its eigenvalues (non-increasing, read-only) in the instance's
 # __dict__ under SPECTRUM_MEMO; a Graph is immutable, so they stay valid.
-# spectrum() then returns a slice of them at any n, and a clustered window
-# whose eigenvectors detect_geometry took from eigenpairs() costs no second
-# LAPACK call in compute_moments.  Only the n values are kept, never the
-# n x n eigenvectors.
+# spectrum() then returns a slice of them at any n, so no graph is solved
+# densely twice.  Only the n values are kept, never the n x n eigenvectors.
 # ARPACK sees the adjacency through its upper triangle U, A = U + U^T, applied
 # as U^T x + U x (U^T is a CSC view of U's arrays).  The canonical edges are
 # U's entries in CSR order already: rows ascending, columns ascending and

@@ -17,11 +17,7 @@ from rpsbm import (
     limiting_covariance,
 )
 from rpsbm import rng
-from rpsbm.geometry import _invariant_columns
 from rpsbm.models import block_labels
-from rpsbm.spectral import Graph, eigenpairs
-
-LOG_FLOOR = 1e-12
 
 
 def canonical_kernel_value(params: SbmParams, x: float, y: float) -> float:
@@ -95,20 +91,6 @@ def first_order_check(params: SbmParams, n: int,
         mean_err[i] = abs(lam / (n * params.omega * params.s[i]) - params.p[i])
         cov_err[i] = abs(cov[i, i] - 2.0 * params.p[i])
     return {"mean_error": mean_err, "cov_error": cov_err}
-
-
-def eigenvector_profile(g: Graph, K: int) -> np.ndarray:
-    """Sum over the top-K eigenvectors of log sorted node magnitudes.
-
-    Each eigenvector's |entries| are sorted ascending before the log, so the
-    profile is a label-free staircase with steps at cumulative block sizes.
-    Sign flips of any eigenvector leave it unchanged.
-    """
-    if K < 1:
-        raise ValueError("K must be positive")
-    w, U = eigenpairs(g, K)
-    mags = _invariant_columns(w, U, np.abs(U))
-    return np.log(np.sort(mags, axis=0) + LOG_FLOOR).sum(axis=1)
 
 
 def triangle_cells(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -129,6 +129,35 @@ class TestFit:
         payload = json.loads((out / "fit.json").read_text())
         assert payload["model"]["law"]["kind"] == "uniform"
 
+    def test_fit_feasibility_fields(self, runner, tmp_path):
+        # only fields that can read false on a fit that returns
+        corpus_dir = make_corpus_dir(tmp_path, count=12)
+        out = tmp_path / "fit"
+        r = runner.invoke(main, ["fit", "--corpus", str(corpus_dir), "-c", "2",
+                                 "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        feas = json.loads((out / "fit.json").read_text())["feasibility"]
+        assert set(feas) == {"support_in_unit", "regimes"}
+        assert len(feas["support_in_unit"]) == len(feas["regimes"]) == 2
+
+    def test_fit_s_from_geometry(self, runner, tmp_path):
+        corpus_dir = make_corpus_dir(tmp_path, count=12)
+        out = tmp_path / "fit"
+        r = runner.invoke(main, ["fit", "--corpus", str(corpus_dir), "-c", "2",
+                                 "--s-from-geometry", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        payload = json.loads((out / "fit.json").read_text())
+        np.testing.assert_allclose(payload["model"]["s"], [0.5, 0.5], atol=0.02)
+
+    def test_fit_s_from_geometry_without_matching_count_exits_2(self, runner,
+                                                                 tmp_path):
+        corpus_dir = make_corpus_dir(tmp_path, count=12)
+        r = runner.invoke(main, ["fit", "--corpus", str(corpus_dir), "-c", "3",
+                                 "--s-from-geometry",
+                                 "--out", str(tmp_path / "fit")])
+        assert r.exit_code == 2
+        assert "error: no corpus graph has 3 detected communities" in r.output
+
     def test_small_regime_exits_2(self, runner, tmp_path):
         d = tmp_path / "flat"
         d.mkdir()
@@ -167,6 +196,8 @@ class TestGeometryCommand:
         payload = json.loads((out / "geometry.json").read_text())
         assert len(payload["graphs"]) == 3
         for entry in payload["graphs"]:
+            assert set(entry) == {"s", "community_count"}
+            assert entry["community_count"] == len(entry["s"])
             assert abs(sum(entry["s"]) - 1.0) < 1e-9
 
 

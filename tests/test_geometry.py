@@ -1,87 +1,95 @@
-"""Community-count and geometry-vector estimation from eigenvector profiles."""
+"""Community-count and geometry-vector estimation from the Bethe Hessian."""
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from rpsbm import (
     Graph,
     SbmParams,
     cluster_by_community_count,
     detect_geometry,
-    extremal_count,
     sample_sbm,
 )
-from rpsbm.geometry import merge_change_points
-from oracles import eigenvector_profile
+from rpsbm.geometry import _pivoted_qr_labels
 
 
-def planted(n, sizes, p, q, seed):
-    """Planted-partition oracle: contiguous equal-probability blocks."""
+def planted(n, sizes, p, q, seed, omega=1.0):
+    """Planted-partition oracle: contiguous blocks of the given sizes."""
     s = np.asarray(sizes, dtype=float) / sum(sizes)
-    params = SbmParams(omega=1.0, s=s, p=np.asarray(p, dtype=float), q=q)
+    params = SbmParams(omega=omega, s=s, p=np.asarray(p, dtype=float), q=q)
     return sample_sbm(params, int(sum(sizes)), seed=seed)
 
 
-class TestExtremalCount:
-    def test_complete_graph(self):
-        assert extremal_count(Graph.complete(4)) == 1
-
-    def test_empty_graph(self):
-        assert extremal_count(Graph.empty(5)) == 0
-
-    def test_two_disjoint_triangles(self):
-        edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-        assert extremal_count(Graph(6, edges)) == 2
-
-    def test_planted_two_block(self):
-        g = planted(400, [200, 200], [0.9, 0.9], 0.01, seed=40)
-        assert extremal_count(g) == 2
+def reads_planted(est, sizes):
+    """Right count, and every block fraction within 1/n of the planted one."""
+    n = sum(sizes)
+    want = np.sort(np.asarray(sizes, dtype=float))[::-1] / n
+    return (est.community_count == len(sizes)
+            and bool(np.all(np.abs(est.s - want) <= 1.0 / n)))
 
 
 class TestProfile:
-    def test_uniform_on_complete_graph(self):
-        prof = eigenvector_profile(Graph.complete(50), 1)
-        assert np.ptp(prof) < 1e-9
-
-    def test_label_free(self):
-        g = planted(200, [100, 100], [0.8, 0.5], 0.02, seed=41)
-        perm = np.random.default_rng(42).permutation(200)
-        a = eigenvector_profile(g, 2)
-        b = eigenvector_profile(g.relabel(perm), 2)
-        np.testing.assert_allclose(a, b, atol=1e-9)
-
-    def test_sign_flips_do_not_matter(self):
-        # same formula on sign-flipped vectors gives the identical profile
-        from rpsbm.spectral import eigenpairs
-        g = planted(150, [75, 75], [0.8, 0.8], 0.02, seed=43)
-        w, u = eigenpairs(g, 2)
-        base = np.log(np.sort(np.abs(u), axis=0) + 1e-12).sum(axis=1)
-        flipped = np.log(np.sort(np.abs(u * [-1, 1]), axis=0) + 1e-12).sum(axis=1)
-        np.testing.assert_array_equal(base, flipped)
+    """The block profile s: its placement and what it must not depend on."""
 
     def test_two_block_step_at_boundary(self):
         g = planted(400, [200, 200], [0.9, 0.9], 0.01, seed=44)
         est = detect_geometry(g)
         assert est.community_count == 2
-        assert abs(est.change_points[0] - 200) <= 10
+        np.testing.assert_allclose(est.s, [0.5, 0.5], atol=10 / 400)
 
-    def test_needs_positive_k(self):
-        with pytest.raises(ValueError):
-            eigenvector_profile(Graph.complete(5), 0)
+    @settings(max_examples=25)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from([([60, 60], [0.9, 0.9], 0.3),
+                            ([54, 36, 30], [0.8, 0.85, 0.9], 1.0),
+                            ([100, 100], [0.8, 0.5], 1.0)]))
+    def test_label_free(self, seed, case):
+        sizes, p, omega = case
+        g = planted(sum(sizes), sizes, p, 0.05, seed, omega)
+        perm = np.random.default_rng(seed).permutation(g.n)
+        np.testing.assert_array_equal(detect_geometry(g.relabel(perm)).s,
+                                      detect_geometry(g).s)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 60))
+    def test_sign_flips_do_not_matter(self, seed, k, extra):
+        # nor does any rotation of the basis: the labels are a function of
+        # the span of V alone.  Label j names the j-th pivot row, so n > k
+        # (at n = k every row has norm 1 and the pivot order is a tie)
+        gen = np.random.default_rng(seed)
+        V = np.linalg.qr(gen.standard_normal((k + extra, k)))[0]
+        R = np.linalg.qr(gen.standard_normal((k, k)))[0]
+        signs = gen.choice([-1.0, 1.0], size=k)
+        labels = _pivoted_qr_labels(V)
+        assert labels.shape == (k + extra,)
+        np.testing.assert_array_equal(_pivoted_qr_labels(V * signs), labels)
+        np.testing.assert_array_equal(_pivoted_qr_labels(V @ R), labels)
 
-class TestMergeRule:
-    def test_close_points_average(self):
-        assert merge_change_points([100, 103], n=400, min_gap=10) == [101]
+    @pytest.mark.parametrize("transform", ["negate-first", "rotate"])
+    def test_eigensolver_basis_does_not_matter(self, transform, monkeypatch):
+        # the count and s must not depend on the signs the eigensolver picks
+        # or on any other orthonormal basis of the same eigenspace
+        eigh = scipy.linalg.eigh
 
-    def test_three_apart_with_gap_ten(self):
-        assert merge_change_points([50, 53], n=200, min_gap=10) == [51]
+        def other_basis(*args, **kwargs):
+            w, V = eigh(*args, **kwargs)
+            k = V.shape[1]
+            if transform == "negate-first":
+                R = np.diag([-1.0] + [1.0] * (k - 1))
+            else:
+                R = np.linalg.qr(np.random.default_rng(k).standard_normal((k, k)))[0]
+            return w, V @ R
 
-    def test_endpoints_dropped(self):
-        assert merge_change_points([3, 100], n=200, min_gap=10) == [100]
-
-    def test_far_points_kept(self):
-        assert merge_change_points([50, 150], n=400, min_gap=10) == [50, 150]
+        for seed in range(5):
+            g = planted(120, [54, 36, 30], [0.8, 0.85, 0.9], 0.05, seed)
+            expect = detect_geometry(g)
+            with monkeypatch.context() as mp:
+                mp.setattr(scipy.linalg, "eigh", other_basis)
+                got = detect_geometry(g)
+            assert expect.community_count == 3
+            np.testing.assert_array_equal(got.s, expect.s)
 
 
 class TestDetectGeometry:
@@ -92,7 +100,20 @@ class TestDetectGeometry:
 
     def test_empty_graph_single_community(self):
         est = detect_geometry(Graph.empty(10))
-        assert est.K == 0 and est.community_count == 1
+        assert est.community_count == 1
+        np.testing.assert_array_equal(est.s, [1.0])
+
+    @pytest.mark.parametrize("g", [
+        Graph(10, [(0, 1), (2, 3)]), Graph.empty(10), Graph.complete(60),
+        Graph.path(50)], ids=["two-edges", "empty", "complete", "path"])
+    def test_undetectable_graph_reads_one_community(self, g):
+        # r <= 1 for all but the complete graph; isolated nodes would put
+        # r^2 - 1 < 0 on the Bethe Hessian's diagonal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            est = detect_geometry(g)
+        assert est.community_count == 1
+        np.testing.assert_array_equal(est.s, [1.0])
 
     def test_planted_two_block_geometry(self):
         g = planted(400, [200, 200], [0.9, 0.9], 0.01, seed=45)
@@ -107,6 +128,7 @@ class TestDetectGeometry:
         np.testing.assert_allclose(est.s, [0.5, 0.5], atol=0.05)
 
     def test_s_sums_to_one_and_blocks_respect_gap(self):
+        # every block holds at least one node, and s is non-increasing
         gen = np.random.default_rng(47)
         for _ in range(10):
             n = int(gen.integers(60, 200))
@@ -114,18 +136,24 @@ class TestDetectGeometry:
             g = planted(n, [n], [p], 0.0, seed=int(gen.integers(1 << 30)))
             est = detect_geometry(g)
             assert est.s.sum() == pytest.approx(1.0)
-            if est.change_points:
-                gap = int(np.ceil(max(np.max(est.s) * 0, 1)))
-                bounds = [0, *est.change_points, n]
-                assert min(np.diff(bounds)) >= 1
+            assert est.s.min() * n >= 1 - 1e-9
+            assert np.all(np.diff(est.s) <= 0)
 
-    def test_block_sizes_at_least_lambda1(self):
-        g = planted(400, [200, 200], [0.9, 0.9], 0.01, seed=48)
-        est = detect_geometry(g)
-        from rpsbm import full_spectrum
-        lam1 = full_spectrum(g).values[0]
-        bounds = [0, *est.change_points, g.n]
-        assert min(np.diff(bounds)) >= int(np.ceil(lam1))
+
+class TestPlanted:
+    """Each planted case reads its count, with s within 1/n, on >= 18 of
+    seeds 0-19."""
+
+    @pytest.mark.parametrize("sizes, p, omega", [
+        ([54, 36, 30], [0.8, 0.85, 0.9], 1.0),
+        ([60, 60], [0.9, 0.9], 0.3),
+        ([134, 134, 133], [0.9, 0.9, 0.9], 0.1),
+    ], ids=["54-36-30", "halves-n120", "thirds-n401"])
+    def test_reads_planted_count(self, sizes, p, omega):
+        hits = sum(reads_planted(detect_geometry(
+            planted(sum(sizes), sizes, p, 0.05, seed, omega)), sizes)
+            for seed in range(20))
+        assert hits >= 18
 
 
 class TestClustering:
