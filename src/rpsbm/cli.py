@@ -181,15 +181,17 @@ def spectra(seed, out, config, corpus_dir, trunc):
     """Top-c eigenvalues and density of every corpus graph (CSV)."""
     outdir = _outdir(out)
     corpus = _load_corpus(corpus_dir)
+    # every row is computed before the file is opened, so a graph that
+    # fails leaves no half-written table behind
+    rows = [",".join(format(v, ".17g")
+                     for v in (*spectrum(g, trunc).values, density(g)))
+            for g in corpus]
     path = outdir / "spectra.csv"
     with open(path, "w", encoding="utf-8") as fh:
         head = ",".join(f"lambda{i+1}" for i in range(trunc))
         fh.write(f"graph,{head},density\n")
-        for k, g in enumerate(corpus):
-            vals = spectrum(g, trunc).values
-            row = ",".join(format(v, ".17g") for v in vals)
-            dens = format(density(g), ".17g")
-            fh.write(f"{k},{row},{dens}\n")
+        for k, row in enumerate(rows):
+            fh.write(f"{k},{row}\n")
     _write_manifest(outdir, "spectra", {"corpus": corpus_dir, "c": trunc},
                     seed, config, ["spectra.csv"])
     click.echo(f"wrote {path}")

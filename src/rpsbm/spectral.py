@@ -6,16 +6,20 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-# Dense eigensolver limit.  n <= DENSE_EIG uses LAPACK on the full matrix;
-# above that the top-c eigenpairs come from ARPACK (implicitly restarted
-# Lanczos).  Measured at one BLAS thread on two-block SBM graphs,
-# matrix construction included, c = 2: n = 100 dense 0.7 ms vs ARPACK 1.4 ms,
-# n = 200 2.6 vs 2.8 ms, n = 400 12 vs 3.4 ms, n = 2000 945 vs 25 ms; the
-# crossover lies near n = 200.  The cut-off sits at 400 so that graphs of a
-# few hundred nodes (contact windows, the benchmark's 300-node test runs) keep
+# Dense eigensolver limit.  Both spectrum() and eigenpairs() go through _top,
+# which holds no state between calls.  n <= DENSE_EIG asks LAPACK
+# (scipy.linalg.eigh, driver syevr) for the top c eigenpairs of the full
+# matrix; above that they come from ARPACK (implicitly restarted Lanczos).
+# Measured at one BLAS thread on two-block SBM graphs (omega = 10/sqrt(n), min
+# over runs), matrix construction included, c = 2: n = 100 top-c dense 0.3 ms
+# vs ARPACK 0.6 ms, n = 200 1.4 vs 2.0 ms, n = 400 6.3 vs 1.2 ms, n = 2000 750
+# vs 11 ms; the crossover lies between n = 200 and 300 (c = 3 moves it up: 5.9
+# vs 8.0 ms at n = 400).  The cut-off sits at 400 so that graphs of a few
+# hundred nodes (contact windows, the benchmark's 300-node test runs) keep
 # their exact LAPACK values, where ARPACK would save a few ms per graph.
 # ARPACK starts from a fixed Gaussian vector: a structured start such as the
 # all-ones vector is orthogonal to every antisymmetric eigenvector (the second
@@ -31,11 +35,6 @@ import scipy.sparse.linalg
 # 0.3 s and the dense fallback then 1.2 s, where an uncapped solve takes
 # 10.5 s.  One restart costs O(ncv m) against O(n^3) for the dense solve, so
 # the cap's share of the fallback's cost shrinks as n grows.
-# Every dense solve yields the whole spectrum, so the first one on a Graph
-# keeps its eigenvalues (non-increasing, read-only) in the instance's
-# __dict__ under SPECTRUM_MEMO; a Graph is immutable, so they stay valid.
-# spectrum() then returns a slice of them at any n, so no graph is solved
-# densely twice.  Only the n values are kept, never the n x n eigenvectors.
 # ARPACK sees the adjacency through its upper triangle U, A = U + U^T, applied
 # as U^T x + U x (U^T is a CSC view of U's arrays).  The canonical edges are
 # U's entries in CSR order already: rows ascending, columns ascending and
@@ -50,7 +49,6 @@ DENSE_EIG = 400
 ARPACK_TOL = 0.0
 ARPACK_SEED = 20220705
 ARPACK_MAXITER = 300
-SPECTRUM_MEMO = "_spectrum"
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,7 @@ class Graph:
     triangle of the adjacency in CSR order, from which ARPACK's half-stored
     operator is built.  Input already in that form, as ``sample_sbm`` emits
     it, is copied and checked in O(m) without a sort; any other pair list is
-    canonicalised.  Instances are immutable and safe to share.  The
-    first dense eigensolve on an instance stores its full spectrum on it
-    (``__dict__[SPECTRUM_MEMO]``, read-only), which ``spectrum`` reuses.
+    canonicalised.  Instances are immutable and safe to share.
     """
 
     n: int
@@ -188,35 +184,32 @@ def _lanczos(g: Graph, k: int, return_eigenvectors: bool):
     return res if w.min() > 0 else None
 
 
-def _remember(g: Graph, w: np.ndarray) -> np.ndarray:
-    """Store LAPACK's ascending w on g as its full spectrum, unless a dense
-    solve already stored one; return the stored spectrum."""
-    v = w[::-1].copy()
-    v.setflags(write=False)
-    return g.__dict__.setdefault(SPECTRUM_MEMO, v)
-
-
-def _top_eigenvalues(g: Graph, c: int) -> np.ndarray:
-    w = g.__dict__.get(SPECTRUM_MEMO)
-    if w is None:
-        if g.n > DENSE_EIG and c < g.n - 1:
-            if g.m == 0:
-                return np.zeros(c)
-            w = _lanczos(g, c, return_eigenvectors=False)
-            if w is not None:
-                return np.sort(w)[::-1]
-        w = _remember(g, np.linalg.eigvalsh(g.adjacency()))
-    return w[:c]
+def _top(g: Graph, k: int, vectors: bool):
+    """The k algebraically largest adjacency eigenvalues, non-increasing, and
+    with ``vectors`` the matching unit eigenvectors as columns: (w, U)."""
+    res = None
+    if g.n > DENSE_EIG and k < g.n - 1:
+        if g.m == 0:
+            w = np.zeros(k)
+            return (w, np.eye(g.n, k)) if vectors else w
+        res = _lanczos(g, k, vectors)
+    if res is None:
+        res = scipy.linalg.eigh(
+            g.adjacency(), eigvals_only=not vectors,
+            subset_by_index=[g.n - k, g.n - 1], overwrite_a=True,
+            check_finite=False)
+    if not vectors:
+        return np.sort(res)[::-1]
+    w, v = res
+    order = np.argsort(w, kind="stable")[::-1]
+    return w[order], v[:, order]
 
 
 def spectrum(g: Graph, c: int) -> SpectralSignature:
-    """The c algebraically largest adjacency eigenvalues, non-increasing.
-
-    An exact prefix of g's stored full spectrum whenever one is stored.
-    """
+    """The c algebraically largest adjacency eigenvalues, non-increasing."""
     if not 1 <= c <= g.n:
         raise ValueError(f"truncation order must satisfy 1 <= c <= {g.n}")
-    return SpectralSignature(_top_eigenvalues(g, c), c, g.n)
+    return SpectralSignature(_top(g, c, vectors=False), c, g.n)
 
 
 def full_spectrum(g: Graph) -> SpectralSignature:
@@ -227,24 +220,13 @@ def full_spectrum(g: Graph) -> SpectralSignature:
 def eigenpairs(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenvalues (non-increasing) and matching unit eigenvectors.
 
-    Returns (w, U) with U[:, j] the eigenvector of w[j].  Dense path up to
-    DENSE_EIG nodes; above it ARPACK (fixed start vector, dense fallback) on
-    the adjacency applied from its upper triangle alone (``_adjacency_operator``,
-    built from g.edges without a COO conversion in 3-5 ms at n = 6000).  A
-    dense solve stores the full spectrum on g, but w is always the one that
-    solve returned with U, even where an earlier solve stored a spectrum.
+    Returns (w, U) with U[:, j] the eigenvector of w[j], from the same solve
+    as ``spectrum``: LAPACK for the top k only up to DENSE_EIG nodes, ARPACK
+    on the half-stored adjacency above it.
     """
     if not 1 <= k <= g.n:
         raise ValueError("k out of range")
-    if g.n > DENSE_EIG and k < g.n - 1:
-        res = _lanczos(g, k, return_eigenvectors=True)
-        if res is not None:
-            w, v = res
-            order = np.argsort(w)[::-1]
-            return w[order], v[:, order]
-    w, v = np.linalg.eigh(g.adjacency())
-    _remember(g, w)
-    return w[::-1][:k], v[:, ::-1][:, :k]
+    return _top(g, k, vectors=True)
 
 
 def dist_truncated(a: SpectralSignature, b: SpectralSignature) -> float:

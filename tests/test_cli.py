@@ -97,6 +97,21 @@ class TestSpectraRoundTrip:
             assert float(l2) == pytest.approx(vals[1], abs=1e-12)
             assert float(dens) == pytest.approx(density(g), abs=1e-12)
 
+    def test_failure_leaves_no_table(self, runner, tmp_path):
+        # the n = 5 graph can take c = 4, the n = 3 one cannot
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_edgelist(Graph.complete(5), corpus / "graph_0000.txt")
+        save_edgelist(Graph.complete(3), corpus / "graph_0001.txt")
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "4",
+                                 "--out", str(out)])
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit), r.exception
+        assert "error:" in r.output
+        assert not (out / "spectra.csv").exists()
+        assert not (out / "manifest.json").exists()
+
 
 class TestMomentsAndRegimes:
     def test_moments_json(self, runner, tmp_path):

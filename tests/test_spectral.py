@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, strategies as st
 
@@ -25,7 +26,6 @@ from rpsbm import (
 )
 from rpsbm.spectral import (
     DENSE_EIG,
-    SPECTRUM_MEMO,
     _adjacency_operator,
     _upper_adjacency,
     eigenpairs,
@@ -221,9 +221,28 @@ class TestSpectrum:
         assert abs(full_spectrum(g).values.sum()) < 1e-9
 
     def test_truncation_prefix_of_full(self):
+        # a top-4 solve and a full solve are separate LAPACK runs, which
+        # agree to rounding rather than bit for bit
         g = random_graph(60, 0.2, 2)
         full = full_spectrum(g).values
-        np.testing.assert_array_equal(spectrum(g, 4).values, full[:4])
+        np.testing.assert_allclose(spectrum(g, 4).values, full[:4],
+                                   rtol=0, atol=1e-13 * abs(full[0]))
+
+    @given(graphs(), st.data())
+    def test_dense_path_matches_oracle_in_any_call_order(self, g, data):
+        # every graph here is below the cut-off, so this is LAPACK's top-c
+        c = data.draw(st.integers(1, g.n), label="c")
+        first = data.draw(st.sampled_from(["none", "full_spectrum", "eigenpairs"]),
+                          label="first")
+        expect = dense_eigs(g)[:c]
+        fresh = spectrum(Graph(g.n, g.edges), c).values
+        np.testing.assert_allclose(fresh, expect, rtol=0,
+                                   atol=1e-10 * max(1.0, abs(expect[0])))
+        if first == "full_spectrum":
+            full_spectrum(g)
+        elif first == "eigenpairs":
+            eigenpairs(g, data.draw(st.integers(1, g.n), label="k"))
+        assert spectrum(g, c).values.tobytes() == fresh.tobytes()
 
     def test_iterative_matches_dense(self):
         # above the dense limit the top-c path switches to ARPACK
@@ -245,14 +264,19 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("name", sorted(SPECIAL))
     def test_eigenpairs_of_symmetric_graphs(self, name):
-        g = SPECIAL[name](DENSE_EIG + 1)
-        expect = dense_eigs(g)
-        a = g.adjacency()
-        for k in (1, 2, 3):
-            w, u = eigenpairs(g, k)
-            np.testing.assert_allclose(w, expect[:k], rtol=0, atol=1e-8)
-            np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-10)
-            assert np.max(np.abs(a @ u - u * w)) < 1e-8
+        # n = 60 and k = n take the dense branch, n = DENSE_EIG + 1 with
+        # k <= 3 the ARPACK one
+        for n in (60, DENSE_EIG + 1):
+            g = SPECIAL[name](n)
+            expect = dense_eigs(g)
+            a = g.adjacency()
+            for k in (1, 2, 3, n):
+                w, u = eigenpairs(g, k)
+                assert w.shape == (k,) and u.shape == (n, k)
+                np.testing.assert_allclose(w, expect[:k], rtol=0, atol=1e-8)
+                np.testing.assert_allclose(np.linalg.norm(u, axis=0), 1.0,
+                                           atol=1e-10)
+                assert np.max(np.abs(a @ u - u * w)) < 1e-8, f"n={n} k={k}"
 
     @pytest.mark.parametrize("n", [DENSE_EIG + 1, 1000, 2000])
     def test_rpsbm_draws_match_dense(self, n):
@@ -282,75 +306,46 @@ class TestSpectrum:
             assert np.max(np.abs(diff)) <= 1.0 + 1e-9
 
 
-def count_lapack_calls(monkeypatch) -> list[str]:
-    """Names of the numpy.linalg eigensolvers called from here on."""
+def eigensolver_calls(monkeypatch) -> list[tuple[str, dict]]:
+    """Calls to scipy.linalg.eigh (name, keyword arguments) and to the
+    numpy.linalg eigensolvers (name only) made from here on."""
     calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs))
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy("scipy.linalg.eigh",
+                                                  scipy.linalg.eigh))
     for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def spy(a, _name=name, _original=original):
-            calls.append(_name)
-            return _original(a)
-
-        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(np.linalg, name, spy(f"numpy.linalg.{name}",
+                                                 getattr(np.linalg, name)))
     return calls
 
 
 class TestSpectrumMemo:
-    """The first dense solve on a Graph stores its full spectrum, and
-    spectrum() returns exact prefixes of it."""
+    """No spectrum is kept on a Graph: every call runs its own top-k solve,
+    so what a call returns cannot depend on the calls before it."""
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 60])
+    def test_one_top_c_lapack_call(self, monkeypatch, c):
+        g = random_graph(60, 0.2, 11)
+        calls = eigensolver_calls(monkeypatch)
+        spectrum(g, c)
+        assert [name for name, _ in calls] == ["scipy.linalg.eigh"]
+        assert list(calls[0][1]["subset_by_index"]) == [60 - c, 59]
+        assert calls[0][1]["eigvals_only"]
 
     @pytest.mark.parametrize("n", [60, DENSE_EIG + 1])
-    @pytest.mark.parametrize("first", ["full_spectrum", "spectrum", "eigenpairs"])
-    def test_spectrum_is_prefix_of_full_in_any_call_order(self, first, n):
-        g = random_graph(n, 0.1, 10)
-        cs = (1, 2, 5)
-        if first == "spectrum":
-            before = [spectrum(g, c).values for c in cs]
-        elif first == "eigenpairs":
-            w, _ = eigenpairs(g, g.n)
-        full = full_spectrum(g).values
-        for c in cs:
-            np.testing.assert_array_equal(spectrum(g, c).values, full[:c])
-        if first == "eigenpairs":
-            np.testing.assert_array_equal(full, w)
-        if first == "spectrum":
-            for c, v in zip(cs, before):
-                if n <= DENSE_EIG:
-                    np.testing.assert_array_equal(v, full[:c])
-                else:
-                    # ARPACK's top-c, computed before any dense solve
-                    np.testing.assert_allclose(v, full[:c], rtol=0, atol=1e-9)
-
-    def test_one_dense_solve_per_graph(self, monkeypatch):
-        calls = count_lapack_calls(monkeypatch)
-        g = random_graph(60, 0.2, 11)
+    def test_graph_holds_only_its_fields(self, n):
+        g = random_graph(n, 0.1, 14)
         spectrum(g, 2)
         full_spectrum(g)
-        spectrum(g, 5)
-        assert calls == ["eigvalsh"]
-        h = random_graph(60, 0.2, 12)
-        eigenpairs(h, h.n)
-        spectrum(h, 2)
-        full_spectrum(h)
-        assert calls == ["eigvalsh", "eigh"]
-
-    def test_memo_is_read_only_values(self):
-        g = random_graph(60, 0.2, 13)
-        w, _ = eigenpairs(g, g.n)
-        w[0] = 99.0
-        memo = g.__dict__[SPECTRUM_MEMO]
-        assert memo.shape == (g.n,)
-        assert not memo.flags.writeable
-        with pytest.raises(ValueError):
-            memo[0] = 1.0
-        assert full_spectrum(g).values[0] != 99.0
-
-    def test_arpack_path_stores_nothing(self):
-        g = random_graph(DENSE_EIG + 1, 0.1, 14)
-        spectrum(g, 2)
         eigenpairs(g, 2)
-        assert SPECTRUM_MEMO not in g.__dict__
+        eigenpairs(g, g.n)
+        assert set(vars(g)) == {"n", "edges"}
 
     @pytest.mark.parametrize("n, omega, s", [
         (120, 0.3, [0.5, 0.5]), (DENSE_EIG + 1, 0.1, [1 / 3, 1 / 3, 1 / 3])])
