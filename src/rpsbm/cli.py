@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Every subcommand accepts --seed/--out/--config, writes its outputs plus a
-manifest.json recording the exact invocation, and is bit-reproducible for a
-fixed seed.  Exit codes: 0 success, 1 I/O or validation failure,
-2 infeasibility (small-variance regime or geometry violations); the mapping
-from exceptions to codes lives in ``common_options`` and wraps every command.
-The scenario commands write a runner's tables and report through
-``_write_result``.
+Every subcommand is registered by ``command``, which adds --seed/--out/--config
+and is the one output path: a command body only computes, and returns its
+files by name with the manifest's args and its seed.  The wrapper then
+creates --out, writes each file through ``_write`` (edge list, CSV or JSON,
+picked by the payload) and writes manifest.json recording the exact
+invocation, so a command that fails leaves no --out behind.  Every command is
+bit-reproducible for a fixed seed.  Exit codes: 0 success, 1 I/O or
+validation failure, 2 infeasibility (small-variance regime or geometry
+violations); the wrapper maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from . import __version__
 from .contacts import load_contacts, window_contacts
 from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
 from .geometry import cluster_by_community_count, detect_geometry
-from .models import LAWS, load_model, model_to_dict, sample_corpus
+from .models import LAWS, _check_keys, load_model, model_to_dict, sample_corpus
 from .moments import classify_regimes, compute_moments, moments_report
 from .replicate import SCENARIOS, ExperimentConfig, run_scenario
 from .spectral import Graph, density, load_edgelist, save_edgelist, spectrum
@@ -98,52 +100,26 @@ def _load_corpus(corpus_dir: str) -> list[Graph]:
     return [load_edgelist(p) for p in paths]
 
 
-def _outdir(out: str) -> Path:
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write(path: Path, payload) -> None:
+    """Write one output file in the format its payload calls for: a Graph as
+    an edge list, a list of row dicts as CSV, a dict as JSON.  CSV floats
+    get 17 significant digits, so a table reads back bit-exact."""
+    if isinstance(payload, Graph):
+        save_edgelist(payload, path)
+    elif isinstance(payload, list):
+        cols = list(payload[0])
+        lines = [",".join(cols)] + [
+            ",".join(format(row[c], ".17g") if isinstance(row[c], float)
+                     else str(row[c]) for c in cols)
+            for row in payload]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        _write_json(path, payload)
 
 
-def _write_result(outdir: Path, result: dict, report_name: str) -> list[str]:
-    """Write a scenario runner's tables as CSV and its report as JSON.
-
-    Floats are written with 17 significant digits, so a table reads back
-    bit-exact.  Returns the names of the files written.
-    """
-    outputs = []
-    for name, rows in result["tables"].items():
-        cols = list(rows[0])
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    format(row[c], ".17g") if isinstance(row[c], float) else str(row[c])
-                    for c in cols) + "\n")
-        outputs.append(name)
-    _write_json(outdir / report_name, {"format": 1, **result["report"]})
-    return outputs + [report_name]
-
-
-def common_options(body):
-    """Add --seed/--out/--config and map the command's exceptions to exit
-    codes: infeasible fits exit 2, I/O and validation errors exit 1."""
-
-    @functools.wraps(body)
-    def fn(*args, **kwargs):
-        try:
-            return body(*args, **kwargs)
-        except InfeasibleFitError as exc:
-            _fail(str(exc), 2)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            _fail(str(exc), 1)
-
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Master seed; all randomness derives from it.")(fn)
-    fn = click.option("--out", "out", required=True,
-                      help="Output directory.")(fn)
-    fn = click.option("--config", "config", default=None,
-                      help="JSON config file with parameter overrides.")(fn)
-    return fn
+def _scenario_files(result: dict, report_name: str) -> dict:
+    """A scenario runner's tables and its report, by file name."""
+    return {**result["tables"], report_name: {"format": 1, **result["report"]}}
 
 
 @click.group()
@@ -152,87 +128,94 @@ def main():
     """Spectral density estimation for corpora of large graphs."""
 
 
-@main.command()
-@common_options
+def command(body):
+    """Register ``body`` as a subcommand of ``main`` with --seed/--out/--config.
+
+    The body writes nothing: called with the seed, the config path and its
+    own options, it returns ``(files, args, seed)``, its outputs by file
+    name, the manifest's args and the seed it ran with.  Only then is --out
+    created, each file written and manifest.json written last, its command
+    being the subcommand and its positional arguments.  Infeasible fits
+    exit 2, I/O and validation errors exit 1.
+    """
+
+    @functools.wraps(body)
+    def fn(seed, out, config, **options):
+        try:
+            files, args, seed = body(seed, config, **options)
+            outdir = Path(out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            for name, payload in files.items():
+                _write(outdir / name, payload)
+            cmd = click.get_current_context().command
+            words = [cmd.name] + [options[p.name] for p in cmd.params
+                                  if isinstance(p, click.Argument)]
+            _write_manifest(outdir, " ".join(words), args, seed, config,
+                            list(files))
+        except InfeasibleFitError as exc:
+            _fail(str(exc), 2)
+        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+            _fail(str(exc), 1)
+        click.echo(f"wrote {', '.join(sorted([*files, 'manifest.json']))} "
+                   f"to {outdir}")
+
+    fn = click.option("--seed", type=int, default=0, show_default=True,
+                      help="Master seed; all randomness derives from it.")(fn)
+    fn = click.option("--out", "out", required=True,
+                      help="Output directory.")(fn)
+    fn = click.option("--config", "config", default=None,
+                      help="JSON config file with parameter overrides.")(fn)
+    return main.command()(fn)
+
+
+@command
 @click.option("--model", "model_path", required=True, help="Model spec JSON.")
 @click.option("--n", type=int, required=True, help="Graph size.")
 @click.option("--count", type=int, required=True, help="Number of graphs.")
-def sample(seed, out, config, model_path, n, count):
+def sample(seed, config, model_path, n, count):
     """Sample graphs from a model spec into edge-list files."""
-    outdir = _outdir(out)
     model = load_model(model_path)
     graphs = sample_corpus(model, n, count, seed)
-    outputs = []
-    for k, g in enumerate(graphs):
-        name = f"graph_{k:04d}.txt"
-        save_edgelist(g, outdir / name)
-        outputs.append(name)
-    _write_manifest(outdir, "sample",
-                    {"model": model_to_dict(model), "n": n, "count": count},
-                    seed, config, outputs)
-    click.echo(f"wrote {count} graphs to {outdir}")
+    return ({f"graph_{k:04d}.txt": g for k, g in enumerate(graphs)},
+            {"model": model_to_dict(model), "n": n, "count": count}, seed)
 
 
-@main.command()
-@common_options
+@command
 @click.option("--corpus", "corpus_dir", required=True, help="Corpus directory.")
 @click.option("-c", "trunc", type=int, required=True, help="Truncation order.")
-def spectra(seed, out, config, corpus_dir, trunc):
+def spectra(seed, config, corpus_dir, trunc):
     """Top-c eigenvalues and density of every corpus graph (CSV)."""
-    outdir = _outdir(out)
-    corpus = _load_corpus(corpus_dir)
-    # every row is computed before the file is opened, so a graph that
-    # fails leaves no half-written table behind
-    rows = [",".join(format(v, ".17g")
-                     for v in (*spectrum(g, trunc).values, density(g)))
-            for g in corpus]
-    path = outdir / "spectra.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        head = ",".join(f"lambda{i+1}" for i in range(trunc))
-        fh.write(f"graph,{head},density\n")
-        for k, row in enumerate(rows):
-            fh.write(f"{k},{row}\n")
-    _write_manifest(outdir, "spectra", {"corpus": corpus_dir, "c": trunc},
-                    seed, config, ["spectra.csv"])
-    click.echo(f"wrote {path}")
+    rows = [{"graph": k,
+             **{f"lambda{i+1}": v for i, v in enumerate(spectrum(g, trunc).values)},
+             "density": density(g)}
+            for k, g in enumerate(_load_corpus(corpus_dir))]
+    return {"spectra.csv": rows}, {"corpus": corpus_dir, "c": trunc}, seed
 
 
-@main.command()
-@common_options
+@command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
-def moments(seed, out, config, corpus_dir, trunc):
+def moments(seed, config, corpus_dir, trunc):
     """Corpus moments report (mean spectrum, covariance, regimes)."""
-    outdir = _outdir(out)
-    corpus = _load_corpus(corpus_dir)
-    m = compute_moments(corpus, trunc)
-    _write_json(outdir / "moments.json", moments_report(m))
-    _write_manifest(outdir, "moments", {"corpus": corpus_dir, "c": trunc},
-                    seed, config, ["moments.json"])
-    click.echo(f"wrote {outdir / 'moments.json'}")
+    m = compute_moments(_load_corpus(corpus_dir), trunc)
+    return ({"moments.json": moments_report(m)},
+            {"corpus": corpus_dir, "c": trunc}, seed)
 
 
-@main.command()
-@common_options
+@command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
-def regimes(seed, out, config, corpus_dir, trunc):
+def regimes(seed, config, corpus_dir, trunc):
     """Variance-regime report per eigenvalue index."""
-    outdir = _outdir(out)
-    corpus = _load_corpus(corpus_dir)
-    m = compute_moments(corpus, trunc)
-    s = np.full(trunc, 1.0 / trunc)
-    rep = classify_regimes(m, s)
+    m = compute_moments(_load_corpus(corpus_dir), trunc)
+    rep = classify_regimes(m, np.full(trunc, 1.0 / trunc))
     payload = {
         "format": 1,
         "regimes": list(rep.regimes),
         "diagnostic": rep.diagnostic,
         "ratio": rep.ratio,
     }
-    _write_json(outdir / "regimes.json", payload)
-    _write_manifest(outdir, "regimes", {"corpus": corpus_dir, "c": trunc},
-                    seed, config, ["regimes.json"])
-    click.echo(f"wrote {outdir / 'regimes.json'}")
+    return {"regimes.json": payload}, {"corpus": corpus_dir, "c": trunc}, seed
 
 
 def _geometry_s(corpus, trunc):
@@ -246,17 +229,15 @@ def _geometry_s(corpus, trunc):
     return s / s.sum()
 
 
-@main.command()
-@common_options
+@command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
 @click.option("--family", type=click.Choice(list(LAWS)),
               default="uniform", show_default=True)
 @click.option("--s-from-geometry", is_flag=True,
               help="Estimate the geometry vector from the Bethe Hessian.")
-def fit(seed, out, config, corpus_dir, trunc, family, s_from_geometry):
+def fit(seed, config, corpus_dir, trunc, family, s_from_geometry):
     """Parametric moment-matching fit of a random-parameter block model."""
-    outdir = _outdir(out)
     corpus = _load_corpus(corpus_dir)
     m = compute_moments(corpus, trunc)
     s_override = _geometry_s(corpus, trunc) if s_from_geometry else None
@@ -269,23 +250,18 @@ def fit(seed, out, config, corpus_dir, trunc, family, s_from_geometry):
         "feasibility": result.feasibility,
         "warnings": result.warnings,
     }
-    _write_json(outdir / "fit.json", payload)
-    _write_manifest(outdir, "fit",
-                    {"corpus": corpus_dir, "c": trunc, "family": family,
-                     "s_from_geometry": s_from_geometry},
-                    seed, config, ["fit.json"])
-    click.echo(f"wrote {outdir / 'fit.json'}")
+    return ({"fit.json": payload},
+            {"corpus": corpus_dir, "c": trunc, "family": family,
+             "s_from_geometry": s_from_geometry}, seed)
 
 
-@main.command(name="fit-np")
-@common_options
+@command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
 @click.option("--bandwidth", default="silverman", show_default=True,
               help="'silverman' or 'fixed:<h>'.")
-def fit_np(seed, out, config, corpus_dir, trunc, bandwidth):
+def fit_np(seed, config, corpus_dir, trunc, bandwidth):
     """Nonparametric graph-space kernel-mixture fit."""
-    outdir = _outdir(out)
     corpus = _load_corpus(corpus_dir)
     if bandwidth.startswith("fixed:"):
         h = float(bandwidth.split(":", 1)[1])
@@ -301,82 +277,59 @@ def fit_np(seed, out, config, corpus_dir, trunc, bandwidth):
         "components": [model_to_dict(comp) for comp in mix.components],
         "dirac_fallback": [list(f) for f in mix.dirac_fallback],
     }
-    _write_json(outdir / "mixture.json", payload)
-    _write_manifest(outdir, "fit-np",
-                    {"corpus": corpus_dir, "c": trunc, "bandwidth": bandwidth},
-                    seed, config, ["mixture.json"])
-    click.echo(f"wrote {outdir / 'mixture.json'}")
+    return ({"mixture.json": payload},
+            {"corpus": corpus_dir, "c": trunc, "bandwidth": bandwidth}, seed)
 
 
-@main.command()
-@common_options
+@command
 @click.option("--corpus", "corpus_dir", required=True)
-def geometry(seed, out, config, corpus_dir):
+def geometry(seed, config, corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
-    outdir = _outdir(out)
-    corpus = _load_corpus(corpus_dir)
-    estimates = [detect_geometry(g) for g in corpus]
+    estimates = [detect_geometry(g) for g in _load_corpus(corpus_dir)]
     payload = {
         "format": 1,
         "graphs": [e.to_dict() for e in estimates],
         "clusters": cluster_by_community_count(estimates),
     }
-    _write_json(outdir / "geometry.json", payload)
-    _write_manifest(outdir, "geometry", {"corpus": corpus_dir},
-                    seed, config, ["geometry.json"])
-    click.echo(f"wrote {outdir / 'geometry.json'}")
+    return {"geometry.json": payload}, {"corpus": corpus_dir}, seed
 
 
-@main.command(name="critical-n")
-@common_options
+@command
 @click.option("--mixture-spec", "spec_path", required=True,
               help="JSON with n, omega, p_values.")
 @click.option("--n-max", type=int, required=True)
-def critical_n(seed, out, config, spec_path, n_max):
+def critical_n(seed, config, spec_path, n_max):
     """Critical corpus size for the ER-mixture bandwidth condition."""
-    outdir = _outdir(out)
     spec = _load_json(spec_path)
     if not isinstance(spec, dict):
         raise ValueError("mixture spec must be a JSON object")
-    if spec.get("format") != 1:
+    _check_keys("mixture spec", spec, ["format", "n", "p_values"],
+                optional=["omega"])
+    if spec["format"] != 1:
         raise ValueError("unsupported mixture spec format")
     params = {"n": spec["n"], "omega": spec.get("omega"),
               "p_values": spec["p_values"], "N_max": n_max}
     params = {k: v for k, v in params.items() if v is not None}
     result = run_scenario("critical-n", seed, params)
-    outputs = _write_result(outdir, result, "critical_n.json")
-    _write_manifest(outdir, "critical-n", {"mixture_spec": spec, "n_max": n_max},
-                    seed, config, outputs)
-    click.echo(f"N_crit = {result['report']['n_crit']}")
+    return (_scenario_files(result, "critical_n.json"),
+            {"mixture_spec": spec, "n_max": n_max}, seed)
 
 
-@main.command()
-@common_options
+@command
 @click.option("--file", "contact_file", required=True, help="Contact stream file.")
 @click.option("--window", type=int, default=2700, show_default=True)
 @click.option("--step", type=int, default=20, show_default=True)
-def contacts(seed, out, config, contact_file, window, step):
+def contacts(seed, config, contact_file, window, step):
     """Window a temporal contact stream into a corpus of graphs."""
-    outdir = _outdir(out)
-    stream = load_contacts(contact_file)
-    graphs = window_contacts(stream, window, step)
-    outputs = []
-    for k, g in enumerate(graphs):
-        name = f"graph_{k:04d}.txt"
-        save_edgelist(g, outdir / name)
-        outputs.append(name)
-    _write_manifest(outdir, "contacts",
-                    {"file": contact_file, "window": window, "step": step},
-                    seed, config, outputs)
-    click.echo(f"wrote {len(graphs)} windowed graphs to {outdir}")
+    graphs = window_contacts(load_contacts(contact_file), window, step)
+    return ({f"graph_{k:04d}.txt": g for k, g in enumerate(graphs)},
+            {"file": contact_file, "window": window, "step": step}, seed)
 
 
-@main.command()
-@common_options
+@command
 @click.argument("scenario", type=click.Choice(SCENARIOS))
-def replicate(seed, out, config, scenario):
+def replicate(seed, config, scenario):
     """Run a full benchmark scenario and emit its error tables."""
-    outdir = _outdir(out)
     params = {}
     if config is not None:
         exp = ExperimentConfig.from_dict(_load_json(config))
@@ -384,11 +337,8 @@ def replicate(seed, out, config, scenario):
             raise ValueError(
                 f"config is for scenario {exp.scenario!r}, not {scenario!r}")
         seed, params = exp.seed, exp.params
-    outputs = _write_result(outdir, run_scenario(scenario, seed, params), "report.json")
-    _write_manifest(outdir, f"replicate {scenario}",
-                    {"scenario": scenario, "params": params},
-                    seed, config, outputs)
-    click.echo(f"scenario {scenario} complete; outputs in {outdir}")
+    return (_scenario_files(run_scenario(scenario, seed, params), "report.json"),
+            {"scenario": scenario, "params": params}, seed)
 
 
 if __name__ == "__main__":

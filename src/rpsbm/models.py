@@ -235,10 +235,10 @@ def law_from_dict(d: dict) -> ParamLaw:
     return law(*(np.asarray(d[name]) for name in names))
 
 
-def _check_keys(what: str, d: dict, keys: list[str]) -> None:
-    """Reject a key of d that is not in keys, and a key of keys missing
-    from d; ``what`` names the object in the message."""
-    unknown = sorted(set(d) - set(keys))
+def _check_keys(what: str, d: dict, keys: list[str], optional=()) -> None:
+    """Reject a key of d that is in neither keys nor optional, and a key of
+    keys missing from d; ``what`` names the object in the message."""
+    unknown = sorted(set(d) - set(keys) - set(optional))
     if unknown:
         raise ValueError(f"{what} does not read keys {unknown}")
     missing = [k for k in keys if k not in d]

@@ -137,10 +137,10 @@ def classify_regimes(m: SampleMoments, s: np.ndarray) -> RegimeReport:
     return RegimeReport(regimes=tuple(regimes), diagnostic=diagnostic, ratio=ratio)
 
 
-def moments_report(m: SampleMoments, s: np.ndarray | None = None) -> dict:
-    """JSON-ready moments report with regime classification."""
-    s = np.full(m.c, 1.0 / m.c) if s is None else np.asarray(s, float)
-    reg = classify_regimes(m, s)
+def moments_report(m: SampleMoments) -> dict:
+    """JSON-ready moments report with regime classification at equal
+    block sizes."""
+    reg = classify_regimes(m, np.full(m.c, 1.0 / m.c))
     return {
         "format": 1,
         "lambda_bar": m.mean_spectrum.tolist(),

@@ -27,6 +27,7 @@ from .models import (
     RpsbmModel,
     SbmParams,
     UniformProductLaw,
+    _check_keys,
     model_to_dict,
     sample_corpus,
     sample_sbm,
@@ -53,7 +54,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ValueError("config must be a JSON object")
-        if d.get("format") != 1:
+        _check_keys("config", d, ["format", "scenario"],
+                    optional=["seed", "params"])
+        if d["format"] != 1:
             raise ValueError("unsupported config format")
         params = d.get("params", {})
         if not isinstance(params, dict):
@@ -82,9 +85,7 @@ def _with_defaults(scenario: str, params: dict, defaults: dict,
                    optional: str) -> dict:
     """``params`` over ``defaults``.  A key that is neither a default nor
     ``optional`` is one the runner would not read, so it is rejected."""
-    unknown = sorted(set(params) - set(defaults) - {optional})
-    if unknown:
-        raise ValueError(f"{scenario} does not read params {unknown}")
+    _check_keys(f"{scenario} params", params, [], optional=[*defaults, optional])
     return {**defaults, **params}
 
 

@@ -109,8 +109,14 @@ class TestSpectraRoundTrip:
         assert r.exit_code == 1
         assert isinstance(r.exception, SystemExit), r.exception
         assert "error:" in r.output
-        assert not (out / "spectra.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_missing_corpus_leaves_no_out(self, runner, tmp_path):
+        out = tmp_path / "out"
+        r = runner.invoke(main, ["spectra", "--corpus", str(tmp_path / "missing"),
+                                 "-c", "2", "--out", str(out)])
+        assert r.exit_code == 1
+        assert not out.exists()
 
 
 class TestMomentsAndRegimes:
@@ -371,6 +377,65 @@ class TestReplicateScenarios:
             assert cmd[name] == rep[name]
 
 
+def contract_inputs(tmp_path) -> dict:
+    """One input file or directory of each kind the subcommands read."""
+    model = tmp_path / "model.json"
+    save_model(SbmParams(omega=0.4, s=[0.5, 0.5], p=[0.8, 0.6], q=0.05), model)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"format": 1, "n": 200, "p_values": [0.75, 0.85]}))
+    stream = tmp_path / "contacts.txt"
+    stream.write_text("".join(f"{t} {t % 5} {(t + 1) % 5}\n"
+                              for t in range(0, 4000, 40)))
+    cfg = write_config(tmp_path / "cfg.json", "recoverability", 3,
+                       {"N": 8, "n": 200})
+    return {"model": model, "corpus": make_corpus_dir(tmp_path, count=12),
+            "spec": spec, "stream": stream, "cfg": cfg}
+
+
+# (command line before --seed/--out, manifest command, manifest seed); the
+# run passes --seed 7, which replicate overrides with its config's seed 3
+CONTRACT = {
+    "sample": (lambda i: ["sample", "--model", i["model"], "--n", "40",
+                          "--count", "2"], "sample", 7),
+    "spectra": (lambda i: ["spectra", "--corpus", i["corpus"], "-c", "2"],
+                "spectra", 7),
+    "moments": (lambda i: ["moments", "--corpus", i["corpus"], "-c", "2"],
+                "moments", 7),
+    "regimes": (lambda i: ["regimes", "--corpus", i["corpus"], "-c", "2"],
+                "regimes", 7),
+    "fit": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2"], "fit", 7),
+    "fit-geometry": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2",
+                                "--s-from-geometry"], "fit", 7),
+    "fit-np": (lambda i: ["fit-np", "--corpus", i["corpus"], "-c", "2"],
+               "fit-np", 7),
+    "geometry": (lambda i: ["geometry", "--corpus", i["corpus"]], "geometry", 7),
+    "critical-n": (lambda i: ["critical-n", "--mixture-spec", i["spec"],
+                              "--n-max", "60"], "critical-n", 7),
+    "contacts": (lambda i: ["contacts", "--file", i["stream"], "--window", "1000",
+                            "--step", "200"], "contacts", 7),
+    "replicate": (lambda i: ["replicate", "recoverability", "--config", i["cfg"]],
+                  "replicate recoverability", 3),
+}
+
+
+class TestOutputContract:
+    @pytest.mark.parametrize("case", CONTRACT)
+    def test_reproducible_files_listed_in_manifest(self, runner, tmp_path, case):
+        argv, command, seed = CONTRACT[case]
+        args = [str(a) for a in argv(contract_inputs(tmp_path))]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            r = runner.invoke(main, args + ["--seed", "7", "--out", str(out)])
+            assert r.exit_code == 0, r.output
+        files = read_bytes(outs[0])
+        assert files == read_bytes(outs[1])
+        manifest = json.loads(files["manifest.json"])
+        assert manifest["outputs"] == sorted(set(files) - {"manifest.json"})
+        assert manifest["command"] == command
+        assert manifest["seed"] == seed
+        assert r.output == f"wrote {', '.join(files)} to {outs[1]}\n"
+
+
 class TestInvalidJson:
     """Malformed JSON inputs end in 'error: ...' and exit 1, not a traceback."""
 
@@ -479,7 +544,34 @@ class TestInvalidJson:
                                  "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
         assert "['Nn']" in r.output
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"format": 1, "scenario": "critical-n", "parms": {"n": 200}},
+         "config does not read keys ['parms']"),
+        ({"format": 1, "params": {}}, "config needs keys ['scenario']"),
+    ], ids=["typo", "missing"])
+    def test_config_keys_checked(self, runner, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        r = runner.invoke(main, ["replicate", "critical-n", "--config", str(cfg),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert f"error: {message}" in r.output
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"format": 1, "n": 200, "p_values": [0.75, 0.85], "omgea": 0.5},
+         "mixture spec does not read keys ['omgea']"),
+        ({"format": 1, "p_values": [0.75, 0.85]},
+         "mixture spec needs keys ['n']"),
+    ], ids=["typo", "missing"])
+    def test_mixture_spec_keys_checked(self, runner, tmp_path, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(path),
+                                 "--n-max", "10", "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert f"error: {message}" in r.output
 
     @pytest.mark.parametrize("spec, message", [
         ({"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,

@@ -1,11 +1,13 @@
-"""Every module of the package uses what it imports, and nothing private of
-numpy or scipy.
+"""Every module of the package uses what it imports and what it keeps
+private, and nothing private of numpy or scipy.
 
 No linter ships with the test environment, so the checks read each module's
 syntax tree.  A name bound by an import must be read somewhere in the module;
 ``__init__.py`` is skipped there, because its imports are the package's
-exports.  No module may reach an underscore-prefixed numpy or scipy module or
-name: those are not API and change between releases without notice.
+exports.  A module-level private function, class or constant must be read
+somewhere in the package, or it is dead code.  No module may reach an
+underscore-prefixed numpy or scipy module or name: those are not API and
+change between releases without notice.
 """
 
 import ast
@@ -48,6 +50,50 @@ def test_no_unused_imports(path):
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants of ``sources``
+    (module name to source) that no module among them reads, imports or
+    reaches as an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(name, f"{module}.{name} (line {node.lineno})")
+                        for name in names if _private(name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(label for name, label in defined if name not in read)
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a": ("def _used(): pass\ndef _unused(): pass\nclass _Gone: pass\n"
+              "_LIMIT = 3\n_K: int = 2\n_X, _Y = 1, 2\n__all__ = []\n"
+              "def f():\n    return _used() + _X\n"),
+        "b": "from .a import _K\nimport a\nlimit = a._LIMIT\n",
+    }
+    assert unread_private_names(sources) == [
+        "a._Gone (line 3)", "a._Y (line 6)", "a._unused (line 2)"]
+
+
+def test_no_unread_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unread_private_names(sources) == []
 
 
 def private_library_uses(source: str) -> list[str]:

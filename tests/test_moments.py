@@ -123,6 +123,6 @@ class TestRegimes:
         assert rep.regimes == (MEDIUM,)
 
     def test_report_payload(self):
-        rep = moments_report(self.paper_moments(), np.array([0.5, 0.5]))
+        rep = moments_report(self.paper_moments())
         assert rep["format"] == 1
         assert rep["regimes"] == ["large", "large"]
