@@ -1,14 +1,18 @@
 """Command-line interface.
 
-Every subcommand is registered by ``command``, which adds --seed/--out/--config
-and is the one output path: a command body only computes, and returns its
-files by name with the manifest's args and its seed.  The wrapper then
-creates --out, writes each file through ``_write`` (edge list, CSV or JSON,
-picked by the payload) and writes manifest.json recording the exact
-invocation, so a command that fails leaves no --out behind.  Every command is
-bit-reproducible for a fixed seed.  Exit codes: 0 success, 1 I/O or
-validation failure, 2 infeasibility (small-variance regime or geometry
-violations); the wrapper maps exceptions to them.
+Every subcommand is registered by ``command``, which adds --seed/--out and is
+the one output path: a command body only computes, and returns its files by
+name with the manifest's args and its seed.  The wrapper then creates --out,
+writes each file through ``_write`` (edge list, CSV or JSON, picked by the
+payload) and writes manifest.json recording the exact invocation, so a
+command that fails leaves no --out behind.  Every command is bit-reproducible
+for a fixed seed.  Exit codes: 0 success, 1 I/O or validation failure, 2
+infeasibility (small-variance regime or geometry violations); the wrapper
+maps exceptions to them.
+
+Only ``replicate`` takes --config, its experiment config.  Every JSON input
+(model spec, experiment config, mixture spec) is read by ``models._read``, so
+an unknown or missing key, or a value of the wrong kind, exits 1 naming it.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from . import __version__
 from .contacts import load_contacts, window_contacts
 from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
 from .geometry import cluster_by_community_count, detect_geometry
-from .models import LAWS, _check_keys, load_model, model_to_dict, sample_corpus
+from .models import LAWS, _read, load_model, model_to_dict, sample_corpus
 from .moments import classify_regimes, compute_moments, moments_report
-from .replicate import SCENARIOS, ExperimentConfig, run_scenario
+from .replicate import SCENARIOS, run_scenario
 from .spectral import Graph, density, load_edgelist, save_edgelist, spectrum
 
 click.UsageError.exit_code = 1  # spec: validation errors exit 1
@@ -129,20 +133,21 @@ def main():
 
 
 def command(body):
-    """Register ``body`` as a subcommand of ``main`` with --seed/--out/--config.
+    """Register ``body`` as a subcommand of ``main`` with --seed/--out.
 
-    The body writes nothing: called with the seed, the config path and its
-    own options, it returns ``(files, args, seed)``, its outputs by file
-    name, the manifest's args and the seed it ran with.  Only then is --out
-    created, each file written and manifest.json written last, its command
-    being the subcommand and its positional arguments.  Infeasible fits
+    The body writes nothing: called with the seed and its own options, it
+    returns ``(files, args, seed)``, its outputs by file name, the
+    manifest's args and the seed it ran with.  Only then is --out created,
+    each file written and manifest.json written last; its command is the
+    subcommand and its positional arguments, and its config hash is that of
+    the file --config names, on the command that has it.  Infeasible fits
     exit 2, I/O and validation errors exit 1.
     """
 
     @functools.wraps(body)
-    def fn(seed, out, config, **options):
+    def fn(seed, out, **options):
         try:
-            files, args, seed = body(seed, config, **options)
+            files, args, seed = body(seed, **options)
             outdir = Path(out)
             outdir.mkdir(parents=True, exist_ok=True)
             for name, payload in files.items():
@@ -150,8 +155,8 @@ def command(body):
             cmd = click.get_current_context().command
             words = [cmd.name] + [options[p.name] for p in cmd.params
                                   if isinstance(p, click.Argument)]
-            _write_manifest(outdir, " ".join(words), args, seed, config,
-                            list(files))
+            _write_manifest(outdir, " ".join(words), args, seed,
+                            options.get("config"), list(files))
         except InfeasibleFitError as exc:
             _fail(str(exc), 2)
         except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -163,8 +168,6 @@ def command(body):
                       help="Master seed; all randomness derives from it.")(fn)
     fn = click.option("--out", "out", required=True,
                       help="Output directory.")(fn)
-    fn = click.option("--config", "config", default=None,
-                      help="JSON config file with parameter overrides.")(fn)
     return main.command()(fn)
 
 
@@ -172,7 +175,7 @@ def command(body):
 @click.option("--model", "model_path", required=True, help="Model spec JSON.")
 @click.option("--n", type=int, required=True, help="Graph size.")
 @click.option("--count", type=int, required=True, help="Number of graphs.")
-def sample(seed, config, model_path, n, count):
+def sample(seed, model_path, n, count):
     """Sample graphs from a model spec into edge-list files."""
     model = load_model(model_path)
     graphs = sample_corpus(model, n, count, seed)
@@ -183,7 +186,7 @@ def sample(seed, config, model_path, n, count):
 @command
 @click.option("--corpus", "corpus_dir", required=True, help="Corpus directory.")
 @click.option("-c", "trunc", type=int, required=True, help="Truncation order.")
-def spectra(seed, config, corpus_dir, trunc):
+def spectra(seed, corpus_dir, trunc):
     """Top-c eigenvalues and density of every corpus graph (CSV)."""
     rows = [{"graph": k,
              **{f"lambda{i+1}": v for i, v in enumerate(spectrum(g, trunc).values)},
@@ -195,7 +198,7 @@ def spectra(seed, config, corpus_dir, trunc):
 @command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
-def moments(seed, config, corpus_dir, trunc):
+def moments(seed, corpus_dir, trunc):
     """Corpus moments report (mean spectrum, covariance, regimes)."""
     m = compute_moments(_load_corpus(corpus_dir), trunc)
     return ({"moments.json": moments_report(m)},
@@ -205,7 +208,7 @@ def moments(seed, config, corpus_dir, trunc):
 @command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
-def regimes(seed, config, corpus_dir, trunc):
+def regimes(seed, corpus_dir, trunc):
     """Variance-regime report per eigenvalue index."""
     m = compute_moments(_load_corpus(corpus_dir), trunc)
     rep = classify_regimes(m, np.full(trunc, 1.0 / trunc))
@@ -236,7 +239,7 @@ def _geometry_s(corpus, trunc):
               default="uniform", show_default=True)
 @click.option("--s-from-geometry", is_flag=True,
               help="Estimate the geometry vector from the Bethe Hessian.")
-def fit(seed, config, corpus_dir, trunc, family, s_from_geometry):
+def fit(seed, corpus_dir, trunc, family, s_from_geometry):
     """Parametric moment-matching fit of a random-parameter block model."""
     corpus = _load_corpus(corpus_dir)
     m = compute_moments(corpus, trunc)
@@ -260,7 +263,7 @@ def fit(seed, config, corpus_dir, trunc, family, s_from_geometry):
 @click.option("-c", "trunc", type=int, required=True)
 @click.option("--bandwidth", default="silverman", show_default=True,
               help="'silverman' or 'fixed:<h>'.")
-def fit_np(seed, config, corpus_dir, trunc, bandwidth):
+def fit_np(seed, corpus_dir, trunc, bandwidth):
     """Nonparametric graph-space kernel-mixture fit."""
     corpus = _load_corpus(corpus_dir)
     if bandwidth.startswith("fixed:"):
@@ -283,7 +286,7 @@ def fit_np(seed, config, corpus_dir, trunc, bandwidth):
 
 @command
 @click.option("--corpus", "corpus_dir", required=True)
-def geometry(seed, config, corpus_dir):
+def geometry(seed, corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
     estimates = [detect_geometry(g) for g in _load_corpus(corpus_dir)]
     payload = {
@@ -298,19 +301,16 @@ def geometry(seed, config, corpus_dir):
 @click.option("--mixture-spec", "spec_path", required=True,
               help="JSON with n, omega, p_values.")
 @click.option("--n-max", type=int, required=True)
-def critical_n(seed, config, spec_path, n_max):
+def critical_n(seed, spec_path, n_max):
     """Critical corpus size for the ER-mixture bandwidth condition."""
     spec = _load_json(spec_path)
-    if not isinstance(spec, dict):
-        raise ValueError("mixture spec must be a JSON object")
-    _check_keys("mixture spec", spec, ["format", "n", "p_values"],
-                optional=["omega"])
-    if spec["format"] != 1:
+    params = _read("mixture spec", spec, format=int, n=int, p_values=list,
+                   omega=(float, None))
+    if params.pop("format") != 1:
         raise ValueError("unsupported mixture spec format")
-    params = {"n": spec["n"], "omega": spec.get("omega"),
-              "p_values": spec["p_values"], "N_max": n_max}
-    params = {k: v for k, v in params.items() if v is not None}
-    result = run_scenario("critical-n", seed, params)
+    if params["omega"] is None:
+        del params["omega"]
+    result = run_scenario("critical-n", seed, {**params, "N_max": n_max})
     return (_scenario_files(result, "critical_n.json"),
             {"mixture_spec": spec, "n_max": n_max}, seed)
 
@@ -319,7 +319,7 @@ def critical_n(seed, config, spec_path, n_max):
 @click.option("--file", "contact_file", required=True, help="Contact stream file.")
 @click.option("--window", type=int, default=2700, show_default=True)
 @click.option("--step", type=int, default=20, show_default=True)
-def contacts(seed, config, contact_file, window, step):
+def contacts(seed, contact_file, window, step):
     """Window a temporal contact stream into a corpus of graphs."""
     graphs = window_contacts(load_contacts(contact_file), window, step)
     return ({f"graph_{k:04d}.txt": g for k, g in enumerate(graphs)},
@@ -328,15 +328,21 @@ def contacts(seed, config, contact_file, window, step):
 
 @command
 @click.argument("scenario", type=click.Choice(SCENARIOS))
-def replicate(seed, config, scenario):
+@click.option("--config", "config", default=None,
+              help="Experiment config JSON: format, scenario, seed (default "
+                   "--seed) and params overriding the scenario's defaults.")
+def replicate(seed, scenario, config):
     """Run a full benchmark scenario and emit its error tables."""
     params = {}
     if config is not None:
-        exp = ExperimentConfig.from_dict(_load_json(config))
-        if exp.scenario != scenario:
-            raise ValueError(
-                f"config is for scenario {exp.scenario!r}, not {scenario!r}")
-        seed, params = exp.seed, exp.params
+        cfg = _read("config", _load_json(config), format=int, scenario=str,
+                    seed=(int, seed), params=(dict, {}))
+        if cfg["format"] != 1:
+            raise ValueError("unsupported config format")
+        if cfg["scenario"] != scenario:
+            raise ValueError(f"config is for scenario {cfg['scenario']!r}, "
+                             f"not {scenario!r}")
+        seed, params = cfg["seed"], cfg["params"]
     return (_scenario_files(run_scenario(scenario, seed, params), "report.json"),
             {"scenario": scenario, "params": params}, seed)
 

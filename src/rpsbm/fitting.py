@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.stats
 
-from . import rng as rngmod
 from .models import (
     BetaProductLaw,
     DiracLaw,
@@ -34,8 +33,7 @@ from .models import (
     SbmParams,
     TruncGaussianProductLaw,
     UniformProductLaw,
-    sample_rpsbm,
-    sample_sbm,
+    sample_corpus,
 )
 from .moments import (SMALL, SampleMoments, classify_regimes, compute_moments,
                       inherent_variance)
@@ -49,10 +47,6 @@ CURVE_POINTS = 2048
 
 class InfeasibleFitError(ValueError):
     """Corpus moments admit no parameter law (small regime or geometry)."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -143,15 +137,14 @@ def _epsilon(mean: np.ndarray, s: np.ndarray, scale_c: float,
     return raw, eps
 
 
-def _geometry_guard(lam: np.ndarray, n: int, s: np.ndarray, what: str,
-                    report=None) -> None:
+def _geometry_guard(lam: np.ndarray, n: int, s: np.ndarray, what: str) -> None:
     """Eq. feasibility: lambda_i must lie in [0, n*s_i], the block size;
     raises ``InfeasibleFitError`` naming ``what`` and the indices otherwise."""
     scaled = lam / (n * s)
     bad = np.nonzero(~((scaled >= 0) & (scaled <= 1)))[0].tolist()
     if bad:
         raise InfeasibleFitError(
-            f"{what} exceeds block size at indices {bad}", report)
+            f"{what} exceeds block size at indices {bad}")
 
 
 def _solve_family(kind: str, mean: np.ndarray, var: np.ndarray,
@@ -219,9 +212,8 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
         # only infeasible for variance-carrying families
         raise InfeasibleFitError(
             f"small-variance regime at indices {bad}: no J can match the "
-            "corpus variance", report,
-        )
-    _geometry_guard(m.mean_spectrum, m.n, s, "mean eigenvalue", report)
+            "corpus variance")
+    _geometry_guard(m.mean_spectrum, m.n, s, "mean eigenvalue")
 
     omega = scale_c * m.mean_density
     if omega <= 0:
@@ -318,12 +310,7 @@ def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | None = None,
 
 def sample_mixture(mix: GraphMixture, n: int, count: int, seed: int) -> list[Graph]:
     """Ancestral sampling: uniform component choice, then the RPSBM draw."""
-    k = len(mix.components)
-    out = []
-    for g in range(count):
-        choice = int(rngmod.mix_stream(seed, g).integers(k))
-        out.append(sample_rpsbm(mix.components[choice], n, seed, g))
-    return out
+    return sample_corpus(mix.components, n, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -353,19 +340,15 @@ def critical_n_for_threshold(sigma: float, threshold: float) -> float:
     return ((4.0 / 3.0) ** 0.2 * sigma / np.sqrt(threshold)) ** 5
 
 
-def _er_observables(p_values, n, omega, seed, graph_index):
-    """(lambda_1, rho, p_hat) of one draw from the uniform ER mixture."""
-    p = np.asarray(p_values, dtype=float)
-    choice = int(rngmod.mix_stream(seed, graph_index).integers(len(p)))
-    g = sample_sbm(er_params(float(p[choice]), omega), n, seed, graph_index)
-    lam1 = spectrum(g, 1).values[0]
+def _er_observables(components, n, seed, graph_index):
+    """(rho, p_hat) of one draw from the uniform mixture of the ER
+    ``components``."""
+    g = sample_corpus(components, n, 1, seed, graph_index)[0]
     rho = density(g)
     if rho == 0:
         warnings.warn("empty graph: p_hat set to 0")
-        p_hat = 0.0
-    else:
-        p_hat = (lam1 - 1.0) / (n * rho)
-    return lam1, rho, p_hat
+        return rho, 0.0
+    return rho, (spectrum(g, 1).values[0] - 1.0) / (n * rho)
 
 
 def critical_sample_size(p_values, n: int, omega: float, N_max: int,
@@ -378,13 +361,13 @@ def critical_sample_size(p_values, n: int, omega: float, N_max: int,
     N_max.
     """
     sigma = oracle_sigma(p_values, n, omega)
+    components = [er_params(p, omega) for p in np.asarray(p_values, dtype=float)]
     crossings = []
     for rep in range(repetitions):
         max2p = -np.inf
         hit = None
         for k in range(1, N_max + 1):
-            _, _, p_hat = _er_observables(p_values, n, omega,
-                                          seed + rep, k - 1)
+            _, p_hat = _er_observables(components, n, seed + rep, k - 1)
             max2p = max(max2p, 2.0 * p_hat)
             h = float(silverman_bandwidth(k, sigma).H[0, 0])
             if max2p > h:
@@ -424,11 +407,11 @@ def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
     sqrt(2 p_hat), f_silverman the oracle-sigma Silverman bandwidth.
     """
     p = np.asarray(p_values, dtype=float)
-    lam = np.empty(N)
+    components = [er_params(pj, omega) for pj in p]
     rho = np.empty(N)
     p_hat = np.empty(N)
     for k in range(N):
-        lam[k], rho[k], p_hat[k] = _er_observables(p, n, omega, seed, k)
+        rho[k], p_hat[k] = _er_observables(components, n, seed, k)
     hat_means = n * rho * p_hat + 1.0
     hat_sds = np.sqrt(np.maximum(2.0 * p_hat, 1e-12))
     true_means = n * omega * p + 1.0

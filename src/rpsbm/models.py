@@ -10,6 +10,8 @@ a law J per sampled graph and couples blocks through q = epsilon * min(p).
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -231,19 +233,65 @@ def law_from_dict(d: dict) -> ParamLaw:
     if law is None:
         raise ValueError(f"unknown law kind {kind!r}")
     names = [f.name for f in fields(law)]
-    _check_keys(f"{kind} law", d, ["kind", *names])
-    return law(*(np.asarray(d[name]) for name in names))
+    v = _read(f"{kind} law", d, kind=str, **dict.fromkeys(names, list))
+    return law(*(v[name] for name in names))
 
 
-def _check_keys(what: str, d: dict, keys: list[str], optional=()) -> None:
-    """Reject a key of d that is in neither keys nor optional, and a key of
-    keys missing from d; ``what`` names the object in the message."""
-    unknown = sorted(set(d) - set(keys) - set(optional))
+#: What a value of each ``_read`` kind must be, for the error message.
+_KINDS = {int: "an integer", float: "a finite number", str: "a string",
+          list: "a list of numbers", dict: "a JSON object"}
+
+
+def _as_kind(kind, value):
+    """``value`` converted to ``kind``, or None when it does not fit."""
+    if kind is list:
+        try:
+            a = np.asarray(value)
+        except ValueError:  # a ragged nesting
+            return None
+        return a.astype(float) if a.ndim and a.dtype.kind in "iuf" else None
+    if kind in (str, dict):
+        return value if isinstance(value, kind) else None
+    # NaN fails the range test too, and an int past the float range
+    # compares without overflow
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):
+        return None
+    if kind is int:
+        return int(value) if value == int(value) else None
+    return float(value)
+
+
+def _read(what: str, d, /, **spec) -> dict:
+    """The keys of the JSON object ``d`` that ``spec`` names, each converted
+    to its kind; every JSON input of the package is read through here.
+
+    A spec entry is ``key=kind`` (required) or ``key=(kind, default)``
+    (optional).  The kinds are int, float (finite), str, dict (a JSON
+    object) and list (a float array of at least one dimension); bools fit
+    none of them, and a float fits int only when it is integral.  An absent
+    optional key reads as its default, converted unless it is None.  A
+    non-object, a key not in ``spec``, a missing required key and a value
+    that does not fit its kind raise ``ValueError``; ``what`` names the
+    object in the message.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    unknown = sorted(set(d) - set(spec))
     if unknown:
         raise ValueError(f"{what} does not read keys {unknown}")
-    missing = [k for k in keys if k not in d]
+    missing = [k for k, kind in spec.items()
+               if not isinstance(kind, tuple) and k not in d]
     if missing:
         raise ValueError(f"{what} needs keys {missing}")
+    out = {}
+    for key, kind in spec.items():
+        kind, default = kind if isinstance(kind, tuple) else (kind, None)
+        value = d.get(key, default)
+        out[key] = None if value is None else _as_kind(kind, value)
+        if out[key] is None and key in d:
+            raise ValueError(f"{what} {key!r} must be {_KINDS[kind]}")
+    return out
 
 
 def law_to_dict(law: ParamLaw) -> dict:
@@ -405,15 +453,23 @@ def sample_rpsbm(model: RpsbmModel, n: int, seed: int, graph_index: int = 0) -> 
     return sample_sbm(params, n, seed, graph_index)
 
 
-def sample_corpus(model: RpsbmModel | SbmParams, n: int, count: int, seed: int,
+def sample_corpus(model, n: int, count: int, seed: int,
                   start_index: int = 0) -> list[Graph]:
-    """Sample ``count`` graphs with graph indices start_index..start_index+count-1."""
+    """Sample ``count`` graphs with graph indices start_index..start_index+count-1.
+
+    ``model`` is an ``RpsbmModel``, an ``SbmParams`` or a sequence of them
+    read as their uniform mixture: graph g is drawn from the component that
+    the (g, MIX) stream picks.
+    """
     out = []
     for k in range(start_index, start_index + count):
-        if isinstance(model, SbmParams):
-            out.append(sample_sbm(model, n, seed, k))
+        m = model
+        if not isinstance(m, (RpsbmModel, SbmParams)):
+            m = model[int(rngmod.mix_stream(seed, k).integers(len(model)))]
+        if isinstance(m, SbmParams):
+            out.append(sample_sbm(m, n, seed, k))
         else:
-            out.append(sample_rpsbm(model, n, seed, k))
+            out.append(sample_rpsbm(m, n, seed, k))
     return out
 
 
@@ -440,27 +496,18 @@ def model_to_dict(model: RpsbmModel | SbmParams) -> dict:
 
 
 def model_from_dict(d: dict) -> RpsbmModel | SbmParams:
-    if not isinstance(d, dict):
-        raise ValueError("model spec must be a JSON object")
-    if d.get("format") != 1:
+    if isinstance(d, dict) and "law" in d:
+        m = _read("RPSBM model spec", d, format=int, omega=float, s=list,
+                  law=dict, epsilon=float)
+    else:
+        m = _read("fixed SBM model spec", d, format=int, omega=float, s=list,
+                  p=list, q=float)
+    if m["format"] != 1:
         raise ValueError("unsupported model spec format")
-    if "law" in d:
-        _check_keys("RPSBM model spec", d,
-                    ["format", "omega", "s", "law", "epsilon"])
-        return RpsbmModel(_json_float(d, "omega"), law_from_dict(d["law"]),
-                          _json_float(d, "epsilon"),
-                          np.asarray(d["s"], dtype=float))
-    _check_keys("fixed SBM model spec", d, ["format", "omega", "s", "p", "q"])
-    return SbmParams(_json_float(d, "omega"), np.asarray(d["s"], dtype=float),
-                     np.asarray(d["p"], dtype=float), _json_float(d, "q"))
-
-
-def _json_float(d: dict, key: str) -> float:
-    """d[key] as a float; a list, object or null there is malformed input."""
-    try:
-        return float(d[key])
-    except TypeError:
-        raise ValueError(f"model spec {key!r} must be a number") from None
+    if "law" in m:
+        return RpsbmModel(m["omega"], law_from_dict(m["law"]), m["epsilon"],
+                          m["s"])
+    return SbmParams(m["omega"], m["s"], m["p"], m["q"])
 
 
 def save_model(model: RpsbmModel | SbmParams, path) -> None:

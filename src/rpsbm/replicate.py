@@ -3,18 +3,31 @@
 Each scenario samples its corpus, runs the relevant fit and resamples.  Its
 runner returns ``{"tables": {file name: CSV rows}, "report": {...}}``: flat
 row dicts and a JSON-ready report, which the CLI writes out unchanged.  All
-randomness derives from the master seed; scenario parameters are overridable
-through the ``params`` mapping of an experiment config file, and a key there
-that the runner does not read is an error.
+randomness derives from the master seed.
+
+``rpsbm replicate <scenario> --config <file>`` reads an experiment config, a
+JSON object with the keys ``format`` (1), ``scenario`` (the scenario's name),
+``seed`` (an integer, defaulting to ``--seed``) and ``params`` (an object,
+defaulting to {}).  ``params`` overrides the runner's defaults; a key there
+that the runner does not read, or a value not of its kind, is an error:
+
+    recoverability  N, n, resample: int; omega, eps: float;
+                    centers, widths, s: list
+    mixture-beta    N, n: int; omega, q: float; s, p_values: list
+    critical-n      n, N_max, repetitions, subcritical, supercritical: int;
+                    omega: float; p_values: list
+    contacts        file: str (required); window, step, resample,
+                    min_cluster: int
+
+where a float is finite, an int may be written as an integral float, and a
+list is an array of numbers (``p_values`` of mixture-beta is a list of
+density vectors, one per component).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import rng as rngmod
 from .fitting import (
     critical_sample_size,
     fit_nonparametric,
@@ -27,45 +40,14 @@ from .models import (
     RpsbmModel,
     SbmParams,
     UniformProductLaw,
-    _check_keys,
+    _read,
     model_to_dict,
     sample_corpus,
-    sample_sbm,
 )
 from .moments import compute_moments
 from .contacts import load_contacts, window_contacts
 
 SCENARIOS = ("recoverability", "mixture-beta", "critical-n", "contacts")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Scenario name, master seed, and parameter overrides."""
-
-    scenario: str
-    seed: int
-    params: dict
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError("config must be a JSON object")
-        _check_keys("config", d, ["format", "scenario"],
-                    optional=["seed", "params"])
-        if d["format"] != 1:
-            raise ValueError("unsupported config format")
-        params = d.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError("config params must be a JSON object")
-        try:
-            seed = int(d.get("seed", 0))
-        except TypeError:
-            raise ValueError("config seed must be a number") from None
-        return cls(scenario=d["scenario"], seed=seed, params=dict(params))
 
 
 def run_scenario(scenario: str, seed: int, params: dict) -> dict:
@@ -79,14 +61,6 @@ def run_scenario(scenario: str, seed: int, params: dict) -> dict:
                "critical-n": run_critical_n,
                "contacts": run_contacts}
     return runners[scenario](seed, params)
-
-
-def _with_defaults(scenario: str, params: dict, defaults: dict,
-                   optional: str) -> dict:
-    """``params`` over ``defaults``.  A key that is neither a default nor
-    ``optional`` is one the runner would not read, so it is rejected."""
-    _check_keys(f"{scenario} params", params, [], optional=[*defaults, optional])
-    return {**defaults, **params}
 
 
 def _rel_err(est, truth):
@@ -111,20 +85,14 @@ def run_recoverability(seed: int, params: dict) -> dict:
     Defaults: N=50, n=1000, omega=10/sqrt(n), eps=0.05, s=[0.5,0.5],
     J = U[0.8,0.9] x U[0.55,0.6].
     """
-    p = _with_defaults("recoverability", params, dict(
-        N=50, n=1000, eps=0.05, centers=[0.85, 0.575], widths=[0.1, 0.05],
-        s=[0.5, 0.5], resample=None), optional="omega")
-    try:
-        n, N = int(p["n"]), int(p["N"])
-        omega = float(p.get("omega", 10.0 / np.sqrt(n)))
-        eps = float(p["eps"])
-        resample_n = N if p["resample"] is None else int(p["resample"])
-    except TypeError:
-        raise ValueError("recoverability needs numbers for n, N, omega, eps "
-                         "and resample") from None
-    s = np.asarray(p["s"], dtype=float)
-    centers = np.asarray(p["centers"], dtype=float)
-    widths = np.asarray(p["widths"], dtype=float)
+    p = _read("recoverability params", params, N=(int, 50), n=(int, 1000),
+              omega=(float, None), eps=(float, 0.05),
+              centers=(list, [0.85, 0.575]), widths=(list, [0.1, 0.05]),
+              s=(list, [0.5, 0.5]), resample=(int, None))
+    n, N, eps, s = p["n"], p["N"], p["eps"], p["s"]
+    centers, widths = p["centers"], p["widths"]
+    omega = 10.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
+    resample_n = N if p["resample"] is None else p["resample"]
     c = len(s)
     truth = RpsbmModel(omega=omega, law=UniformProductLaw(centers, widths),
                        epsilon=eps, s=s)
@@ -156,25 +124,16 @@ def run_recoverability(seed: int, params: dict) -> dict:
 
 def run_mixture_beta(seed: int, params: dict) -> dict:
     """Four-component SBM mixture fitted with a product-of-betas law."""
-    p = _with_defaults("mixture-beta", params, dict(
-        N=200, n=1000, q=0.05, s=[0.5, 0.5],
-        p_values=[[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]),
-        optional="omega")
-    try:
-        n, N = int(p["n"]), int(p["N"])
-        omega = float(p.get("omega", 10.0 / np.sqrt(n)))
-        q = float(p["q"])
-    except TypeError:
-        raise ValueError("mixture-beta needs numbers for n, N, omega and q") from None
-    s = np.asarray(p["s"], dtype=float)
-    p_values = [np.asarray(v, dtype=float) for v in p["p_values"]]
+    p = _read("mixture-beta params", params, N=(int, 200), n=(int, 1000),
+              omega=(float, None), q=(float, 0.05), s=(list, [0.5, 0.5]),
+              p_values=(list, [[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]))
+    n, N, s = p["n"], p["N"], p["s"]
+    omega = 10.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
     c = len(s)
 
-    corpus = []
-    for k in range(N):
-        choice = int(rngmod.mix_stream(seed, k).integers(len(p_values)))
-        corpus.append(sample_sbm(
-            SbmParams(omega=omega, s=s, p=p_values[choice], q=q), n, seed, k))
+    components = [SbmParams(omega=omega, s=s, p=pk, q=p["q"])
+                  for pk in p["p_values"]]
+    corpus = sample_corpus(components, n, N, seed)
     mom = compute_moments(corpus, c)
     corr = mom.cov[0, 1] / np.sqrt(mom.cov[0, 0] * mom.cov[1, 1])
     fit = fit_parametric(mom, c, family="beta")
@@ -190,23 +149,18 @@ def run_mixture_beta(seed: int, params: dict) -> dict:
 def run_critical_n(seed: int, params: dict) -> dict:
     """Critical sample size for the two-component ER mixture, plus the
     density curves at sub/critical/super sample sizes."""
-    p = _with_defaults("critical-n", params, dict(
-        n=1000, p_values=[0.75, 0.85], N_max=400, repetitions=5,
-        subcritical=10, supercritical=325), optional="omega")
-    try:
-        n = int(p["n"])
-        omega = float(p.get("omega", 2.0 / np.sqrt(n)))
-        p_values = list(map(float, p["p_values"]))
-        n_max, repetitions = int(p["N_max"]), int(p["repetitions"])
-    except TypeError:
-        raise ValueError("critical-n needs numbers for n, omega, N_max and "
-                         "repetitions, and a list of numbers for p_values") from None
-    n_crit = critical_sample_size(p_values, n, omega, n_max,
-                                  seed=seed, repetitions=repetitions)
+    p = _read("critical-n params", params, n=(int, 1000), omega=(float, None),
+              p_values=(list, [0.75, 0.85]), N_max=(int, 400),
+              repetitions=(int, 5), subcritical=(int, 10),
+              supercritical=(int, 325))
+    n, p_values = p["n"], p["p_values"]
+    omega = 2.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
+    n_crit = critical_sample_size(p_values, n, omega, p["N_max"],
+                                  seed=seed, repetitions=p["repetitions"])
     tables = {}
-    for label, size in (("subcritical", int(p["subcritical"])),
+    for label, size in (("subcritical", p["subcritical"]),
                         ("critical", n_crit),
-                        ("supercritical", int(p["supercritical"]))):
+                        ("supercritical", p["supercritical"])):
         t = run_er_mixture_pipeline(p_values, n, omega, size, seed=seed)
         tables[f"curves_{label}.csv"] = [
             {"z": z, "f_true": f, "f_hat": f_hat, "f_silverman": f_silv}
@@ -219,18 +173,9 @@ def run_critical_n(seed: int, params: dict) -> dict:
 def run_contacts(seed: int, params: dict) -> dict:
     """Window a contact stream, detect geometry, cluster, and fit the two
     largest clusters nonparametrically."""
-    p = _with_defaults("contacts", params, dict(
-        window=2700, step=20, resample=500, min_cluster=5), optional="file")
-    if "file" not in p:
-        raise ValueError("contacts scenario needs a 'file' parameter")
-    try:
-        window, step = int(p["window"]), int(p["step"])
-        resample, min_cluster = int(p["resample"]), int(p["min_cluster"])
-    except TypeError:
-        raise ValueError("contacts needs numbers for window, step, resample "
-                         "and min_cluster") from None
-    stream = load_contacts(p["file"])
-    corpus = window_contacts(stream, window, step)
+    p = _read("contacts params", params, file=str, window=(int, 2700),
+              step=(int, 20), resample=(int, 500), min_cluster=(int, 5))
+    corpus = window_contacts(load_contacts(p["file"]), p["window"], p["step"])
     if not corpus:
         raise ValueError("stream shorter than one window")
     geoms = [detect_geometry(g) for g in corpus]
@@ -238,14 +183,14 @@ def run_contacts(seed: int, params: dict) -> dict:
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}
     for count, members in sizes[:2]:
-        if len(members) < min_cluster:
+        if len(members) < p["min_cluster"]:
             continue
         sub = [corpus[i] for i in members]
         # a detected s has community_count entries, one per block
         s_rows = np.vstack([geoms[i].s for i in members])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)
         mix = fit_nonparametric(sub, count, s_per_graph=s_rows)
-        new = sample_mixture(mix, corpus[0].n, resample, seed)
+        new = sample_mixture(mix, corpus[0].n, p["resample"], seed)
         fits[count] = {
             "members": members,
             "lambda_bar": mix.moments.mean_spectrum,

@@ -1,7 +1,10 @@
 """CLI subcommands: outputs, determinism, and exit codes."""
 
+import ast
+import inspect
 import json
 import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +264,44 @@ class TestReplicateCommand:
                                  "--out", str(tmp_path / "x")])
         assert r.exit_code == 1
 
+    def test_config_without_seed_runs_at_seed_option(self, runner, tmp_path):
+        params = {"N": 8, "n": 200}
+        unseeded = tmp_path / "cfg.json"
+        unseeded.write_text(json.dumps({"format": 1, "scenario": "recoverability",
+                                        "params": params}))
+        seeded = write_config(tmp_path / "seeded.json", "recoverability", 7, params)
+        for cfg, out, seed in ((unseeded, "a", "7"), (seeded, "b", "0")):
+            r = runner.invoke(main, ["replicate", "recoverability", "--config",
+                                     str(cfg), "--seed", seed,
+                                     "--out", str(tmp_path / out)])
+            assert r.exit_code == 0, r.output
+        a, b = read_bytes(tmp_path / "a"), read_bytes(tmp_path / "b")
+        assert json.loads(a.pop("manifest.json"))["seed"] == 7
+        assert json.loads(b.pop("manifest.json"))["seed"] == 7
+        assert a == b
+
+
+class TestOptions:
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_every_parameter_is_read(self, name):
+        """A command body reads every parameter it is called with, so no
+        command declares an option that it ignores."""
+        body = main.commands[name].callback.__wrapped__
+        fn = ast.parse(textwrap.dedent(inspect.getsource(body))).body[0]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert [a.arg for a in fn.args.args if a.arg not in read] == []
+
+    def test_config_only_on_replicate(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", "recoverability", 3, {})
+        corpus = make_corpus_dir(tmp_path, count=4, n=60)
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["fit", "--corpus", str(corpus), "-c", "2",
+                                 "--config", str(cfg), "--out", str(out)])
+        assert r.exit_code == 1
+        assert "No such option" in r.output and "--config" in r.output
+        assert not out.exists()
+
 
 def write_config(path, scenario, seed, params):
     path.write_text(json.dumps({"format": 1, "scenario": scenario,
@@ -436,8 +477,64 @@ class TestOutputContract:
         assert r.output == f"wrote {', '.join(files)} to {outs[1]}\n"
 
 
+def _config(scenario, **params):
+    return {"format": 1, "scenario": scenario, "params": params}
+
+
+# Each JSON reader of the CLI given one value that does not fit its kind:
+# (command line before the file's path, the file, the error message).
+WRONG_KIND = {
+    "N_float": (["replicate", "recoverability", "--config"],
+                _config("recoverability", N=8.7),
+                "recoverability params 'N' must be an integer"),
+    "n_string": (["replicate", "recoverability", "--config"],
+                 _config("recoverability", n="200"),
+                 "recoverability params 'n' must be an integer"),
+    "N_bool": (["replicate", "recoverability", "--config"],
+               _config("recoverability", N=True),
+               "recoverability params 'N' must be an integer"),
+    "eps_nan": (["replicate", "recoverability", "--config"],
+                _config("recoverability", eps=float("nan")),
+                "recoverability params 'eps' must be a finite number"),
+    "resample_float": (["replicate", "recoverability", "--config"],
+                       _config("recoverability", resample=2.5),
+                       "recoverability params 'resample' must be an integer"),
+    "p_values_strings": (["replicate", "mixture-beta", "--config"],
+                         _config("mixture-beta", p_values=[["0.9", "0.5"]]),
+                         "mixture-beta params 'p_values' must be a list of numbers"),
+    "contacts_file_int": (["replicate", "contacts", "--config"],
+                          _config("contacts", file=0),
+                          "contacts params 'file' must be a string"),
+    "config_seed_float": (["replicate", "critical-n", "--config"],
+                          {**_config("critical-n"), "seed": 1.5},
+                          "config 'seed' must be an integer"),
+    "model_omega_string": (["sample", "--n", "10", "--count", "1", "--model"],
+                           {"format": 1, "omega": "0.5", "s": [1.0], "p": [0.5],
+                            "q": 0.0},
+                           "fixed SBM model spec 'omega' must be a finite number"),
+    "law_center_scalar": (["sample", "--n", "10", "--count", "1", "--model"],
+                          {"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
+                           "law": {"kind": "dirac", "center": 0.5}},
+                          "dirac law 'center' must be a list of numbers"),
+    "mixture_spec_n_float": (["critical-n", "--n-max", "10", "--mixture-spec"],
+                             {"format": 1, "n": 200.5, "p_values": [0.75, 0.85]},
+                             "mixture spec 'n' must be an integer"),
+}
+
+
 class TestInvalidJson:
     """Malformed JSON inputs end in 'error: ...' and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("case", WRONG_KIND)
+    def test_value_of_wrong_kind(self, runner, tmp_path, case):
+        argv, payload, message = WRONG_KIND[case]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        r = runner.invoke(main, [*argv, str(path), "--out", str(out)])
+        self.assert_clean_exit_1(r)
+        assert f"error: {message}" in r.output
+        assert not out.exists()
 
     def assert_clean_exit_1(self, r):
         assert r.exit_code == 1

@@ -1,6 +1,7 @@
 """Block-model parameterizations and graph sampling."""
 
 import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -18,6 +19,7 @@ from rpsbm import (
     TruncGaussianProductLaw,
     UniformProductLaw,
     density,
+    sample_corpus,
     sample_rpsbm,
     sample_sbm,
 )
@@ -389,6 +391,19 @@ class TestSampleRpsbm:
             draw_params(model, seed=0)
 
 
+class TestSampleCorpus:
+    def test_sequence_is_a_uniform_mixture(self):
+        components = [two_block(omega=0.3), two_block(omega=0.3, p=(0.5, 0.4))]
+        graphs = sample_corpus(components, 60, 8, seed=2, start_index=3)
+        choices = set()
+        for k, g in enumerate(graphs, start=3):
+            choice = int(rngmod.mix_stream(2, k).integers(2))
+            choices.add(choice)
+            np.testing.assert_array_equal(
+                g.edges, sample_sbm(components[choice], 60, 2, k).edges)
+        assert choices == {0, 1}
+
+
 class TestModelSpecFiles:
     def test_round_trip_rpsbm(self, tmp_path):
         model = RpsbmModel(omega=0.3, law=UniformProductLaw([0.8, 0.6], [0.1, 0.05]),
@@ -410,3 +425,36 @@ class TestModelSpecFiles:
         with pytest.raises(ValueError):
             model_from_dict({"format": 2, "omega": 0.5, "s": [1.0],
                              "p": [0.5], "q": 0.0})
+
+
+# JSON values of every type, with integers past the float range; the lists
+# hold integers only, so all of them read as lists of numbers
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**53, 2**53),
+    st.sampled_from([2**1024, -10**400]), st.floats(),
+    st.text(max_size=2), st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 9), max_size=1))
+
+
+def fits(kind, value) -> bool:
+    if kind in (str, dict, list):
+        return isinstance(value, kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    finite = abs(value) < 2**1024 if isinstance(value, int) else math.isfinite(value)
+    return finite and (kind is float or value == int(value))
+
+
+class TestRead:
+    @given(st.sampled_from([int, float, str, list, dict]), JSON_VALUES)
+    def test_reads_a_value_iff_it_fits_its_kind(self, kind, value):
+        if not fits(kind, value):
+            with pytest.raises(ValueError, match=r"^spec 'k' must be "):
+                models._read("spec", {"k": value}, k=kind)
+            return
+        got = models._read("spec", {"k": value}, k=(kind, None))["k"]
+        if kind is list:
+            assert got.dtype == float
+            np.testing.assert_array_equal(got, value)
+        else:
+            assert type(got) is kind and got == value
