@@ -210,8 +210,7 @@ def moments(seed, corpus_dir, trunc):
 @click.option("-c", "trunc", type=int, required=True)
 def regimes(seed, corpus_dir, trunc):
     """Variance-regime report per eigenvalue index."""
-    m = compute_moments(_load_corpus(corpus_dir), trunc)
-    rep = classify_regimes(m, np.full(trunc, 1.0 / trunc))
+    rep = classify_regimes(compute_moments(_load_corpus(corpus_dir), trunc))
     payload = {
         "format": 1,
         "regimes": list(rep.regimes),
@@ -244,7 +243,7 @@ def fit(seed, corpus_dir, trunc, family, s_from_geometry):
     corpus = _load_corpus(corpus_dir)
     m = compute_moments(corpus, trunc)
     s_override = _geometry_s(corpus, trunc) if s_from_geometry else None
-    result = fit_parametric(m, trunc, family=family, s_override=s_override)
+    result = fit_parametric(m, family=family, s_override=s_override)
     payload = {
         "format": 1,
         "model": model_to_dict(result.model),
@@ -265,7 +264,6 @@ def fit(seed, corpus_dir, trunc, family, s_from_geometry):
               help="'silverman' or 'fixed:<h>'.")
 def fit_np(seed, corpus_dir, trunc, bandwidth):
     """Nonparametric graph-space kernel-mixture fit."""
-    corpus = _load_corpus(corpus_dir)
     if bandwidth.startswith("fixed:"):
         h = float(bandwidth.split(":", 1)[1])
         bw = Bandwidth(np.diag(np.full(trunc, h)))
@@ -273,7 +271,8 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
         bw = None
     else:
         raise ValueError(f"unknown bandwidth rule {bandwidth!r}")
-    mix = fit_nonparametric(corpus, trunc, bandwidth=bw)
+    mix = fit_nonparametric(compute_moments(_load_corpus(corpus_dir), trunc),
+                            bandwidth=bw)
     payload = {
         "format": 1,
         "weights": mix.weights,

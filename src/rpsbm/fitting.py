@@ -9,12 +9,15 @@ the corpus spectral moments:
     Cov(P_i, P_j) = Sigma_ij / (n^2 omega^2 s_i s_j),   i != j
 
 where inherent_variance_i = 2 lambda_bar_i / (n s_i) is the SBM-inherent
-variance (``moments.inherent_variance``), omega = C * rho_bar, and epsilon
+variance (``moments.inherent_variance``), omega = rho_bar, and epsilon
 is chosen so the expected sampled density matches the corpus density.
 Var P_i takes its sign from the excess that ``classify_regimes`` tests.  The
 nonparametric fit runs the same equations per corpus graph with a shared
 kernel bandwidth H in place of Sigma, falling back to a Dirac coordinate
 wherever the excess H_ii - inherent_variance_i is not positive.
+
+Both fits read the corpus only through its ``SampleMoments``: the per-graph
+spectra and densities and the moments taken from them.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .models import (
     UniformProductLaw,
     sample_corpus,
 )
-from .moments import (SMALL, SampleMoments, classify_regimes, compute_moments,
+from .moments import (SMALL, SampleMoments, block_sizes, classify_regimes,
                       inherent_variance)
 from .spectral import Graph, density, spectrum
 
@@ -80,12 +83,10 @@ class Bandwidth:
 
 @dataclass(frozen=True)
 class GraphMixture:
-    """Uniform mixture of RPSBM components, one per corpus graph, with the
-    corpus moments the fit was made from."""
+    """Uniform mixture of RPSBM components, one per corpus graph."""
 
     components: tuple[RpsbmModel, ...]
     dirac_fallback: tuple[tuple[int, ...], ...] = ()
-    moments: SampleMoments | None = None
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -116,19 +117,20 @@ def _j_moments(lam: np.ndarray, second: np.ndarray, n: int, omega: float,
     return lam / scale, cov, excess
 
 
-def _epsilon(mean: np.ndarray, s: np.ndarray, scale_c: float,
+def _epsilon(mean: np.ndarray, s: np.ndarray,
              notes: list[str]) -> tuple[float, float]:
     """Density-preserving epsilon, raw and clamped to [0, EPSILON_MAX].
 
-    The raw value aims at density 1/C when omega = C * rho_bar.  A single
-    community leaves it undefined and it is set to 0; that and each clamp
-    go to ``notes``.
+    The raw value makes the J-scale density sum_i E[P_i] s_i^2 +
+    epsilon min E[P] (1 - sum_i s_i^2) equal 1, so that a model with
+    omega = rho_bar has the corpus density.  A single community leaves it
+    undefined and it is set to 0; that and each clamp go to ``notes``.
     """
     denom = float(mean.min()) * (1.0 - float(np.sum(s**2)))
     if denom == 0.0:
         notes.append("single community: epsilon undefined, set to 0")
         return 0.0, 0.0
-    raw = (1.0 / scale_c - float(np.sum(mean * s**2))) / denom
+    raw = (1.0 - float(np.sum(mean * s**2))) / denom
     eps = min(max(raw, 0.0), EPSILON_MAX)
     if eps != raw:
         notes.append(f"epsilon clamped to {eps:g} (raw {raw:.4g})")
@@ -148,8 +150,9 @@ def _geometry_guard(lam: np.ndarray, n: int, s: np.ndarray, what: str) -> None:
 
 
 def _solve_family(kind: str, mean: np.ndarray, var: np.ndarray,
-                  lo: np.ndarray | None, hi: np.ndarray | None,
-                  notes: list[str]) -> ParamLaw:
+                  scaled: np.ndarray | None, notes: list[str]) -> ParamLaw:
+    """The ``kind`` law with J-moments (mean, var); a beta law's support is
+    the range of ``scaled``, the per-graph spectra on the J scale."""
     if kind == "dirac":
         if np.any(var > 1e-12):
             notes.append("dirac family ignores a nonzero fitted variance")
@@ -157,7 +160,8 @@ def _solve_family(kind: str, mean: np.ndarray, var: np.ndarray,
     if kind == "uniform":
         return UniformProductLaw(mean, np.sqrt(12.0 * var))
     if kind == "beta":
-        return fit_beta_product(mean, var, lo, hi)
+        return fit_beta_product(mean, var, scaled.min(axis=0),
+                                scaled.max(axis=0))
     if kind == "gauss":
         if np.any(mean < 0) or np.any(mean > 1):
             notes.append("gauss family truncated to [0,1] but fitted mean lies outside")
@@ -185,24 +189,19 @@ def fit_beta_product(mean, var, a, b) -> BetaProductLaw:
     return BetaProductLaw(a, b, m * t, (1 - m) * t)
 
 
-def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
-                   s_override: np.ndarray | None = None,
-                   scale_c: float = 1.0) -> FitResult:
-    """Fit an RPSBM by matching corpus spectral moments (parametric J).
+def fit_parametric(m: SampleMoments, family: str = "uniform",
+                   s_override: np.ndarray | None = None) -> FitResult:
+    """Fit an RPSBM to the corpus moments ``m`` (parametric J).
 
-    omega is scale_c * rho_bar.  The J-variance is the excess over the
-    SBM-inherent variance, and epsilon is clamped to [0, EPSILON_MAX], each
-    clamp noted in the result's warnings.  Raises ``InfeasibleFitError`` when
-    any index is in the small-variance regime or when a mean eigenvalue
-    exceeds its block size.
+    omega is rho_bar and s is ``s_override``, equal blocks by default.  The
+    J-variance is the excess over the SBM-inherent variance, and epsilon is
+    clamped to [0, EPSILON_MAX], each clamp noted in the result's warnings.
+    Raises ``InfeasibleFitError`` when any index is in the small-variance
+    regime or when a mean eigenvalue exceeds its block size.
     """
-    if c != m.c:
-        raise ValueError("truncation order does not match the moments")
     if m.N < 2:
         raise ValueError("parametric fit needs at least two graphs")
-    s = np.full(c, 1.0 / c) if s_override is None else np.asarray(s_override, float)
-    if len(s) != c:
-        raise ValueError("geometry length must equal truncation order")
+    s = block_sizes(s_override, m.c)
     notes: list[str] = []
 
     report = classify_regimes(m, s)
@@ -215,7 +214,7 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
             "corpus variance")
     _geometry_guard(m.mean_spectrum, m.n, s, "mean eigenvalue")
 
-    omega = scale_c * m.mean_density
+    omega = m.mean_density
     if omega <= 0:
         raise InfeasibleFitError("corpus density is zero; nothing to fit")
 
@@ -226,16 +225,10 @@ def fit_parametric(m: SampleMoments, c: int, family: str = "uniform",
     if not in_unit.all():
         notes.append(
             "fitted E[P] outside [0,1] (expected when omega=rho_bar absorbs "
-            "the kernel mass; products omega*E[P] remain valid)"
-        )
+            "the kernel mass; products omega*E[P] remain valid)")
 
-    if family == "beta":
-        bounds = (m.min_spectrum / (m.n * omega * s),
-                  m.max_spectrum / (m.n * omega * s))
-    else:
-        bounds = (None, None)
-    law = _solve_family(family, mean, var, *bounds, notes)
-    eps_raw, eps = _epsilon(mean, s, scale_c, notes)
+    law = _solve_family(family, mean, var, m.spectra / (m.n * omega * s), notes)
+    eps_raw, eps = _epsilon(mean, s, notes)
 
     for note in notes:
         warnings.warn(note)
@@ -265,47 +258,39 @@ def silverman_bandwidth(N: int, sigma) -> Bandwidth:
     return Bandwidth(np.diag(h))
 
 
-def fit_nonparametric(corpus, c: int, bandwidth: Bandwidth | None = None,
+def fit_nonparametric(m: SampleMoments, bandwidth: Bandwidth | None = None,
                       s_per_graph: np.ndarray | None = None) -> GraphMixture:
     """Graph-space kernel mixture: one RPSBM component per corpus graph.
 
-    Each component has a uniform product law.  The shared bandwidth H (by
+    Component k is fitted to row k of ``m.spectra``, with omega the graph's
+    density ``m.densities[k]`` and s row k of ``s_per_graph`` (equal blocks
+    by default); each has a uniform product law.  The shared bandwidth H (by
     default Silverman's rule on the corpus scale) plays the role of the
     eigenvalue covariance when solving each component's J-moments.
     Coordinates whose excess H_ii - inherent_variance_i is not positive fall
     back to a Dirac marginal (local over-smoothing), recorded per component.
-    The corpus moments ride along on the returned mixture.
     """
-    mom = compute_moments(corpus, c)
     if bandwidth is None:
-        bandwidth = silverman_bandwidth(mom.N, np.sqrt(np.diag(mom.cov)))
+        bandwidth = silverman_bandwidth(m.N, np.sqrt(np.diag(m.cov)))
     H = bandwidth.H
-    if H.shape != (c, c):
+    if H.shape != (m.c, m.c):
         raise ValueError("bandwidth dimension must equal truncation order")
 
-    components = []
-    fallbacks = []
-    for k, g in enumerate(corpus):
-        lam = mom.spectra[k]
-        rho_k = density(g)
+    components, fallbacks = [], []
+    for k, (lam, rho_k) in enumerate(zip(m.spectra, m.densities.tolist())):
         if rho_k <= 0:
             raise InfeasibleFitError(f"graph {k} is empty; cannot set omega")
-        if s_per_graph is not None:
-            s = np.asarray(s_per_graph[k], dtype=float)
-            if len(s) != c:
-                raise ValueError("per-graph geometry length must equal c")
-        else:
-            s = np.full(c, 1.0 / c)
-        _geometry_guard(lam, g.n, s, f"graph {k}: eigenvalue")
-        mean, cov, excess = _j_moments(lam, H, g.n, rho_k, s)
+        s = block_sizes(None if s_per_graph is None else s_per_graph[k], m.c)
+        _geometry_guard(lam, m.n, s, f"graph {k}: eigenvalue")
+        mean, cov, excess = _j_moments(lam, H, m.n, rho_k, s)
         dirac = excess <= 0
         var = np.where(dirac, 0.0, np.diag(cov))
-        law = _solve_family("uniform", mean, var, None, None, [])
-        _, eps = _epsilon(mean, s, 1.0, [])
+        law = _solve_family("uniform", mean, var, None, [])
+        _, eps = _epsilon(mean, s, [])
         components.append(RpsbmModel(omega=rho_k, law=law, epsilon=eps, s=s))
         fallbacks.append(tuple(np.nonzero(dirac)[0].tolist()))
     return GraphMixture(components=tuple(components),
-                        dirac_fallback=tuple(fallbacks), moments=mom)
+                        dirac_fallback=tuple(fallbacks))
 
 
 def sample_mixture(mix: GraphMixture, n: int, count: int, seed: int) -> list[Graph]:

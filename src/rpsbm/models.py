@@ -239,17 +239,20 @@ def law_from_dict(d: dict) -> ParamLaw:
 
 #: What a value of each ``_read`` kind must be, for the error message.
 _KINDS = {int: "an integer", float: "a finite number", str: "a string",
-          list: "a list of numbers", dict: "a JSON object"}
+          list: "a list of numbers",
+          np.ndarray: "a list of numbers or of such lists",
+          dict: "a JSON object"}
 
 
 def _as_kind(kind, value):
     """``value`` converted to ``kind``, or None when it does not fit."""
-    if kind is list:
+    if kind in (list, np.ndarray):
         try:
             a = np.asarray(value)
         except ValueError:  # a ragged nesting
             return None
-        return a.astype(float) if a.ndim and a.dtype.kind in "iuf" else None
+        fits = a.ndim == 1 if kind is list else a.ndim >= 1
+        return a.astype(float) if fits and a.dtype.kind in "iuf" else None
     if kind in (str, dict):
         return value if isinstance(value, kind) else None
     # NaN fails the range test too, and an int past the float range
@@ -268,12 +271,12 @@ def _read(what: str, d, /, **spec) -> dict:
 
     A spec entry is ``key=kind`` (required) or ``key=(kind, default)``
     (optional).  The kinds are int, float (finite), str, dict (a JSON
-    object) and list (a float array of at least one dimension); bools fit
-    none of them, and a float fits int only when it is integral.  An absent
-    optional key reads as its default, converted unless it is None.  A
-    non-object, a key not in ``spec``, a missing required key and a value
-    that does not fit its kind raise ``ValueError``; ``what`` names the
-    object in the message.
+    object), list (a one-dimensional float array) and np.ndarray (a float
+    array of at least one dimension, for tables); bools fit none of them,
+    and a float fits int only when it is integral.  An absent optional key
+    reads as its default, converted unless it is None.  A non-object, a key
+    not in ``spec``, a missing required key and a value that does not fit
+    its kind raise ``ValueError``; ``what`` names the object in the message.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")

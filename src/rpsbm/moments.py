@@ -27,31 +27,32 @@ LARGE_REGIME_RATIO = 0.1
 
 @dataclass(frozen=True)
 class SampleMoments:
-    """Spectral corpus statistics feeding every fit.
+    """Per-graph spectral table of a corpus: everything a fit reads of it.
 
-    ``spectra`` holds the full N x c eigenvalue table (row per graph); the
-    beta-family fit needs its per-coordinate range.
+    Row k of ``spectra`` (N x c) holds graph k's top-c eigenvalues and
+    ``densities[k]`` its edge density; every graph has ``n`` nodes.
+    ``mean_spectrum`` and ``cov`` are the moments the parametric fit matches.
+    N, c and ``mean_density`` are read off the table, so they cannot disagree
+    with it.
     """
 
+    spectra: np.ndarray
+    densities: np.ndarray
+    n: int
     mean_spectrum: np.ndarray
     cov: np.ndarray
-    mean_density: float
-    N: int
-    n: int
-    c: int
-    spectra: np.ndarray | None = None
 
     @property
-    def min_spectrum(self) -> np.ndarray:
-        if self.spectra is None:
-            raise ValueError("per-graph spectra unavailable")
-        return self.spectra.min(axis=0)
+    def N(self) -> int:
+        return self.spectra.shape[0]
 
     @property
-    def max_spectrum(self) -> np.ndarray:
-        if self.spectra is None:
-            raise ValueError("per-graph spectra unavailable")
-        return self.spectra.max(axis=0)
+    def c(self) -> int:
+        return self.spectra.shape[1]
+
+    @property
+    def mean_density(self) -> float:
+        return float(self.densities.mean())
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ class RegimeReport:
 
 
 def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
-    """Mean spectrum, unbiased covariance, and mean density of a corpus."""
+    """Per-graph spectra and densities of a corpus, with the mean spectrum
+    and its unbiased covariance."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     sizes = {g.n for g in corpus}
@@ -78,8 +80,10 @@ def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
     if c > n:
         raise ValueError("truncation order exceeds graph size")
     N = len(corpus)
-    spectra = np.vstack([spectrum(g, c).values for g in corpus])
-    dens = np.array([density(g) for g in corpus])
+    spectra = np.empty((N, c))
+    densities = np.empty(N)
+    for k, g in enumerate(corpus):
+        spectra[k], densities[k] = spectrum(g, c).values, density(g)
     mean_spec = spectra.mean(axis=0)
     if N == 1:
         warnings.warn("single-graph corpus: covariance degenerate (zeros)")
@@ -87,10 +91,8 @@ def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
     else:
         diff = spectra - mean_spec
         cov = diff.T @ diff / (N - 1)
-    return SampleMoments(
-        mean_spectrum=mean_spec, cov=cov, mean_density=float(dens.mean()),
-        N=N, n=n, c=c, spectra=spectra,
-    )
+    return SampleMoments(spectra=spectra, densities=densities, n=n,
+                         mean_spectrum=mean_spec, cov=cov)
 
 
 def frechet_total_variance(corpus: Sequence[Graph], c: int) -> float:
@@ -112,35 +114,39 @@ def inherent_variance(lam: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
     return 2.0 * lam / (n * s)
 
 
-def classify_regimes(m: SampleMoments, s: np.ndarray) -> RegimeReport:
+def block_sizes(s, c: int) -> np.ndarray:
+    """The geometry vector ``s`` as a float array of length c; equal blocks
+    1/c when ``s`` is None."""
+    if s is None:
+        return np.full(c, 1.0 / c)
+    s = np.asarray(s, dtype=float)
+    if s.shape != (c,):
+        raise ValueError("geometry length must equal truncation order")
+    return s
+
+
+def classify_regimes(m: SampleMoments, s=None) -> RegimeReport:
     """Small/medium/large variance regime per eigenvalue index.
 
     Index i is small when Sigma_ii - inherent_variance_i, the excess the fits
     turn into a J-variance, is negative; large when the inherent variance is
-    below ``LARGE_REGIME_RATIO`` of Sigma_ii; medium otherwise.
+    below ``LARGE_REGIME_RATIO`` of Sigma_ii; medium otherwise.  ``s`` is the
+    geometry vector, equal blocks by default.
     """
-    s = np.asarray(s, dtype=float)
-    if len(s) != m.c:
-        raise ValueError("geometry length must equal truncation order")
+    s = block_sizes(s, m.c)
     inherent = inherent_variance(m.mean_spectrum, m.n, s)
     diagnostic = np.diag(m.cov) - inherent
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(np.diag(m.cov) > 0, inherent / np.diag(m.cov), np.inf)
-    regimes = []
-    for d, r in zip(diagnostic, ratio):
-        if d < 0:
-            regimes.append(SMALL)
-        elif r < LARGE_REGIME_RATIO:
-            regimes.append(LARGE)
-        else:
-            regimes.append(MEDIUM)
-    return RegimeReport(regimes=tuple(regimes), diagnostic=diagnostic, ratio=ratio)
+    regimes = tuple(SMALL if d < 0 else LARGE if r < LARGE_REGIME_RATIO else MEDIUM
+                    for d, r in zip(diagnostic, ratio))
+    return RegimeReport(regimes=regimes, diagnostic=diagnostic, ratio=ratio)
 
 
 def moments_report(m: SampleMoments) -> dict:
     """JSON-ready moments report with regime classification at equal
     block sizes."""
-    reg = classify_regimes(m, np.full(m.c, 1.0 / m.c))
+    reg = classify_regimes(m)
     return {
         "format": 1,
         "lambda_bar": m.mean_spectrum.tolist(),

@@ -20,8 +20,8 @@ that the runner does not read, or a value not of its kind, is an error:
                     min_cluster: int
 
 where a float is finite, an int may be written as an integral float, and a
-list is an array of numbers (``p_values`` of mixture-beta is a list of
-density vectors, one per component).
+list is a one-dimensional array of numbers (``p_values`` of mixture-beta is
+a table: one density vector per component, one entry per block of ``s``).
 """
 
 from __future__ import annotations
@@ -67,16 +67,28 @@ def _rel_err(est, truth):
     return abs(est - truth) / abs(truth)
 
 
-def _moment_rows(mom, new_mom) -> list[dict]:
-    """Per-index lambda_bar and sigma_hat of a corpus and its resample."""
-    return [{
+def _fit_and_resample(truth, n: int, N: int, resample_n: int, c: int,
+                      seed: int, family: str):
+    """Sample N graphs of ``truth``, fit ``family`` to their moments and
+    resample ``resample_n`` graphs from the fit, at graph indices from N on.
+
+    Returns the corpus moments, the fit, and per index the lambda_bar and
+    sigma_hat of corpus and resample.  Each corpus is dropped as soon as its
+    moments are taken.
+    """
+    mom = compute_moments(sample_corpus(truth, n, N, seed), c)
+    fit = fit_parametric(mom, family=family)
+    new = compute_moments(
+        sample_corpus(fit.model, n, resample_n, seed, start_index=N), c)
+    rows = [{
         "lambda_bar": mom.mean_spectrum[i],
-        "lambda_bar_new": new_mom.mean_spectrum[i],
-        "rel_err_lambda_bar": _rel_err(new_mom.mean_spectrum[i], mom.mean_spectrum[i]),
+        "lambda_bar_new": new.mean_spectrum[i],
+        "rel_err_lambda_bar": _rel_err(new.mean_spectrum[i], mom.mean_spectrum[i]),
         "sigma_hat": mom.cov[i, i],
-        "sigma_hat_new": new_mom.cov[i, i],
-        "rel_err_sigma_hat": _rel_err(new_mom.cov[i, i], mom.cov[i, i]),
-    } for i in range(mom.c)]
+        "sigma_hat_new": new.cov[i, i],
+        "rel_err_sigma_hat": _rel_err(new.cov[i, i], mom.cov[i, i]),
+    } for i in range(c)]
+    return mom, fit, rows
 
 
 def run_recoverability(seed: int, params: dict) -> dict:
@@ -93,29 +105,23 @@ def run_recoverability(seed: int, params: dict) -> dict:
     centers, widths = p["centers"], p["widths"]
     omega = 10.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
     resample_n = N if p["resample"] is None else p["resample"]
-    c = len(s)
     truth = RpsbmModel(omega=omega, law=UniformProductLaw(centers, widths),
                        epsilon=eps, s=s)
 
-    corpus = sample_corpus(truth, n, N, seed)
-    mom = compute_moments(corpus, c)
-    fit = fit_parametric(mom, c, family="uniform")
+    _, fit, moment_rows = _fit_and_resample(truth, n, N, resample_n, len(s),
+                                            seed, "uniform")
     law = fit.model.law
     omega_hat = fit.model.omega
-
-    new = sample_corpus(fit.model, n, resample_n, seed, start_index=N)
-    rows = []
-    for i, moment_row in enumerate(_moment_rows(mom, compute_moments(new, c))):
-        rows.append({
-            "component": i + 1,
-            "omega_p_hat": omega_hat * law.center[i],
-            "omega_p_true": omega * centers[i],
-            "rel_err_omega_p": _rel_err(omega_hat * law.center[i], omega * centers[i]),
-            "omega_delta_hat": omega_hat * law.width[i],
-            "omega_delta_true": omega * widths[i],
-            "rel_err_omega_delta": _rel_err(omega_hat * law.width[i], omega * widths[i]),
-            **moment_row,
-        })
+    rows = [{
+        "component": i + 1,
+        "omega_p_hat": omega_hat * law.center[i],
+        "omega_p_true": omega * centers[i],
+        "rel_err_omega_p": _rel_err(omega_hat * law.center[i], omega * centers[i]),
+        "omega_delta_hat": omega_hat * law.width[i],
+        "omega_delta_true": omega * widths[i],
+        "rel_err_omega_delta": _rel_err(omega_hat * law.width[i], omega * widths[i]),
+        **moment_row,
+    } for i, moment_row in enumerate(moment_rows)]
     return {"tables": {"errors.csv": rows},
             "report": {"eps_hat": fit.eps_raw, "eps_true": eps,
                        "rel_err_eps": _rel_err(fit.eps_raw, eps),
@@ -126,21 +132,19 @@ def run_mixture_beta(seed: int, params: dict) -> dict:
     """Four-component SBM mixture fitted with a product-of-betas law."""
     p = _read("mixture-beta params", params, N=(int, 200), n=(int, 1000),
               omega=(float, None), q=(float, 0.05), s=(list, [0.5, 0.5]),
-              p_values=(list, [[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]))
-    n, N, s = p["n"], p["N"], p["s"]
+              p_values=(np.ndarray,
+                        [[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]))
+    n, N, s, p_values = p["n"], p["N"], p["s"], p["p_values"]
+    if p_values.ndim != 2 or p_values.shape[1] != len(s):
+        raise ValueError(f"mixture-beta params 'p_values' must be rows of "
+                         f"{len(s)} numbers, one per entry of 's'")
     omega = 10.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
-    c = len(s)
 
-    components = [SbmParams(omega=omega, s=s, p=pk, q=p["q"])
-                  for pk in p["p_values"]]
-    corpus = sample_corpus(components, n, N, seed)
-    mom = compute_moments(corpus, c)
+    components = [SbmParams(omega=omega, s=s, p=pk, q=p["q"]) for pk in p_values]
+    mom, fit, moment_rows = _fit_and_resample(components, n, N, N, len(s),
+                                              seed, "beta")
     corr = mom.cov[0, 1] / np.sqrt(mom.cov[0, 0] * mom.cov[1, 1])
-    fit = fit_parametric(mom, c, family="beta")
-
-    new = sample_corpus(fit.model, n, N, seed, start_index=N)
-    rows = [{"component": i + 1, **row}
-            for i, row in enumerate(_moment_rows(mom, compute_moments(new, c)))]
+    rows = [{"component": i + 1, **row} for i, row in enumerate(moment_rows)]
     return {"tables": {"errors.csv": rows},
             "report": {"correlation": float(corr),
                        "model": model_to_dict(fit.model)}}
@@ -185,16 +189,17 @@ def run_contacts(seed: int, params: dict) -> dict:
     for count, members in sizes[:2]:
         if len(members) < p["min_cluster"]:
             continue
-        sub = [corpus[i] for i in members]
+        mom = compute_moments([corpus[i] for i in members], count)
         # a detected s has community_count entries, one per block
         s_rows = np.vstack([geoms[i].s for i in members])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)
-        mix = fit_nonparametric(sub, count, s_per_graph=s_rows)
-        new = sample_mixture(mix, corpus[0].n, p["resample"], seed)
+        mix = fit_nonparametric(mom, s_per_graph=s_rows)
+        new = compute_moments(sample_mixture(mix, mom.n, p["resample"], seed),
+                              count)
         fits[count] = {
             "members": members,
-            "lambda_bar": mix.moments.mean_spectrum,
-            "lambda_bar_resampled": compute_moments(new, count).mean_spectrum,
+            "lambda_bar": mom.mean_spectrum,
+            "lambda_bar_resampled": new.mean_spectrum,
         }
     return {"tables": {},
             "report": {"n": corpus[0].n, "N": len(corpus),

@@ -519,6 +519,22 @@ WRONG_KIND = {
     "mixture_spec_n_float": (["critical-n", "--n-max", "10", "--mixture-spec"],
                              {"format": 1, "n": 200.5, "p_values": [0.75, 0.85]},
                              "mixture spec 'n' must be an integer"),
+    "mixture_spec_p_values_2d": (["critical-n", "--n-max", "10", "--mixture-spec"],
+                                 {"format": 1, "n": 200,
+                                  "p_values": [[0.75], [0.85]]},
+                                 "mixture spec 'p_values' must be a list of numbers"),
+    "critical_n_p_values_2d": (["replicate", "critical-n", "--config"],
+                               _config("critical-n", p_values=[[0.75], [0.85]]),
+                               "critical-n params 'p_values' must be a list of numbers"),
+    "centers_2d": (["replicate", "recoverability", "--config"],
+                   _config("recoverability", centers=[[0.85], [0.575]]),
+                   "recoverability params 'centers' must be a list of numbers"),
+    "p_values_1d": (["replicate", "mixture-beta", "--config"],
+                    _config("mixture-beta", p_values=[0.9, 0.5]),
+                    "mixture-beta params 'p_values' must be rows of 2 numbers"),
+    "p_values_rows_short_of_s": (["replicate", "mixture-beta", "--config"],
+                                 _config("mixture-beta", s=[0.3, 0.3, 0.4]),
+                                 "mixture-beta params 'p_values' must be rows of 3 numbers"),
 }
 
 

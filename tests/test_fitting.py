@@ -1,7 +1,6 @@
 """Moment-matching fits, bandwidths, mixtures, and the ER pipeline."""
 
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,24 +30,22 @@ from rpsbm import (
 )
 from rpsbm.fitting import GraphMixture, critical_n_for_threshold, oracle_sigma
 from rpsbm.moments import MEDIUM, SMALL, inherent_variance
-from rpsbm import fitting
 from rpsbm import rng as rngmod
 
 
 def synthetic_moments(lam, sigma_diag, n, rho, N=10, spectra_pad=0.0):
     lam = np.asarray(lam, dtype=float)
-    c = len(lam)
-    spectra = np.vstack([lam - spectra_pad, lam + spectra_pad])
+    spectra = np.vstack([lam - spectra_pad, lam + spectra_pad] * (N // 2))
     return SampleMoments(
+        spectra=spectra, densities=np.full(len(spectra), rho), n=n,
         mean_spectrum=lam, cov=np.diag(np.asarray(sigma_diag, dtype=float)),
-        mean_density=rho, N=N, n=n, c=c, spectra=spectra,
     )
 
 
 class TestParametricFit:
     def test_step7_mean_arithmetic(self):
         m = synthetic_moments([50.0], [3.0], n=100, rho=1.0)
-        fit = fit_parametric(m, 1, family="dirac")
+        fit = fit_parametric(m, family="dirac")
         assert fit.mean_J[0] == pytest.approx(0.5)
 
     def test_step9_epsilon(self):
@@ -57,7 +54,7 @@ class TestParametricFit:
         lam = np.array([n * omega * 0.5, n * omega * 0.5])
         m = synthetic_moments(lam, [0.5, 0.5], n=n, rho=omega, N=10)
         with pytest.warns(UserWarning):
-            fit = fit_parametric(m, 2, family="dirac")
+            fit = fit_parametric(m, family="dirac")
         np.testing.assert_allclose(fit.mean_J, [1.0, 1.0], atol=1e-12)
         assert fit.eps_raw == pytest.approx(1.0)
         assert fit.model.epsilon == pytest.approx(0.2)  # clamped, recorded raw
@@ -65,19 +62,19 @@ class TestParametricFit:
     def test_single_community_epsilon_zero(self):
         m = synthetic_moments([40.0], [2.0], n=100, rho=1.0)
         with pytest.warns(UserWarning, match="epsilon"):
-            fit = fit_parametric(m, 1, family="uniform")
+            fit = fit_parametric(m, family="uniform")
         assert fit.model.epsilon == 0.0
 
     def test_small_regime_raises_for_variance_families(self):
         corpus = [Graph.complete(30)] * 5
         m = compute_moments(corpus, 2)
         with pytest.raises(InfeasibleFitError, match="small-variance"):
-            fit_parametric(m, 2, family="uniform")
+            fit_parametric(m, family="uniform")
 
     def test_zero_variance_dirac_returns_step7_means(self):
         corpus = [Graph.complete(30)] * 5
         m = compute_moments(corpus, 1)
-        fit = fit_parametric(m, 1, family="dirac")
+        fit = fit_parametric(m, family="dirac")
         expect = m.mean_spectrum / (30 * m.mean_density * 1.0)
         np.testing.assert_allclose(fit.model.law.center, expect, atol=1e-12)
 
@@ -85,30 +82,7 @@ class TestParametricFit:
         # mean eigenvalue above the block size n*s_i
         m = synthetic_moments([120.0], [10.0], n=100, rho=0.5)
         with pytest.raises(InfeasibleFitError, match="block size"):
-            fit_parametric(m, 1, family="uniform")
-
-    def test_scale_invariance_of_fitted_products(self):
-        gen = np.random.default_rng(30)
-        truth = RpsbmModel(omega=0.3, law=UniformProductLaw([0.8, 0.6], [0.1, 0.05]),
-                           epsilon=0.05, s=np.array([0.5, 0.5]))
-        corpus = sample_corpus(truth, 400, 20, seed=31)
-        m = compute_moments(corpus, 2)
-        products = []
-        epsilons = []
-        densities = []
-        for c_scale in (0.5, 1.0, 2.0):
-            fit = fit_parametric(m, 2, family="uniform", scale_c=c_scale)
-            products.append(fit.model.omega * fit.mean_J)
-            epsilons.append(fit.eps_raw)
-            law = fit.model.law
-            dens = fit.model.omega * (
-                np.sum(law.center * fit.model.s**2)
-                + fit.eps_raw * law.center.min() * (1 - np.sum(fit.model.s**2)))
-            densities.append(dens)
-        for k in (1, 2):
-            np.testing.assert_allclose(products[k], products[0], rtol=1e-12)
-            assert epsilons[k] == pytest.approx(epsilons[0], rel=1e-12)
-            assert densities[k] == pytest.approx(densities[0], rel=1e-12)
+            fit_parametric(m, family="uniform")
 
 
 class TestBetaInversion:
@@ -162,7 +136,8 @@ class TestNonparametric:
     def test_single_graph_component_mean(self):
         corpus = self.corpus(N=1)
         with pytest.warns(UserWarning):
-            mix = fit_nonparametric(corpus, 2, bandwidth=Bandwidth(np.eye(2)))
+            mix = fit_nonparametric(compute_moments(corpus, 2),
+                                    bandwidth=Bandwidth(np.eye(2)))
         from rpsbm import density, spectrum
         g = corpus[0]
         lam = spectrum(g, 2).values
@@ -171,7 +146,8 @@ class TestNonparametric:
 
     def test_tiny_bandwidth_forces_all_dirac(self):
         corpus = self.corpus()
-        mix = fit_nonparametric(corpus, 2, bandwidth=Bandwidth(np.eye(2) * 1e-6))
+        mix = fit_nonparametric(compute_moments(corpus, 2),
+                                bandwidth=Bandwidth(np.eye(2) * 1e-6))
         for comp, fb in zip(mix.components, mix.dirac_fallback):
             assert fb == (0, 1)
             np.testing.assert_array_equal(comp.law.width, [0.0, 0.0])
@@ -179,7 +155,8 @@ class TestNonparametric:
     def test_fallback_exactly_where_condition_fails(self):
         corpus = self.corpus()
         h = 0.4  # between the two inherent-variance levels
-        mix = fit_nonparametric(corpus, 2, bandwidth=Bandwidth(np.eye(2) * h))
+        mix = fit_nonparametric(compute_moments(corpus, 2),
+                                bandwidth=Bandwidth(np.eye(2) * h))
         from rpsbm import spectrum
         for g, fb in zip(corpus, mix.dirac_fallback):
             lam = spectrum(g, 2).values
@@ -189,7 +166,7 @@ class TestNonparametric:
 
     def test_silverman_rule_from_corpus_scale(self):
         corpus = self.corpus()
-        mix = fit_nonparametric(corpus, 2)
+        mix = fit_nonparametric(compute_moments(corpus, 2))
         assert len(mix.components) == len(corpus)
 
 
@@ -224,7 +201,8 @@ class TestMomentInversion:
             lam = spectrum(g, 2).values
             H = Bandwidth(np.diag(np.nextafter(2.0 * lam / (200 * s), np.inf)))
             with pytest.warns(UserWarning, match="degenerate"):
-                mix = fit_nonparametric([g], 2, H, s_per_graph=[s])
+                mix = fit_nonparametric(compute_moments([g], 2), H,
+                                        s_per_graph=[s])
             width = mix.components[0].law.width
             assert np.all(np.isfinite(width)) and np.all(width > 0), k
             assert mix.dirac_fallback == ((),), k
@@ -235,7 +213,7 @@ class TestMomentInversion:
                               n=1907, rho=0.9)
         assert classify_regimes(m, [0.5, 0.5]).regimes == (MEDIUM, MEDIUM)
         with pytest.warns(UserWarning, match="epsilon clamped"):
-            fit = fit_parametric(m, 2, family="uniform")
+            fit = fit_parametric(m, family="uniform")
         width = fit.model.law.width
         assert np.all(np.isfinite(width)) and np.all(width >= 0)
 
@@ -249,9 +227,9 @@ class TestMomentInversion:
             warnings.simplefilter("ignore", UserWarning)
             if small:
                 with pytest.raises(InfeasibleFitError, match="small-variance"):
-                    fit_parametric(m, len(s), family="uniform", s_override=s)
+                    fit_parametric(m, family="uniform", s_override=s)
                 return
-            fit = fit_parametric(m, len(s), family="uniform", s_override=s)
+            fit = fit_parametric(m, family="uniform", s_override=s)
         width = fit.model.law.width
         assert np.all(np.isfinite(width)) and np.all(width >= 0)
 
@@ -261,16 +239,45 @@ class TestMomentInversion:
         n, s, lam, rho, second = case
         # one corpus graph with the drawn spectrum and density
         c = len(s)
-        mom = SampleMoments(mean_spectrum=lam, cov=np.zeros((c, c)),
-                            mean_density=rho, N=1, n=n, c=c, spectra=lam[None, :])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fitting, "compute_moments", lambda corpus, c: mom)
-            mp.setattr(fitting, "density", lambda g: rho)
-            mix = fit_nonparametric([SimpleNamespace(n=n)], c,
-                                    Bandwidth(np.diag(second)), s_per_graph=[s])
+        mom = SampleMoments(spectra=lam[None, :], densities=np.array([rho]),
+                            n=n, mean_spectrum=lam, cov=np.zeros((c, c)))
+        mix = fit_nonparametric(mom, Bandwidth(np.diag(second)), s_per_graph=[s])
         width = mix.components[0].law.width
         assert np.all(np.isfinite(width))
         assert tuple(np.nonzero(width == 0)[0].tolist()) == mix.dirac_fallback[0]
+
+
+def _two_index_moments():
+    return synthetic_moments([10.0, 5.0], [1.0, 1.0], n=100, rho=0.2)
+
+
+# Each way a fit rejects its input: (call, exception, message).
+FIT_ERRORS = {
+    "empty_graph": (
+        lambda: fit_nonparametric(
+            compute_moments([Graph.complete(6), Graph.empty(6)], 1)),
+        InfeasibleFitError, "graph 1 is empty"),
+    "s_override_length": (
+        lambda: fit_parametric(_two_index_moments(), s_override=[0.2, 0.3, 0.5]),
+        ValueError, "geometry length must equal truncation order"),
+    "s_per_graph_row_length": (
+        lambda: fit_nonparametric(_two_index_moments(),
+                                  s_per_graph=[[0.5, 0.5], [1.0]] * 5),
+        ValueError, "geometry length must equal truncation order"),
+    "regimes_s_length": (
+        lambda: classify_regimes(_two_index_moments(), [1.0]),
+        ValueError, "geometry length must equal truncation order"),
+    "bandwidth_dimension": (
+        lambda: fit_nonparametric(_two_index_moments(), Bandwidth(np.eye(3))),
+        ValueError, "bandwidth dimension must equal truncation order"),
+}
+
+
+@pytest.mark.parametrize("case", FIT_ERRORS)
+def test_fit_rejects_its_input(case):
+    call, exc, message = FIT_ERRORS[case]
+    with pytest.raises(exc, match=message):
+        call()
 
 
 class TestMixtureSampling:

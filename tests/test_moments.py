@@ -1,19 +1,33 @@
 """Corpus moments, the total-variance identity, and regime classification."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rpsbm import (
     Graph,
     SampleMoments,
     classify_regimes,
     compute_moments,
+    density,
+    fit_nonparametric,
     frechet_total_variance,
     full_spectrum,
     sample_sbm,
     SbmParams,
+    spectrum,
 )
 from rpsbm.moments import LARGE, MEDIUM, SMALL, moments_report
+
+
+def table_moments(lam, cov, rho, N, n):
+    """Moments of N identical graphs with spectrum ``lam``, carrying the
+    given covariance in place of the table's."""
+    lam = np.asarray(lam, dtype=float)
+    return SampleMoments(spectra=np.tile(lam, (N, 1)), densities=np.full(N, rho),
+                         n=n, mean_spectrum=lam, cov=np.asarray(cov, dtype=float))
 
 
 def random_corpus(gen, n, count, p=0.3):
@@ -66,6 +80,45 @@ class TestComputeMoments:
             assert w @ m.cov @ w >= -1e-10
 
 
+@st.composite
+def block_corpora(draw):
+    """(corpus, c): one to four graphs on n = c * size nodes, c <= 3, each a
+    disjoint union of c blocks of ``size`` nodes with at least one edge per
+    block, under a random node labelling.  Each block's largest eigenvalue
+    lies in [1, size - 1], so every top-c eigenvalue lies inside the equal
+    block sizes n / c a fit checks, with no eigenvalue 0 that rounding could
+    make negative."""
+    c = draw(st.integers(1, 3))
+    size = draw(st.integers(2, 5))
+    n = c * size
+    block = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    corpus = []
+    for _ in range(draw(st.integers(1, 4))):
+        edges = [(b * size + i, b * size + j) for b in range(c)
+                 for i, j in draw(st.lists(st.sampled_from(block), min_size=1,
+                                           unique=True))]
+        perm = np.array(draw(st.permutations(range(n))))
+        corpus.append(Graph(n, perm[np.array(edges)]))
+    return corpus, c
+
+
+class TestTableContract:
+    @given(block_corpora())
+    def test_table_rows_are_the_graphs(self, case):
+        corpus, c = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # N = 1, zero scale
+            m = compute_moments(corpus, c)
+            mix = fit_nonparametric(m)
+        for k, g in enumerate(corpus):
+            assert m.spectra[k].tobytes() == spectrum(g, c).values.tobytes()
+            assert m.densities[k] == density(g)
+            assert mix.components[k].omega == m.densities[k]
+        assert (m.N, m.c, m.n) == (len(corpus), c, corpus[0].n)
+        assert m.mean_density == np.mean([density(g) for g in corpus])
+        assert len(mix.components) == m.N
+
+
 class TestTotalVariance:
     def test_identical_corpus_is_zero(self):
         assert frechet_total_variance([Graph.complete(5)] * 3, 2) == 0.0
@@ -93,11 +146,9 @@ class TestTotalVariance:
 class TestRegimes:
     def paper_moments(self):
         # measured two-block corpus statistics: large-variance on both indices
-        return SampleMoments(
-            mean_spectrum=np.array([133.9401, 91.1005]),
-            cov=np.array([[25.3956, 0.0], [0.0, 5.5628]]),
-            mean_density=0.115, N=50, n=1000, c=2,
-        )
+        return table_moments([133.9401, 91.1005],
+                             [[25.3956, 0.0], [0.0, 5.5628]],
+                             rho=0.115, N=50, n=1000)
 
     def test_large_regime_diagnostic(self):
         rep = classify_regimes(self.paper_moments(), np.array([0.5, 0.5]))
@@ -105,9 +156,7 @@ class TestRegimes:
         assert rep.regimes == (LARGE, LARGE)
 
     def test_small_when_variance_vanishes(self):
-        m = SampleMoments(mean_spectrum=np.array([10.0]),
-                          cov=np.array([[0.0]]),
-                          mean_density=0.1, N=5, n=100, c=1)
+        m = table_moments([10.0], [[0.0]], rho=0.1, N=5, n=100)
         rep = classify_regimes(m, np.array([1.0]))
         assert rep.regimes == (SMALL,)
 
@@ -115,9 +164,7 @@ class TestRegimes:
         # diagnostic exactly zero => ratio 1 => medium
         lam = 10.0
         n, s = 100, 1.0
-        m = SampleMoments(mean_spectrum=np.array([lam]),
-                          cov=np.array([[2 * lam / (n * s)]]),
-                          mean_density=0.1, N=5, n=n, c=1)
+        m = table_moments([lam], [[2 * lam / (n * s)]], rho=0.1, N=5, n=n)
         rep = classify_regimes(m, np.array([s]))
         assert rep.diagnostic[0] == pytest.approx(0.0, abs=1e-14)
         assert rep.regimes == (MEDIUM,)
