@@ -26,6 +26,7 @@ from .models import (
     SbmParams,
     TruncGaussianProductLaw,
     UniformProductLaw,
+    iter_corpus,
     load_model,
     sample_corpus,
     sample_rpsbm,

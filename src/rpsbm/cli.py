@@ -21,6 +21,7 @@ import functools
 import hashlib
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import click
@@ -97,11 +98,13 @@ def _write_manifest(out: Path, command: str, args: dict, seed: int,
     _write_json(out / "manifest.json", manifest)
 
 
-def _load_corpus(corpus_dir: str) -> list[Graph]:
+def _load_corpus(corpus_dir: str) -> Iterator[Graph]:
+    """The corpus's edge-list files in name order, each read only when the
+    iterator reaches it, so a consumer holds one graph at a time."""
     paths = sorted(Path(corpus_dir).glob("*.txt"))
     if not paths:
         raise ValueError(f"no edge-list files (*.txt) in {corpus_dir}")
-    return [load_edgelist(p) for p in paths]
+    return map(load_edgelist, paths)
 
 
 def _write(path: Path, payload) -> None:
@@ -240,9 +243,9 @@ def _geometry_s(corpus, trunc):
               help="Estimate the geometry vector from the Bethe Hessian.")
 def fit(seed, corpus_dir, trunc, family, s_from_geometry):
     """Parametric moment-matching fit of a random-parameter block model."""
-    corpus = _load_corpus(corpus_dir)
-    m = compute_moments(corpus, trunc)
-    s_override = _geometry_s(corpus, trunc) if s_from_geometry else None
+    m = compute_moments(_load_corpus(corpus_dir), trunc)
+    s_override = (_geometry_s(_load_corpus(corpus_dir), trunc)
+                  if s_from_geometry else None)
     result = fit_parametric(m, family=family, s_override=s_override)
     payload = {
         "format": 1,

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .models import (
     BetaProductLaw,
@@ -377,9 +376,13 @@ class CurveTable:
 
 
 def _normal_mixture(z, means, sds):
+    """Equal-weight mixture of normal pdfs, summed one component at a time.
+    Each pdf has the arithmetic of ``scipy.stats.norm.pdf``, so the curves
+    agree with it bit for bit, without importing ``scipy.stats``."""
     out = np.zeros_like(z)
     for mu, sd in zip(means, sds):
-        out += scipy.stats.norm.pdf(z, loc=mu, scale=sd)
+        x = (z - mu) / sd
+        out += np.exp(-x**2 / 2.0) / np.sqrt(2.0 * np.pi) / sd
     return out / len(means)
 
 

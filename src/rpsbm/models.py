@@ -13,10 +13,10 @@ import json
 import numbers
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.stats
 
 from . import rng as rngmod
 from .spectral import Graph
@@ -197,7 +197,11 @@ class TruncGaussianProductLaw:
         if np.any(self.sd < 0):
             raise ValueError("sd must be non-negative")
         # the frozen truncnorm, built once per law: building it takes about
-        # three times as long as a draw from it
+        # three times as long as a draw from it.  scipy.stats is imported
+        # here, not with the package: it is most of the package's import time
+        # and only this law uses it
+        import scipy.stats
+
         sd = np.where(self.sd > 0, self.sd, 1.0)
         object.__setattr__(self, "_dist", scipy.stats.truncnorm(
             (0.0 - self.mu) / sd, (1.0 - self.mu) / sd, loc=self.mu, scale=sd))
@@ -423,6 +427,8 @@ def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Gr
     edges = np.empty((len(key), 2), dtype=np.int64)
     np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
     del key
+    # read-only and owning its memory, so Graph keeps it without a copy
+    edges.setflags(write=False)
     return Graph(n, edges)
 
 
@@ -456,24 +462,28 @@ def sample_rpsbm(model: RpsbmModel, n: int, seed: int, graph_index: int = 0) -> 
     return sample_sbm(params, n, seed, graph_index)
 
 
-def sample_corpus(model, n: int, count: int, seed: int,
-                  start_index: int = 0) -> list[Graph]:
-    """Sample ``count`` graphs with graph indices start_index..start_index+count-1.
+def iter_corpus(model, n: int, count: int, seed: int,
+                start_index: int = 0) -> Iterator[Graph]:
+    """Draw ``count`` graphs with graph indices start_index..start_index+count-1,
+    one at a time: each graph is drawn when the next one is asked for, and
+    the iterator keeps none of them.
 
     ``model`` is an ``RpsbmModel``, an ``SbmParams`` or a sequence of them
     read as their uniform mixture: graph g is drawn from the component that
     the (g, MIX) stream picks.
     """
-    out = []
     for k in range(start_index, start_index + count):
         m = model
         if not isinstance(m, (RpsbmModel, SbmParams)):
             m = model[int(rngmod.mix_stream(seed, k).integers(len(model)))]
-        if isinstance(m, SbmParams):
-            out.append(sample_sbm(m, n, seed, k))
-        else:
-            out.append(sample_rpsbm(m, n, seed, k))
-    return out
+        yield (sample_sbm(m, n, seed, k) if isinstance(m, SbmParams)
+               else sample_rpsbm(m, n, seed, k))
+
+
+def sample_corpus(model, n: int, count: int, seed: int,
+                  start_index: int = 0) -> list[Graph]:
+    """The graphs of ``iter_corpus``, as a list."""
+    return list(iter_corpus(model, n, count, seed, start_index))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,22 +68,37 @@ class RegimeReport:
     ratio: np.ndarray
 
 
-def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
+def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
     """Per-graph spectra and densities of a corpus, with the mean spectrum
-    and its unbiased covariance."""
-    if len(corpus) == 0:
+    and its unbiased covariance.
+
+    ``corpus`` is any iterable of graphs, a list or a stream such as
+    ``models.iter_corpus``.  Only each graph's row is kept, and a graph is
+    released before the next one is asked for, so a stream holds one graph
+    at a time.  An empty corpus, mixed graph sizes and c > n raise the same
+    ``ValueError`` for a stream as for a list: once a graph shows either of
+    the last two, the sizes of the rest are read without their spectra.
+    """
+    graphs = iter(corpus)
+    sizes, spectra, densities = set(), [], []
+    for g in graphs:
+        sizes.add(g.n)
+        if len(sizes) > 1 or c > g.n:
+            sizes.update(h.n for h in graphs)
+            break
+        spectra.append(spectrum(g, c).values)
+        densities.append(density(g))
+        del g  # before the stream draws the next graph
+    if not sizes:
         raise ValueError("empty corpus")
-    sizes = {g.n for g in corpus}
     if len(sizes) != 1:
         raise ValueError(f"mixed graph sizes in corpus: {sorted(sizes)}")
-    n = corpus[0].n
+    (n,) = sizes
     if c > n:
         raise ValueError("truncation order exceeds graph size")
-    N = len(corpus)
-    spectra = np.empty((N, c))
-    densities = np.empty(N)
-    for k, g in enumerate(corpus):
-        spectra[k], densities[k] = spectrum(g, c).values, density(g)
+    spectra = np.vstack(spectra)
+    densities = np.array(densities)
+    N = len(spectra)
     mean_spec = spectra.mean(axis=0)
     if N == 1:
         warnings.warn("single-graph corpus: covariance degenerate (zeros)")

@@ -41,8 +41,8 @@ from .models import (
     SbmParams,
     UniformProductLaw,
     _read,
+    iter_corpus,
     model_to_dict,
-    sample_corpus,
 )
 from .moments import compute_moments
 from .contacts import load_contacts, window_contacts
@@ -73,13 +73,13 @@ def _fit_and_resample(truth, n: int, N: int, resample_n: int, c: int,
     resample ``resample_n`` graphs from the fit, at graph indices from N on.
 
     Returns the corpus moments, the fit, and per index the lambda_bar and
-    sigma_hat of corpus and resample.  Each corpus is dropped as soon as its
-    moments are taken.
+    sigma_hat of corpus and resample.  Both corpora are streamed into their
+    moments, one graph alive at a time.
     """
-    mom = compute_moments(sample_corpus(truth, n, N, seed), c)
+    mom = compute_moments(iter_corpus(truth, n, N, seed), c)
     fit = fit_parametric(mom, family=family)
     new = compute_moments(
-        sample_corpus(fit.model, n, resample_n, seed, start_index=N), c)
+        iter_corpus(fit.model, n, resample_n, seed, start_index=N), c)
     rows = [{
         "lambda_bar": mom.mean_spectrum[i],
         "lambda_bar_new": new.mean_spectrum[i],
@@ -135,6 +135,9 @@ def run_mixture_beta(seed: int, params: dict) -> dict:
               p_values=(np.ndarray,
                         [[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]))
     n, N, s, p_values = p["n"], p["N"], p["s"], p["p_values"]
+    if len(s) < 2:
+        raise ValueError("mixture-beta params 's' must have at least two "
+                         "entries: the report correlates eigenvalues 1 and 2")
     if p_values.ndim != 2 or p_values.shape[1] != len(s):
         raise ValueError(f"mixture-beta params 'p_values' must be rows of "
                          f"{len(s)} numbers, one per entry of 's'")

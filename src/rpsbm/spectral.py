@@ -24,10 +24,14 @@ import scipy.sparse.linalg
 # ARPACK starts from a fixed Gaussian vector: a structured start such as the
 # all-ones vector is orthogonal to every antisymmetric eigenvector (the second
 # eigenvector of a path, say), which Lanczos then never finds.  tol=0 means
-# machine-precision residuals, well inside the 1e-8 contract.  The dense solver
-# decides when ARPACK fails or the c-th Ritz value is <= 0: a graph with fewer
-# than c positive eigenvalues has a large zero eigenspace that Lanczos can
-# step over.
+# machine-precision residuals, well inside the 1e-8 contract.  It must stay 0:
+# with tol = 1e-10 or 1e-12 the top 3 of the 401-node cycle come back with
+# lambda_3 off by 7.4e-4, because Lanczos stops before it finds the second
+# copy of a double eigenvalue (1e-14 is right again).  A looser tol would
+# cut a c = 1 solve of a 500-node Erdos-Renyi draw from 31 to 21 matvecs.
+# The dense solver decides when ARPACK fails or the c-th Ritz value is <= 0: a
+# graph with fewer than c positive eigenvalues has a large zero eigenspace
+# that Lanczos can step over.
 # ARPACK_MAXITER caps the implicit restarts.  Block-model draws converge in one
 # restart (checked with maxiter=1 at n = 401 to 6000, c = 1 to 3), so 300
 # leaves them a wide margin.  Clustered top eigenvalues (paths, cycles) can
@@ -58,9 +62,11 @@ class Graph:
     ``edges`` is an (m, 2) int array with i < j per row, lexicographically
     sorted and deduplicated, so the rows are also the entries of the upper
     triangle of the adjacency in CSR order, from which ARPACK's half-stored
-    operator is built.  Input already in that form, as ``sample_sbm`` emits
-    it, is copied and checked in O(m) without a sort; any other pair list is
-    canonicalised.  Instances are immutable and safe to share.
+    operator is built.  Input already in that form is checked in O(m)
+    without a sort.  It is then kept as it is when it is a read-only (m, 2)
+    int64 array that owns its memory, as ``sample_sbm`` emits it, and copied
+    otherwise; any other pair list is canonicalised.  Instances are immutable
+    and safe to share.
     """
 
     n: int
@@ -69,22 +75,28 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one node")
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        e = np.asarray(self.edges, dtype=np.int64)
+        # even a no-op reshape returns a view, which owns no memory
+        if e.ndim != 2 or e.shape[1] != 2:
+            e = e.reshape(-1, 2)
         if e.size:
             if e.min() < 0 or e.max() >= self.n:
                 raise ValueError("edge endpoint out of range")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ValueError("self-loops are not allowed")
         # one int64 key per pair, min * n + max.  Canonical input (i < j in
-        # every row, keys strictly increasing) is copied after an O(m) check;
-        # other input is sorted, deduplicated by an adjacent difference, then
-        # split back into (i, j) rows
+        # every row, keys strictly increasing) passes an O(m) check, then is
+        # kept when it is read-only and owns its memory (sample_sbm's edges:
+        # no 16m-byte copy) and copied otherwise; other input is sorted,
+        # deduplicated by an adjacent difference, then split back into (i, j)
+        # rows
         i, j = e[:, 0], e[:, 1]
         ordered = (i < j).all()
         key = (i * self.n + j if ordered
                else np.minimum(i, j) * self.n + np.maximum(i, j))
         if ordered and (key[1:] > key[:-1]).all():
-            e = e.copy()
+            if e.flags.writeable or not e.flags.owndata:
+                e = e.copy()
         else:
             key.sort()
             key = key[np.diff(key, prepend=-1) != 0]

@@ -535,6 +535,10 @@ WRONG_KIND = {
     "p_values_rows_short_of_s": (["replicate", "mixture-beta", "--config"],
                                  _config("mixture-beta", s=[0.3, 0.3, 0.4]),
                                  "mixture-beta params 'p_values' must be rows of 3 numbers"),
+    "s_one_entry": (["replicate", "mixture-beta", "--config"],
+                    _config("mixture-beta", n=400, N=40, s=[1.0],
+                            p_values=[[0.9], [0.6]]),
+                    "mixture-beta params 's' must have at least two entries"),
 }
 
 

@@ -8,10 +8,19 @@ exports.  A module-level private function, class or constant must be read
 somewhere in the package, or it is dead code.  No module may reach an
 underscore-prefixed numpy or scipy module or name: those are not API and
 change between releases without notice.
+
+Importing the package must not import ``scipy.stats``, which would be most of
+its import time; only the ``gauss`` law needs it, and imports it itself.  A
+fresh interpreter checks both.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -146,3 +155,33 @@ def test_finds_a_private_library_use():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_private_numpy_or_scipy_use(path):
     assert private_library_uses(path.read_text(encoding="utf-8")) == []
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    this checkout's rpsbm."""
+    root = str(Path(rpsbm.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys\nsys.path.insert(0, {root!r})\n{code}"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_import_leaves_out_scipy_stats():
+    out = run_fresh("import rpsbm, rpsbm.cli\nprint('scipy.stats' in sys.modules)")
+    assert out.split() == ["False"]
+
+
+def test_gauss_law_builds_and_draws_in_a_fresh_process():
+    law = rpsbm.TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.0])
+    out = run_fresh(
+        "import json\nimport numpy as np\nimport rpsbm\n"
+        "law = rpsbm.TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.0])\n"
+        "draw = law.draw(np.random.default_rng(7))\n"
+        "print(json.dumps([draw.tolist(), law.mean().tolist(), law.var().tolist(),\n"
+        "                  'scipy.stats' in sys.modules]))")
+    draw, mean, var, loaded = json.loads(out)
+    assert draw == law.draw(np.random.default_rng(7)).tolist()
+    assert (mean, var) == (law.mean().tolist(), law.var().tolist())
+    assert loaded

@@ -262,6 +262,19 @@ class TestBlockSampler:
             tracemalloc.stop()
         assert peak < 4 * g.edges.nbytes
 
+    def test_graph_keeps_the_drawn_edges(self):
+        drawn = []
+
+        def graph(n, edges):
+            drawn.append(edges)
+            return Graph(n, edges)
+
+        params = SbmParams(omega=0.5, s=[0.5, 0.5], p=[0.9, 0.4], q=0.1)
+        with mock.patch.object(models, "Graph", graph):
+            g = sample_sbm(params, 60, seed=1)
+        assert g.m > 0 and g.edges is drawn[0]
+        assert not g.edges.flags.writeable
+
 
 class TestTriangleCells:
     def test_enumerates_pairs_in_order(self):

@@ -1,13 +1,15 @@
 """Corpus moments, the total-variance identity, and regime classification."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rpsbm import (
     Graph,
+    RpsbmModel,
     SampleMoments,
     classify_regimes,
     compute_moments,
@@ -15,9 +17,12 @@ from rpsbm import (
     fit_nonparametric,
     frechet_total_variance,
     full_spectrum,
+    iter_corpus,
+    sample_corpus,
     sample_sbm,
     SbmParams,
     spectrum,
+    UniformProductLaw,
 )
 from rpsbm.moments import LARGE, MEDIUM, SMALL, moments_report
 
@@ -117,6 +122,76 @@ class TestTableContract:
         assert (m.N, m.c, m.n) == (len(corpus), c, corpus[0].n)
         assert m.mean_density == np.mean([density(g) for g in corpus])
         assert len(mix.components) == m.N
+
+
+@st.composite
+def stream_cases(draw):
+    """(model, n, count, seed, start_index, c): a fixed SBM, an RPSBM with a
+    uniform law, or a uniform mixture of one to three of them, on up to 30
+    nodes and 1 to 3 blocks, drawn 1 to 4 times; c <= 3."""
+    blocks = draw(st.integers(1, 3))
+    w = np.array(draw(st.lists(st.integers(1, 4), min_size=blocks,
+                               max_size=blocks)), dtype=float)
+    s = w / w.sum()
+    omega = draw(st.floats(0.2, 1.0))
+    vector = st.lists(st.floats(0.0, 1.0), min_size=blocks, max_size=blocks)
+    fixed = st.builds(lambda p, q: SbmParams(omega, s, p, q), vector,
+                      st.floats(0.0, 0.5))
+    with_law = st.builds(
+        lambda center, width, eps: RpsbmModel(
+            omega, UniformProductLaw(0.2 + 0.7 * np.array(center),
+                                     0.2 * np.array(width)), eps, s),
+        vector, vector, st.floats(0.0, 0.5))
+    component = st.one_of(fixed, with_law)
+    model = draw(st.one_of(component, st.lists(component, min_size=1, max_size=3)))
+    n = draw(st.integers(max(2, blocks), 30))
+    return (model, n, draw(st.integers(1, 4)), draw(st.integers(0, 2**16)),
+            draw(st.integers(0, 5)), draw(st.integers(1, min(3, n))))
+
+
+def moments_or_error(corpus, c):
+    """The table bytes of ``compute_moments(corpus, c)``, or its ValueError
+    message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # N = 1
+            m = compute_moments(corpus, c)
+    except ValueError as exc:
+        return str(exc)
+    return [a.tobytes() for a in (m.spectra, m.densities, m.mean_spectrum, m.cov)]
+
+
+class TestStream:
+    @given(stream_cases())
+    def test_stream_and_list_agree_bit_for_bit(self, case):
+        model, n, count, seed, start, c = case
+        streamed = moments_or_error(iter_corpus(model, n, count, seed, start), c)
+        listed = moments_or_error(sample_corpus(model, n, count, seed, start), c)
+        assert not isinstance(listed, str)
+        assert streamed == listed
+
+    @given(st.lists(st.integers(2, 6), max_size=5), st.integers(1, 7))
+    @example([], 1)
+    @example([4, 5], 1)
+    @example([3, 3], 4)
+    @example([3, 5, 3, 6], 4)
+    def test_stream_raises_what_a_list_raises(self, sizes, c):
+        corpus = [Graph.complete(n) for n in sizes]
+        assert moments_or_error(iter(corpus), c) == moments_or_error(corpus, c)
+
+    def test_stream_holds_one_graph_at_a_time(self):
+        n = 1500
+        model = RpsbmModel(omega=10 / np.sqrt(n),
+                           law=UniformProductLaw([0.85, 0.575], [0.1, 0.05]),
+                           epsilon=0.05, s=[0.5, 0.5])
+        tracemalloc.start()
+        try:
+            compute_moments(iter_corpus(model, n, 8, 0), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(g.edges.nbytes for g in iter_corpus(model, n, 8, 0))
+        assert peak < 3 * largest
 
 
 class TestTotalVariance:

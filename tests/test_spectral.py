@@ -150,6 +150,23 @@ class TestGraph:
         # the canonical input is copied, not frozen or aliased
         assert canon.flags.writeable
         assert not np.shares_memory(kept.edges, canon)
+        canon[:] = -1
+        assert kept.edges.tobytes() == g.edges.tobytes()
+
+    def test_adopts_read_only_array_that_owns_its_memory(self):
+        e = Graph.complete(6).edges.copy()
+        e.setflags(write=False)
+        g = Graph(6, e)
+        assert np.shares_memory(g.edges, e)
+
+    def test_copies_read_only_view(self):
+        owner = Graph.complete(6).edges.copy()
+        view = owner[:]
+        view.setflags(write=False)
+        g = Graph(6, view)
+        assert not np.shares_memory(g.edges, owner)
+        owner[0] = (4, 5)
+        assert g.edges.tolist() == Graph.complete(6).edges.tolist()
 
     def test_dedup_and_reversed_pairs(self):
         g = Graph(3, [(0, 1), (1, 0), (0, 1), (2, 1)])
