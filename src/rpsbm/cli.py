@@ -21,7 +21,6 @@ import functools
 import hashlib
 import json
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 
 import click
@@ -31,7 +30,8 @@ from . import __version__
 from .contacts import load_contacts, window_contacts
 from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
 from .geometry import cluster_by_community_count, detect_geometry
-from .models import LAWS, _read, load_model, model_to_dict, sample_corpus
+from .models import (LAWS, LazyCorpus, _read, load_model, model_to_dict,
+                     sample_corpus)
 from .moments import classify_regimes, compute_moments, moments_report
 from .replicate import SCENARIOS, run_scenario
 from .spectral import Graph, density, load_edgelist, save_edgelist, spectrum
@@ -98,13 +98,14 @@ def _write_manifest(out: Path, command: str, args: dict, seed: int,
     _write_json(out / "manifest.json", manifest)
 
 
-def _load_corpus(corpus_dir: str) -> Iterator[Graph]:
-    """The corpus's edge-list files in name order, each read only when the
-    iterator reaches it, so a consumer holds one graph at a time."""
+def _load_corpus(corpus_dir: str) -> LazyCorpus:
+    """The corpus's edge-list files in name order, as a lazy corpus: a graph
+    is read only when its item is, so a consumer holds one graph at a time
+    and a pool worker of ``compute_moments`` loads the graphs it reduces."""
     paths = sorted(Path(corpus_dir).glob("*.txt"))
     if not paths:
         raise ValueError(f"no edge-list files (*.txt) in {corpus_dir}")
-    return map(load_edgelist, paths)
+    return LazyCorpus(load_edgelist, paths)
 
 
 def _write(path: Path, payload) -> None:
@@ -180,6 +181,8 @@ def command(body):
 @click.option("--count", type=int, required=True, help="Number of graphs.")
 def sample(seed, model_path, n, count):
     """Sample graphs from a model spec into edge-list files."""
+    if count < 1:
+        raise ValueError(f"--count must be at least 1, not {count}")
     model = load_model(model_path)
     graphs = sample_corpus(model, n, count, seed)
     return ({f"graph_{k:04d}.txt": g for k, g in enumerate(graphs)},
@@ -268,12 +271,17 @@ def fit(seed, corpus_dir, trunc, family, s_from_geometry):
 def fit_np(seed, corpus_dir, trunc, bandwidth):
     """Nonparametric graph-space kernel-mixture fit."""
     if bandwidth.startswith("fixed:"):
-        h = float(bandwidth.split(":", 1)[1])
+        try:
+            h = float(bandwidth.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"--bandwidth {bandwidth!r}: the h of "
+                             f"'fixed:<h>' must be a number") from None
         bw = Bandwidth(np.diag(np.full(trunc, h)))
     elif bandwidth == "silverman":
         bw = None
     else:
-        raise ValueError(f"unknown bandwidth rule {bandwidth!r}")
+        raise ValueError(f"--bandwidth {bandwidth!r}: unknown rule, not "
+                         f"'silverman' or 'fixed:<h>'")
     mix = fit_nonparametric(compute_moments(_load_corpus(corpus_dir), trunc),
                             bandwidth=bw)
     payload = {

@@ -30,16 +30,18 @@ import numpy as np
 from .models import (
     BetaProductLaw,
     DiracLaw,
+    LazyCorpus,
     ParamLaw,
     RpsbmModel,
     SbmParams,
     TruncGaussianProductLaw,
     UniformProductLaw,
+    iter_corpus,
     sample_corpus,
 )
 from .moments import (SMALL, SampleMoments, block_sizes, classify_regimes,
                       inherent_variance)
-from .spectral import Graph, density, spectrum
+from .spectral import density, spectrum
 
 EPSILON_MAX = 0.2
 EPSILON_WARN = 0.1
@@ -292,9 +294,11 @@ def fit_nonparametric(m: SampleMoments, bandwidth: Bandwidth | None = None,
                         dirac_fallback=tuple(fallbacks))
 
 
-def sample_mixture(mix: GraphMixture, n: int, count: int, seed: int) -> list[Graph]:
-    """Ancestral sampling: uniform component choice, then the RPSBM draw."""
-    return sample_corpus(mix.components, n, count, seed)
+def sample_mixture(mix: GraphMixture, n: int, count: int, seed: int) -> LazyCorpus:
+    """Ancestral sampling: uniform component choice, then the RPSBM draw,
+    as a lazy corpus (``models.iter_corpus``) that draws a graph when it is
+    read."""
+    return iter_corpus(mix.components, n, count, seed)
 
 
 # ---------------------------------------------------------------------------

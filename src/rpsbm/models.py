@@ -9,11 +9,12 @@ a law J per sampled graph and couples blocks through q = epsilon * min(p).
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import sys
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -462,22 +463,49 @@ def sample_rpsbm(model: RpsbmModel, n: int, seed: int, graph_index: int = 0) -> 
     return sample_sbm(params, n, seed, graph_index)
 
 
+@dataclass(frozen=True)
+class LazyCorpus(Sequence):
+    """A corpus whose graph k is made only when it is read, as
+    ``make(keys[k])``.  It keeps no graph: iterating it holds one graph at a
+    time, and a forked worker that reads item k makes graph k itself, so no
+    graph crosses a pipe."""
+
+    make: Callable[..., Graph]
+    keys: Sequence
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, k: int) -> Graph:
+        return self.make(self.keys[k])
+
+    def __iter__(self):
+        # map drops each graph before it makes the next
+        return map(self.make, self.keys)
+
+
+def _draw(model, n: int, seed: int, k: int) -> Graph:
+    """Graph k of ``iter_corpus(model, n, ..., seed)``."""
+    if not isinstance(model, (RpsbmModel, SbmParams)):
+        model = model[int(rngmod.mix_stream(seed, k).integers(len(model)))]
+    return (sample_sbm(model, n, seed, k) if isinstance(model, SbmParams)
+            else sample_rpsbm(model, n, seed, k))
+
+
 def iter_corpus(model, n: int, count: int, seed: int,
-                start_index: int = 0) -> Iterator[Graph]:
-    """Draw ``count`` graphs with graph indices start_index..start_index+count-1,
-    one at a time: each graph is drawn when the next one is asked for, and
-    the iterator keeps none of them.
+                start_index: int = 0) -> LazyCorpus:
+    """The ``count`` graphs with graph indices start_index..start_index+count-1,
+    as a lazy sequence: item k draws graph start_index + k when it is read,
+    and nothing keeps it.  Iterating yields one graph at a time, and
+    ``moments.compute_moments`` has each of its pool workers draw the graphs
+    it reduces.
 
     ``model`` is an ``RpsbmModel``, an ``SbmParams`` or a sequence of them
     read as their uniform mixture: graph g is drawn from the component that
     the (g, MIX) stream picks.
     """
-    for k in range(start_index, start_index + count):
-        m = model
-        if not isinstance(m, (RpsbmModel, SbmParams)):
-            m = model[int(rngmod.mix_stream(seed, k).integers(len(model)))]
-        yield (sample_sbm(m, n, seed, k) if isinstance(m, SbmParams)
-               else sample_rpsbm(m, n, seed, k))
+    return LazyCorpus(functools.partial(_draw, model, n, seed),
+                      range(start_index, start_index + count))
 
 
 def sample_corpus(model, n: int, count: int, seed: int,

@@ -8,9 +8,11 @@ an exact identity under the proxy mean, tested as such.
 
 from __future__ import annotations
 
+import os
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -68,36 +70,104 @@ class RegimeReport:
     ratio: np.ndarray
 
 
+def _row(g: Graph, c: int):
+    """Graph g's row of the table: (n, top-c eigenvalues, density), with
+    neither reduction when c > n, which ``compute_moments`` reports."""
+    if c > g.n:
+        return g.n, None, None
+    return g.n, spectrum(g, c).values, density(g)
+
+
+_SHARED = None  # (corpus, c) of a pool; set only in its workers, as they start
+
+
+def _share(corpus, c) -> None:
+    global _SHARED
+    _SHARED = corpus, c
+
+
+def _pool_row(k: int):
+    """Row k of the shared corpus, or the exception it raised, with the
+    warnings it issued."""
+    corpus, c = _SHARED
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            row = _row(corpus[k], c)
+        except Exception as exc:  # raised in the parent, in graph order
+            from multiprocessing.pool import ExceptionWithTraceback
+
+            # unpickles as exc, with this traceback as its __cause__
+            row = ExceptionWithTraceback(exc, exc.__traceback__)
+    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _rows(corpus: Iterable[Graph], c: int) -> list:
+    """``_row`` of every graph, in graph order.
+
+    A sized, indexable corpus is mapped over graph indices by a fork pool of
+    one worker per usable CPU, at most one per graph.  Each worker reads
+    item k of the corpus it inherited, so a lazy corpus draws or loads
+    graph k in the worker, and only rows come back.  A worker's warnings
+    are issued again here and its exception raised here, in graph order,
+    as a serial run would.  The rows are computed inline, one graph at a
+    time, for any other iterable, with fewer than two workers, inside a
+    daemonic process (such as a pool worker), and where fork is not offered
+    or the CPU set cannot be read.  The pool lives for this call only.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    workers = min(len(cpus), len(corpus)) if isinstance(corpus, Sequence) else 1
+    if workers >= 2:
+        import multiprocessing  # off the import path: only a pool needs it
+
+        if (multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            workers = 1
+    if workers < 2:
+        return list(map(_row, corpus, repeat(c)))  # map drops each graph
+    # fork, named: a spawned or forkserver worker (the default from Python
+    # 3.14) re-imports the package, about 0.45 s, and could not inherit a
+    # lazy corpus.  Python >= 3.12 warns when a process that runs BLAS
+    # threads forks; the workers start before the pool's own threads.
+    with multiprocessing.get_context("fork").Pool(
+            workers, _share, (corpus, c)) as pool:
+        results = pool.map(_pool_row, range(len(corpus)))
+    rows, registry = [], {}  # a repeated warning shows once, as inline
+    for row, caught in results:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno,
+                                   registry=registry)
+        if isinstance(row, Exception):
+            raise row
+        rows.append(row)
+    return rows
+
+
 def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
     """Per-graph spectra and densities of a corpus, with the mean spectrum
     and its unbiased covariance.
 
-    ``corpus`` is any iterable of graphs, a list or a stream such as
-    ``models.iter_corpus``.  Only each graph's row is kept, and a graph is
-    released before the next one is asked for, so a stream holds one graph
-    at a time.  An empty corpus, mixed graph sizes and c > n raise the same
-    ``ValueError`` for a stream as for a list: once a graph shows either of
-    the last two, the sizes of the rest are read without their spectra.
+    ``corpus`` is a sized, indexable corpus, such as a list or a
+    ``models.LazyCorpus`` (``iter_corpus``, the CLI's corpus directories);
+    its graphs are reduced to their rows on every usable CPU (see ``_rows``),
+    and the table is the same whatever the number of workers.  Any other
+    iterable is read inline, one graph at a time.  Only each graph's row is
+    kept, so with a lazy corpus neither path holds more than the graphs it
+    is reducing, one per worker.  An
+    empty corpus, mixed graph sizes and c > n raise ``ValueError``; a graph
+    with c > n is not reduced.
     """
-    graphs = iter(corpus)
-    sizes, spectra, densities = set(), [], []
-    for g in graphs:
-        sizes.add(g.n)
-        if len(sizes) > 1 or c > g.n:
-            sizes.update(h.n for h in graphs)
-            break
-        spectra.append(spectrum(g, c).values)
-        densities.append(density(g))
-        del g  # before the stream draws the next graph
-    if not sizes:
+    rows = _rows(corpus, c)
+    if not rows:
         raise ValueError("empty corpus")
+    sizes = {row[0] for row in rows}
     if len(sizes) != 1:
         raise ValueError(f"mixed graph sizes in corpus: {sorted(sizes)}")
     (n,) = sizes
     if c > n:
         raise ValueError("truncation order exceeds graph size")
-    spectra = np.vstack(spectra)
-    densities = np.array(densities)
+    spectra = np.vstack([values for _, values, _ in rows])
+    densities = np.array([rho for _, _, rho in rows])
     N = len(spectra)
     mean_spec = spectra.mean(axis=0)
     if N == 1:

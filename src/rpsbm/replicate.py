@@ -73,8 +73,8 @@ def _fit_and_resample(truth, n: int, N: int, resample_n: int, c: int,
     resample ``resample_n`` graphs from the fit, at graph indices from N on.
 
     Returns the corpus moments, the fit, and per index the lambda_bar and
-    sigma_hat of corpus and resample.  Both corpora are streamed into their
-    moments, one graph alive at a time.
+    sigma_hat of corpus and resample.  Both corpora are lazy, so the pool of
+    ``compute_moments`` draws and reduces their graphs in its workers.
     """
     mom = compute_moments(iter_corpus(truth, n, N, seed), c)
     fit = fit_parametric(mom, family=family)

@@ -3,7 +3,10 @@
 import ast
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rpsbm
 from rpsbm import Graph, SbmParams, UniformProductLaw, RpsbmModel, __version__, save_model
 from rpsbm.cli import main
 from rpsbm.models import sample_corpus
@@ -253,6 +257,28 @@ class TestReplicateCommand:
         table = (out / "errors.csv").read_text().strip().split("\n")
         assert table[0].startswith("component,omega_p_hat")
         assert len(table) == 3
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path):
+        # one CPU reduces every graph in the process, every usable CPU in
+        # the pool of compute_moments; not one byte may differ
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": 1, "scenario": "recoverability",
+                                   "seed": 5, "params": {"N": 6, "n": 500}}))
+        root = str(Path(rpsbm.__file__).resolve().parent.parent)
+        one_cpu = {min(os.sched_getaffinity(0))}
+        outputs = []
+        for pin in (lambda: os.sched_setaffinity(0, one_cpu), None):
+            out = tmp_path / f"out{len(outputs)}"
+            done = subprocess.run(
+                [sys.executable, "-c", "from rpsbm.cli import main; main()",
+                 "replicate", "recoverability", "--config", str(cfg),
+                 "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": root}, preexec_fn=pin,
+                capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(read_bytes(out))
+        assert set(outputs[0]) == {"errors.csv", "report.json", "manifest.json"}
+        assert outputs[0] == outputs[1]
 
     def test_scenario_mismatch_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -539,6 +565,16 @@ WRONG_KIND = {
                     _config("mixture-beta", n=400, N=40, s=[1.0],
                             p_values=[[0.9], [0.6]]),
                     "mixture-beta params 's' must have at least two entries"),
+    "count_negative": (["sample", "--n", "10", "--count", "-1", "--model"],
+                       {"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5], "q": 0.0},
+                       "--count must be at least 1, not -1"),
+    "count_zero": (["sample", "--n", "10", "--count", "0", "--model"],
+                   {"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5], "q": 0.0},
+                   "--count must be at least 1, not 0"),
+    "bandwidth_not_a_number": (["fit-np", "-c", "1", "--bandwidth", "fixed:abc",
+                                "--corpus"], {},
+                               "--bandwidth 'fixed:abc': the h of 'fixed:<h>' "
+                               "must be a number"),
 }
 
 

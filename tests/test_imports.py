@@ -10,8 +10,12 @@ underscore-prefixed numpy or scipy module or name: those are not API and
 change between releases without notice.
 
 Importing the package must not import ``scipy.stats``, which would be most of
-its import time; only the ``gauss`` law needs it, and imports it itself.  A
-fresh interpreter checks both.
+its import time; only the ``gauss`` law needs it, and imports it itself.  Nor
+may it import ``multiprocessing`` or an executor of ``concurrent.futures``:
+only ``compute_moments`` starts a pool, and imports them when it does.  (The
+``concurrent.futures`` package itself is loaded by ``scipy.sparse``, through
+``numpy.testing``, so only its executors are checked.)  A fresh interpreter
+checks both.
 """
 
 import ast
@@ -171,6 +175,14 @@ def run_fresh(code: str) -> str:
 def test_package_import_leaves_out_scipy_stats():
     out = run_fresh("import rpsbm, rpsbm.cli\nprint('scipy.stats' in sys.modules)")
     assert out.split() == ["False"]
+
+
+def test_package_import_leaves_out_process_pools():
+    pools = ("multiprocessing", "concurrent.futures.process",
+             "concurrent.futures.thread")
+    out = run_fresh(f"import rpsbm, rpsbm.cli\n"
+                    f"print([m for m in {pools!r} if m in sys.modules])")
+    assert out.split() == ["[]"]
 
 
 def test_gauss_law_builds_and_draws_in_a_fresh_process():

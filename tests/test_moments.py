@@ -1,5 +1,8 @@
 """Corpus moments, the total-variance identity, and regime classification."""
 
+import contextlib
+import multiprocessing
+import os
 import tracemalloc
 import warnings
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rpsbm import (
+    DiracLaw,
     Graph,
     RpsbmModel,
     SampleMoments,
@@ -179,7 +183,11 @@ class TestStream:
         corpus = [Graph.complete(n) for n in sizes]
         assert moments_or_error(iter(corpus), c) == moments_or_error(corpus, c)
 
-    def test_stream_holds_one_graph_at_a_time(self):
+    def test_stream_holds_one_graph_at_a_time(self, monkeypatch):
+        # tracemalloc sees only this process; pinned to one CPU, the graphs
+        # are drawn here, so the bound cannot pass because pool workers drew
+        # them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n = 1500
         model = RpsbmModel(omega=10 / np.sqrt(n),
                            law=UniformProductLaw([0.85, 0.575], [0.1, 0.05]),
@@ -192,6 +200,60 @@ class TestStream:
             tracemalloc.stop()
         largest = max(g.edges.nbytes for g in iter_corpus(model, n, 8, 0))
         assert peak < 3 * largest
+
+
+@contextlib.contextmanager
+def on_cpus(count):
+    """Context in which ``compute_moments`` sees ``count`` usable CPUs: one
+    keeps every row in this process, two map them over a pool of two."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        yield
+
+
+class TestPool:
+    @given(stream_cases())
+    def test_pool_and_inline_tables_agree_bit_for_bit(self, case):
+        model, n, count, seed, start, c = case
+        for corpus in (iter_corpus(model, n, count, seed, start),
+                       sample_corpus(model, n, count, seed, start)):
+            tables = []
+            for cpus in (1, 2):
+                with on_cpus(cpus):
+                    tables.append(moments_or_error(corpus, c))
+            assert not isinstance(tables[0], str)
+            assert tables[0] == tables[1]
+
+    def test_worker_error_keeps_type_and_message(self):
+        empty = RpsbmModel(omega=0.5, law=DiracLaw([0.0]), epsilon=0.0, s=[1.0])
+        tiny = [Graph.complete(1)] * 3
+        with on_cpus(2):
+            for corpus, c, message in (
+                    (iter_corpus(empty, 20, 4, 0), 1, "empty support after clamping"),
+                    (tiny, 1, "density needs n >= 2"),
+                    (iter_corpus(SbmParams(0.5, [1.0], [0.5], 0.0), 5, 3, 0), 6,
+                     "truncation order exceeds graph size")):
+                with pytest.raises(ValueError) as info:
+                    compute_moments(corpus, c)
+                assert type(info.value) is ValueError
+                assert str(info.value) == message
+                assert multiprocessing.active_children() == []
+
+    def test_worker_warnings_reach_the_caller(self):
+        clamped = RpsbmModel(omega=1.0, law=DiracLaw([1.5]), epsilon=0.0, s=[1.0])
+        caught = []
+        for cpus in (1, 2):
+            with on_cpus(cpus), pytest.warns(UserWarning, match="clamped") as rec:
+                compute_moments(iter_corpus(clamped, 20, 3, 0), 1)
+            caught.append([str(w.message) for w in rec])
+        assert caught[0] == caught[1]
+        assert len(caught[1]) == 3
+
+    def test_no_worker_outlives_the_call(self):
+        model = SbmParams(0.5, [0.5, 0.5], [0.8, 0.6], 0.1)
+        with on_cpus(2):
+            compute_moments(iter_corpus(model, 40, 4, 0), 2)
+        assert multiprocessing.active_children() == []
 
 
 class TestTotalVariance:
