@@ -4,6 +4,10 @@ The arithmetic mean of the top-c eigenvalues stands in for the spectrum of
 the sample Frechet mean graph (the two agree for large n), which makes the
 sample total Frechet variance equal to trace of the eigenvalue covariance --
 an exact identity under the proxy mean, tested as such.
+
+``ForkPool`` is the package's one way to run work in other processes: the
+graphs of ``compute_moments`` and critical-n's sample-size search
+(``replicate.run_critical_n``) both go through it.
 """
 
 from __future__ import annotations
@@ -78,69 +82,120 @@ def _row(g: Graph, c: int):
     return g.n, spectrum(g, c).values, density(g)
 
 
-_SHARED = None  # (corpus, c) of a pool; set only in its workers, as they start
+_TASK = None  # the function of a fork pool; set only in its workers, as they start
 
 
-def _share(corpus, c) -> None:
-    global _SHARED
-    _SHARED = corpus, c
+def _share(fn) -> None:
+    global _TASK
+    _TASK = fn
 
 
-def _pool_row(k: int):
-    """Row k of the shared corpus, or the exception it raised, with the
-    warnings it issued."""
-    corpus, c = _SHARED
+def _call(args: tuple):
+    """``_TASK(*args)``, or the exception it raised, with the warnings it
+    issued."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            row = _row(corpus[k], c)
-        except Exception as exc:  # raised in the parent, in graph order
+            result = _TASK(*args)
+        except Exception as exc:  # raised in the parent, when collected
             from multiprocessing.pool import ExceptionWithTraceback
 
             # unpickles as exc, with this traceback as its __cause__
-            row = ExceptionWithTraceback(exc, exc.__traceback__)
-    return row, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            result = ExceptionWithTraceback(exc, exc.__traceback__)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _collect(done, registry: dict):
+    """Issue a task's warnings again here, then return its result or raise
+    its exception."""
+    result, caught = done
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno,
+                               registry=registry)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on; 0 where the CPU set
+    cannot be read."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+
+
+class ForkPool:
+    """Calls of one function ``fn`` on ``workers`` forked processes, or in
+    this process.
+
+    ``map(items)`` returns ``[fn(x) for x in items]`` and waits for all of
+    them; ``submit(*args)`` starts ``fn(*args)`` and returns a callable that
+    waits for it and returns its result.  ``fn`` reaches the workers by fork
+    inheritance and is never pickled, so it may be a closure over a lazy
+    corpus or a wrapper installed by a profiler; only arguments and results
+    cross the pipe.  A task's warnings are issued again in this process, in
+    the order the task issued them, and its exception is raised here, with
+    the worker's traceback as its cause, when its result is collected.
+
+    With fewer than one worker, inside a daemonic process (such as a pool
+    worker) and where fork is not offered, every call runs in this process:
+    ``map`` at once, a submitted call when it is collected, so warnings come
+    and errors are raised in the same order either way.  Used as a context
+    manager; leaving it stops and joins every worker, also on an error.
+    """
+
+    def __init__(self, fn, workers: int):
+        self._fn, self._pool = fn, None
+        if workers < 1:
+            return
+        import multiprocessing  # off the import path: only a pool needs it
+
+        if (multiprocessing.current_process().daemon
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            return
+        # fork, named: a spawned or forkserver worker (the default from
+        # Python 3.14) re-imports the package, about 0.45 s, and could not
+        # inherit fn.  Python >= 3.12 warns when a process that runs BLAS
+        # threads forks; the workers start before the pool's own threads.
+        self._pool = multiprocessing.get_context("fork").Pool(
+            workers, _share, (fn,))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            self._pool.terminate()  # stops and joins the workers
+
+    def map(self, items) -> list:
+        if self._pool is None:
+            return list(map(self._fn, items))  # map drops each item once done
+        registry = {}  # a repeated warning shows once, as inline
+        return [_collect(done, registry)
+                for done in self._pool.map(_call, [(x,) for x in items])]
+
+    def submit(self, *args):
+        if self._pool is None:
+            return lambda: self._fn(*args)
+        pending = self._pool.apply_async(_call, (args,))
+        return lambda: _collect(pending.get(), {})
 
 
 def _rows(corpus: Iterable[Graph], c: int) -> list:
     """``_row`` of every graph, in graph order.
 
-    A sized, indexable corpus is mapped over graph indices by a fork pool of
-    one worker per usable CPU, at most one per graph.  Each worker reads
-    item k of the corpus it inherited, so a lazy corpus draws or loads
-    graph k in the worker, and only rows come back.  A worker's warnings
-    are issued again here and its exception raised here, in graph order,
-    as a serial run would.  The rows are computed inline, one graph at a
-    time, for any other iterable, with fewer than two workers, inside a
-    daemonic process (such as a pool worker), and where fork is not offered
-    or the CPU set cannot be read.  The pool lives for this call only.
+    A sized, indexable corpus is mapped over graph indices by a
+    ``ForkPool`` of one worker per usable CPU, at most one per graph: this
+    process waits meanwhile.  Each worker reads item k of the corpus it
+    inherited, so a lazy corpus draws or loads graph k in the worker, and
+    only rows come back.  The rows are computed inline, one graph at a time,
+    for any other iterable and with fewer than two workers.  The pool lives
+    for this call only.
     """
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    workers = min(len(cpus), len(corpus)) if isinstance(corpus, Sequence) else 1
-    if workers >= 2:
-        import multiprocessing  # off the import path: only a pool needs it
-
-        if (multiprocessing.current_process().daemon
-                or "fork" not in multiprocessing.get_all_start_methods()):
-            workers = 1
+    workers = min(usable_cpus(), len(corpus)) if isinstance(corpus, Sequence) else 1
     if workers < 2:
         return list(map(_row, corpus, repeat(c)))  # map drops each graph
-    # fork, named: a spawned or forkserver worker (the default from Python
-    # 3.14) re-imports the package, about 0.45 s, and could not inherit a
-    # lazy corpus.  Python >= 3.12 warns when a process that runs BLAS
-    # threads forks; the workers start before the pool's own threads.
-    with multiprocessing.get_context("fork").Pool(
-            workers, _share, (corpus, c)) as pool:
-        results = pool.map(_pool_row, range(len(corpus)))
-    rows, registry = [], {}  # a repeated warning shows once, as inline
-    for row, caught in results:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno,
-                                   registry=registry)
-        if isinstance(row, Exception):
-            raise row
-        rows.append(row)
-    return rows
+    with ForkPool(lambda k: _row(corpus[k], c), workers) as pool:
+        return pool.map(range(len(corpus)))
 
 
 def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:

@@ -14,8 +14,9 @@ that the runner does not read, or a value not of its kind, is an error:
     recoverability  N, n, resample: int; omega, eps: float;
                     centers, widths, s: list
     mixture-beta    N, n: int; omega, q: float; s, p_values: list
-    critical-n      n, N_max, repetitions, subcritical, supercritical: int;
-                    omega: float; p_values: list
+    critical-n      n, N_max, repetitions, subcritical, supercritical: int
+                    (n at least 2, the others at least 1); omega: float;
+                    p_values: list (not empty)
     contacts        file: str (required); window, step, resample,
                     min_cluster: int
 
@@ -44,7 +45,7 @@ from .models import (
     iter_corpus,
     model_to_dict,
 )
-from .moments import compute_moments
+from .moments import ForkPool, compute_moments, usable_cpus
 from .contacts import load_contacts, window_contacts
 
 SCENARIOS = ("recoverability", "mixture-beta", "critical-n", "contacts")
@@ -155,20 +156,43 @@ def run_mixture_beta(seed: int, params: dict) -> dict:
 
 def run_critical_n(seed: int, params: dict) -> dict:
     """Critical sample size for the two-component ER mixture, plus the
-    density curves at sub/critical/super sample sizes."""
+    density curves at sub/critical/super sample sizes.
+
+    The search for N_crit (``critical_sample_size``) and the curves draw
+    from separate streams, so they overlap: the search runs in a
+    ``ForkPool`` of one worker while this process draws the subcritical and
+    supercritical curves, and the critical curve follows once N_crit is in.
+    The worker needs a CPU of its own, since this process is busy meanwhile;
+    with no spare CPU the search runs here, in the same order.  The curves
+    always stay in this process.  The params are checked before anything is
+    drawn or forked.
+    """
     p = _read("critical-n params", params, n=(int, 1000), omega=(float, None),
               p_values=(list, [0.75, 0.85]), N_max=(int, 400),
               repetitions=(int, 5), subcritical=(int, 10),
               supercritical=(int, 325))
+    for key, least in (("n", 2), ("N_max", 1), ("repetitions", 1),
+                       ("subcritical", 1), ("supercritical", 1)):
+        if p[key] < least:
+            raise ValueError(f"critical-n params {key!r} must be at least "
+                             f"{least}, not {p[key]}")
     n, p_values = p["n"], p["p_values"]
+    if not p_values.size:
+        raise ValueError("critical-n params 'p_values' must not be empty")
     omega = 2.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
-    n_crit = critical_sample_size(p_values, n, omega, p["N_max"],
-                                  seed=seed, repetitions=p["repetitions"])
+    with ForkPool(lambda: critical_sample_size(
+            p_values, n, omega, p["N_max"], seed=seed,
+            repetitions=p["repetitions"]), usable_cpus() - 1) as pool:
+        search = pool.submit()
+        curves = {label: run_er_mixture_pipeline(p_values, n, omega, p[label],
+                                                 seed=seed)
+                  for label in ("subcritical", "supercritical")}
+        n_crit = search()
+    curves["critical"] = run_er_mixture_pipeline(p_values, n, omega, n_crit,
+                                                 seed=seed)
     tables = {}
-    for label, size in (("subcritical", p["subcritical"]),
-                        ("critical", n_crit),
-                        ("supercritical", p["supercritical"])):
-        t = run_er_mixture_pipeline(p_values, n, omega, size, seed=seed)
+    for label in ("subcritical", "critical", "supercritical"):
+        t = curves[label]
         tables[f"curves_{label}.csv"] = [
             {"z": z, "f_true": f, "f_hat": f_hat, "f_silverman": f_silv}
             for z, f, f_hat, f_silv in zip(t.z, t.f_true, t.f_hat, t.f_silverman)]

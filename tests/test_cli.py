@@ -259,26 +259,29 @@ class TestReplicateCommand:
         assert len(table) == 3
 
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path):
-        # one CPU reduces every graph in the process, every usable CPU in
-        # the pool of compute_moments; not one byte may differ
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"format": 1, "scenario": "recoverability",
-                                   "seed": 5, "params": {"N": 6, "n": 500}}))
+        # one CPU reduces every graph, and runs critical-n's search, in the
+        # process; every usable CPU maps the graphs over the pool of
+        # compute_moments and forks the search; not one byte may differ
         root = str(Path(rpsbm.__file__).resolve().parent.parent)
         one_cpu = {min(os.sched_getaffinity(0))}
-        outputs = []
-        for pin in (lambda: os.sched_setaffinity(0, one_cpu), None):
-            out = tmp_path / f"out{len(outputs)}"
-            done = subprocess.run(
-                [sys.executable, "-c", "from rpsbm.cli import main; main()",
-                 "replicate", "recoverability", "--config", str(cfg),
-                 "--out", str(out)],
-                env={**os.environ, "PYTHONPATH": root}, preexec_fn=pin,
-                capture_output=True, text=True, timeout=300)
-            assert done.returncode == 0, done.stderr
-            outputs.append(read_bytes(out))
-        assert set(outputs[0]) == {"errors.csv", "report.json", "manifest.json"}
-        assert outputs[0] == outputs[1]
+        for scenario, params, files in (
+                ("recoverability", {"N": 6, "n": 500}, ["errors.csv"]),
+                ("critical-n", {"n": 200, "N_max": 200, "repetitions": 2,
+                                "supercritical": 30}, CURVES)):
+            cfg = write_config(tmp_path / f"{scenario}.json", scenario, 5, params)
+            outputs = []
+            for pin in (lambda: os.sched_setaffinity(0, one_cpu), None):
+                out = tmp_path / f"{scenario}{len(outputs)}"
+                done = subprocess.run(
+                    [sys.executable, "-c", "from rpsbm.cli import main; main()",
+                     "replicate", scenario, "--config", str(cfg),
+                     "--out", str(out)],
+                    env={**os.environ, "PYTHONPATH": root}, preexec_fn=pin,
+                    capture_output=True, text=True, timeout=300)
+                assert done.returncode == 0, done.stderr
+                outputs.append(read_bytes(out))
+            assert set(outputs[0]) == {*files, "report.json", "manifest.json"}
+            assert outputs[0] == outputs[1]
 
     def test_scenario_mismatch_rejected(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -552,6 +555,31 @@ WRONG_KIND = {
     "critical_n_p_values_2d": (["replicate", "critical-n", "--config"],
                                _config("critical-n", p_values=[[0.75], [0.85]]),
                                "critical-n params 'p_values' must be a list of numbers"),
+    "critical_n_n_one": (["replicate", "critical-n", "--config"],
+                         _config("critical-n", n=1),
+                         "critical-n params 'n' must be at least 2, not 1"),
+    "critical_n_N_max_zero": (["replicate", "critical-n", "--config"],
+                              _config("critical-n", N_max=0),
+                              "critical-n params 'N_max' must be at least 1, not 0"),
+    "critical_n_n_max_option_zero": (["critical-n", "--n-max", "0", "--mixture-spec"],
+                                     {"format": 1, "n": 200, "p_values": [0.75, 0.85]},
+                                     "critical-n params 'N_max' must be at least 1, "
+                                     "not 0"),
+    "critical_n_repetitions_zero": (["replicate", "critical-n", "--config"],
+                                    _config("critical-n", repetitions=0),
+                                    "critical-n params 'repetitions' must be at "
+                                    "least 1, not 0"),
+    "critical_n_subcritical_zero": (["replicate", "critical-n", "--config"],
+                                    _config("critical-n", subcritical=0),
+                                    "critical-n params 'subcritical' must be at "
+                                    "least 1, not 0"),
+    "critical_n_supercritical_negative": (["replicate", "critical-n", "--config"],
+                                          _config("critical-n", supercritical=-3),
+                                          "critical-n params 'supercritical' must be "
+                                          "at least 1, not -3"),
+    "critical_n_p_values_empty": (["replicate", "critical-n", "--config"],
+                                  _config("critical-n", p_values=[]),
+                                  "critical-n params 'p_values' must not be empty"),
     "centers_2d": (["replicate", "recoverability", "--config"],
                    _config("recoverability", centers=[[0.85], [0.575]]),
                    "recoverability params 'centers' must be a list of numbers"),

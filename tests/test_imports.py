@@ -9,10 +9,14 @@ somewhere in the package, or it is dead code.  No module may reach an
 underscore-prefixed numpy or scipy module or name: those are not API and
 change between releases without notice.
 
+One module, and one only, imports ``multiprocessing`` or
+``concurrent.futures``: ``moments``, whose ``ForkPool`` is the package's one
+way to run work in other processes.
+
 Importing the package must not import ``scipy.stats``, which would be most of
 its import time; only the ``gauss`` law needs it, and imports it itself.  Nor
 may it import ``multiprocessing`` or an executor of ``concurrent.futures``:
-only ``compute_moments`` starts a pool, and imports them when it does.  (The
+only a ``ForkPool`` with workers imports them, when it starts.  (The
 ``concurrent.futures`` package itself is loaded by ``scipy.sparse``, through
 ``numpy.testing``, so only its executors are checked.)  A fresh interpreter
 checks both.
@@ -159,6 +163,46 @@ def test_finds_a_private_library_use():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_private_numpy_or_scipy_use(path):
     assert private_library_uses(path.read_text(encoding="utf-8")) == []
+
+
+POOLS = ("multiprocessing", "concurrent.futures")
+
+
+def pool_imports(source: str) -> list[str]:
+    """Imports in ``source`` of ``multiprocessing``, ``concurrent.futures``
+    or a module of either, at any depth of the syntax tree."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths = [node.module]
+        else:
+            continue
+        found += [f"{path} (line {node.lineno})" for path in paths
+                  if any(path == pool or path.startswith(pool + ".")
+                         for pool in POOLS)]
+    return found
+
+
+def test_finds_a_pool_import():
+    src = ("import os\n"
+           "def f():\n"
+           "    import multiprocessing\n"
+           "    from multiprocessing.pool import ExceptionWithTraceback\n"
+           "    from concurrent.futures import ProcessPoolExecutor\n"
+           "    import concurrent.futures.thread as t\n"
+           "from .multiprocessing import x\n"
+           "import multiprocessing_tools\n")
+    assert pool_imports(src) == [
+        "multiprocessing (line 3)", "multiprocessing.pool (line 4)",
+        "concurrent.futures (line 5)", "concurrent.futures.thread (line 6)"]
+
+
+def test_one_module_runs_work_in_other_processes():
+    importers = {p.name: pool_imports(p.read_text(encoding="utf-8"))
+                 for p in PACKAGE}
+    assert [name for name, found in importers.items() if found] == ["moments.py"]
 
 
 def run_fresh(code: str) -> str:

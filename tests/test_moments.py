@@ -1,6 +1,7 @@
 """Corpus moments, the total-variance identity, and regime classification."""
 
 import contextlib
+import json
 import multiprocessing
 import os
 import tracemalloc
@@ -28,7 +29,9 @@ from rpsbm import (
     spectrum,
     UniformProductLaw,
 )
+from rpsbm import replicate
 from rpsbm.moments import LARGE, MEDIUM, SMALL, moments_report
+from rpsbm.replicate import run_scenario
 
 
 def table_moments(lam, cov, rho, N, n):
@@ -204,8 +207,9 @@ class TestStream:
 
 @contextlib.contextmanager
 def on_cpus(count):
-    """Context in which ``compute_moments`` sees ``count`` usable CPUs: one
-    keeps every row in this process, two map them over a pool of two."""
+    """Context in which the package sees ``count`` usable CPUs: one keeps
+    every row of ``compute_moments`` and critical-n's search in this
+    process, two map the rows over a pool of two and fork the search."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
         yield
@@ -253,6 +257,55 @@ class TestPool:
         model = SbmParams(0.5, [0.5, 0.5], [0.8, 0.6], 0.1)
         with on_cpus(2):
             compute_moments(iter_corpus(model, 40, 4, 0), 2)
+        assert multiprocessing.active_children() == []
+
+
+# small enough for a test, large enough that the search crosses
+CRITICAL = {"n": 200, "N_max": 200, "repetitions": 2, "supercritical": 30}
+
+
+class TestBackgroundSearch:
+    """critical-n's search runs in a forked worker beside the curves on two
+    CPUs, and in this process on one; the caller cannot tell them apart."""
+
+    def test_result_does_not_depend_on_the_cpu_count(self):
+        results = []
+        for cpus in (1, 2):
+            with on_cpus(cpus):
+                result = run_scenario("critical-n", 3, CRITICAL)
+            assert multiprocessing.active_children() == []
+            results.append(json.dumps(result, default=np.ndarray.tolist))
+        assert results[0] == results[1]
+
+    def test_search_error_and_warnings_reach_the_caller(self):
+        # p = 0 never crosses: every draw is empty and warns.  It also makes
+        # f_true's sd zero, so the curves warn of a divide by zero; every
+        # warning is recorded, and both CPU counts must show the same ones.
+        params = {"n": 60, "omega": 0.5, "p_values": [0.0], "N_max": 6,
+                  "repetitions": 1, "subcritical": 2, "supercritical": 3}
+        caught = []
+        for cpus in (1, 2):
+            with on_cpus(cpus), warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError) as info:
+                    run_scenario("critical-n", 0, params)
+            assert type(info.value) is ValueError
+            assert str(info.value) == "condition never violated up to N_max=6"
+            # the worker's traceback is the cause of an error raised there
+            assert (info.value.__cause__ is not None) == (cpus == 2)
+            assert multiprocessing.active_children() == []
+            caught.append([(w.category, str(w.message)) for w in rec])
+        assert caught[0] == caught[1]
+        empty = (UserWarning, "empty graph: p_hat set to 0")
+        assert caught[1].count(empty) == 2 + 3 + 6
+
+    def test_no_worker_outlives_a_failing_curve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("curve failed")
+
+        monkeypatch.setattr(replicate, "run_er_mixture_pipeline", fail)
+        with on_cpus(2), pytest.raises(RuntimeError, match="curve failed"):
+            run_scenario("critical-n", 0, CRITICAL)
         assert multiprocessing.active_children() == []
 
 
