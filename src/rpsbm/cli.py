@@ -32,9 +32,9 @@ from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_param
 from .geometry import cluster_by_community_count, detect_geometry
 from .models import (LAWS, LazyCorpus, _read, load_model, model_to_dict,
                      sample_corpus)
-from .moments import classify_regimes, compute_moments, moments_report
+from .moments import _rows, classify_regimes, compute_moments, moments_report
 from .replicate import SCENARIOS, run_scenario
-from .spectral import Graph, density, load_edgelist, save_edgelist, spectrum
+from .spectral import Graph, load_edgelist, save_edgelist
 
 click.UsageError.exit_code = 1  # spec: validation errors exit 1
 
@@ -193,11 +193,14 @@ def sample(seed, model_path, n, count):
 @click.option("--corpus", "corpus_dir", required=True, help="Corpus directory.")
 @click.option("-c", "trunc", type=int, required=True, help="Truncation order.")
 def spectra(seed, corpus_dir, trunc):
-    """Top-c eigenvalues and density of every corpus graph (CSV)."""
-    rows = [{"graph": k,
-             **{f"lambda{i+1}": v for i, v in enumerate(spectrum(g, trunc).values)},
-             "density": density(g)}
-            for k, g in enumerate(_load_corpus(corpus_dir))]
+    """Top-c eigenvalues and density of every corpus graph (CSV), computed
+    on every usable CPU; graph sizes may differ."""
+    rows = []
+    for k, (n, values, rho) in enumerate(_rows(_load_corpus(corpus_dir), trunc)):
+        if values is None:
+            raise ValueError(f"truncation order must satisfy 1 <= c <= {n}")
+        rows.append({"graph": k, **{f"lambda{i+1}": v for i, v in enumerate(values)},
+                     "density": rho})
     return {"spectra.csv": rows}, {"corpus": corpus_dir, "c": trunc}, seed
 
 

@@ -5,14 +5,18 @@ the sample Frechet mean graph (the two agree for large n), which makes the
 sample total Frechet variance equal to trace of the eigenvalue covariance --
 an exact identity under the proxy mean, tested as such.
 
-``ForkPool`` is the package's one way to run work in other processes: the
-graphs of ``compute_moments`` and critical-n's sample-size search
-(``replicate.run_critical_n``) both go through it.
+``ForkPool`` is the package's one way to run work in other processes: it
+forks them itself and reads each one's results from a pipe.  The graphs of
+``compute_moments`` (and of the CLI's ``spectra``) and critical-n's
+sample-size search (``replicate.run_critical_n``) go through it.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import traceback
 import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -82,38 +86,34 @@ def _row(g: Graph, c: int):
     return g.n, spectrum(g, c).values, density(g)
 
 
-_TASK = None  # the function of a fork pool; set only in its workers, as they start
+_in_worker = False  # set in a ForkPool worker, whose own pools run inline
 
 
-def _share(fn) -> None:
-    global _TASK
-    _TASK = fn
+class _WorkerTraceback(Exception):
+    """A worker's formatted traceback: the cause of the error it raised."""
 
 
-def _call(args: tuple):
-    """``_TASK(*args)``, or the exception it raised, with the warnings it
-    issued."""
+def _call(fn, args: tuple):
+    """``fn(*args)``, or the exception it raised and its formatted
+    traceback, with the warnings it issued."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = _TASK(*args)
+            done = fn(*args), None
         except Exception as exc:  # raised in the parent, when collected
-            from multiprocessing.pool import ExceptionWithTraceback
-
-            # unpickles as exc, with this traceback as its __cause__
-            result = ExceptionWithTraceback(exc, exc.__traceback__)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            done = None, (exc, "".join(traceback.format_exception(exc)))
+    return *done, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _collect(done, registry: dict):
     """Issue a task's warnings again here, then return its result or raise
-    its exception."""
-    result, caught = done
+    its exception, with the worker's traceback as its cause."""
+    result, error, caught = done
     for message, category, filename, lineno in caught:
         warnings.warn_explicit(message, category, filename, lineno,
                                registry=registry)
-    if isinstance(result, Exception):
-        raise result
+    if error is not None:
+        raise error[0] from _WorkerTraceback(error[1])
     return result
 
 
@@ -124,72 +124,102 @@ def usable_cpus() -> int:
 
 
 class ForkPool:
-    """Calls of one function ``fn`` on ``workers`` forked processes, or in
-    this process.
+    """Calls of one function ``fn`` on up to ``workers`` forked processes,
+    or in this process.
 
-    ``map(items)`` returns ``[fn(x) for x in items]`` and waits for all of
-    them; ``submit(*args)`` starts ``fn(*args)`` and returns a callable that
-    waits for it and returns its result.  ``fn`` reaches the workers by fork
-    inheritance and is never pickled, so it may be a closure over a lazy
-    corpus or a wrapper installed by a profiler; only arguments and results
-    cross the pipe.  A task's warnings are issued again in this process, in
-    the order the task issued them, and its exception is raised here, with
-    the worker's traceback as its cause, when its result is collected.
-
-    With fewer than one worker, inside a daemonic process (such as a pool
-    worker) and where fork is not offered, every call runs in this process:
-    ``map`` at once, a submitted call when it is collected, so warnings come
-    and errors are raised in the same order either way.  Used as a context
-    manager; leaving it stops and joins every worker, also on an error.
+    ``map(items)`` returns ``[fn(x) for x in items]``; worker w of k =
+    min(workers, len(items)) computes ``items[w::k]`` as this process waits.
+    ``submit(*args)`` forks one worker for ``fn(*args)`` and returns a
+    callable that waits for its result.  Workers inherit ``fn`` by
+    ``os.fork`` (spawn or forkserver would re-import the package, about
+    0.45 s, and could not inherit a closure), pickle their results to a pipe
+    and leave through ``os._exit``.  Their warnings, and the first error
+    with the worker's traceback as its cause, come here in item order; a
+    worker that ends without results raises ``ChildProcessError`` naming it
+    and its exit status or signal.  With fewer than one worker, in a worker
+    and without ``os.fork``, ``map`` runs here at once and a submitted call
+    when collected.  Leaving the ``with`` block kills and reaps every worker
+    not yet collected.  On Python >= 3.12, forking while BLAS threads run
+    issues a ``DeprecationWarning``.
     """
 
     def __init__(self, fn, workers: int):
-        self._fn, self._pool = fn, None
-        if workers < 1:
-            return
-        import multiprocessing  # off the import path: only a pool needs it
-
-        if (multiprocessing.current_process().daemon
-                or "fork" not in multiprocessing.get_all_start_methods()):
-            return
-        # fork, named: a spawned or forkserver worker (the default from
-        # Python 3.14) re-imports the package, about 0.45 s, and could not
-        # inherit fn.  Python >= 3.12 warns when a process that runs BLAS
-        # threads forks; the workers start before the pool's own threads.
-        self._pool = multiprocessing.get_context("fork").Pool(
-            workers, _share, (fn,))
+        self._fn, self._running = fn, {}  # pid -> read end of its pipe
+        self._workers = workers if hasattr(os, "fork") and not _in_worker else 0
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        if self._pool is not None:
-            self._pool.terminate()  # stops and joins the workers
+        for pid, pipe in self._running.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        self._running.clear()
+
+    def _start(self, tasks: list) -> int:
+        """Fork a worker that pipes ``_call`` of ``fn`` on each of ``tasks``."""
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:  # leaves through os._exit: no caller cleanup or atexit
+            global _in_worker
+            _in_worker = True
+            try:
+                with open(write, "wb") as pipe:
+                    pipe.write(pickle.dumps([_call(self._fn, a) for a in tasks]))
+            except BaseException:  # such as a result that cannot be pickled
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+        os.close(write)
+        self._running[pid] = open(read, "rb")
+        return pid
+
+    def _join(self, pid: int, worker: int) -> list:
+        """What worker number ``worker`` wrote, once it has exited."""
+        with self._running[pid] as pipe:
+            done = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del self._running[pid]
+        if code:
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with status {code}")
+            raise ChildProcessError(f"fork pool worker {worker} (pid {pid}) "
+                                    f"{how} without returning its results")
+        return pickle.loads(done)
 
     def map(self, items) -> list:
-        if self._pool is None:
-            return list(map(self._fn, items))  # map drops each item once done
+        items = list(items)
+        k = min(self._workers, len(items))
+        if k < 1:
+            return list(map(self._fn, items))
+        try:
+            pids = [self._start([(x,) for x in items[w::k]]) for w in range(k)]
+            shares = [self._join(pid, w) for w, pid in enumerate(pids)]
+        finally:
+            self.__exit__()
         registry = {}  # a repeated warning shows once, as inline
-        return [_collect(done, registry)
-                for done in self._pool.map(_call, [(x,) for x in items])]
+        return [_collect(shares[i % k][i // k], registry) for i in range(len(items))]
 
     def submit(self, *args):
-        if self._pool is None:
+        if self._workers < 1:
             return lambda: self._fn(*args)
-        pending = self._pool.apply_async(_call, (args,))
-        return lambda: _collect(pending.get(), {})
+        pid = self._start([args])
+        return lambda: _collect(self._join(pid, 0)[0], {})
 
 
 def _rows(corpus: Iterable[Graph], c: int) -> list:
     """``_row`` of every graph, in graph order.
 
-    A sized, indexable corpus is mapped over graph indices by a
-    ``ForkPool`` of one worker per usable CPU, at most one per graph: this
-    process waits meanwhile.  Each worker reads item k of the corpus it
-    inherited, so a lazy corpus draws or loads graph k in the worker, and
-    only rows come back.  The rows are computed inline, one graph at a time,
-    for any other iterable and with fewer than two workers.  The pool lives
-    for this call only.
+    A sized, indexable corpus is mapped over graph indices by a ``ForkPool``
+    of one worker per usable CPU, at most one per graph: a worker reads item
+    k itself, so a lazy corpus draws or loads graph k there, and only rows
+    come back.  Any other iterable, and fewer than two workers, run inline.
     """
     workers = min(usable_cpus(), len(corpus)) if isinstance(corpus, Sequence) else 1
     if workers < 2:
@@ -208,9 +238,8 @@ def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
     and the table is the same whatever the number of workers.  Any other
     iterable is read inline, one graph at a time.  Only each graph's row is
     kept, so with a lazy corpus neither path holds more than the graphs it
-    is reducing, one per worker.  An
-    empty corpus, mixed graph sizes and c > n raise ``ValueError``; a graph
-    with c > n is not reduced.
+    is reducing, one per worker.  An empty corpus, mixed graph sizes and
+    c > n raise ``ValueError``; a graph with c > n is not reduced.
     """
     rows = _rows(corpus, c)
     if not rows:

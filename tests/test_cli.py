@@ -104,6 +104,26 @@ class TestSpectraRoundTrip:
             assert float(l2) == pytest.approx(vals[1], abs=1e-12)
             assert float(dens) == pytest.approx(density(g), abs=1e-12)
 
+    def test_mixed_sizes_on_one_and_two_cpus(self, runner, tmp_path, monkeypatch):
+        # the rows come from the pooled row function of compute_moments,
+        # which takes graphs of any size; one or two workers write one table
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        graphs = [Graph.path(7), Graph.complete(5), Graph.path(9)]
+        for k, g in enumerate(graphs):
+            save_edgelist(g, corpus / f"graph_{k:04d}.txt")
+        expected = ["graph,lambda1,lambda2,density"] + [
+            ",".join([str(k), *(format(v, ".17g") for v in spectrum(g, 2).values),
+                      format(density(g), ".17g")])
+            for k, g in enumerate(graphs)]
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+            out = tmp_path / f"out{cpus}"
+            r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "2",
+                                     "--out", str(out)])
+            assert r.exit_code == 0, r.output
+            assert (out / "spectra.csv").read_text().splitlines() == expected
+
     def test_failure_leaves_no_table(self, runner, tmp_path):
         # the n = 5 graph can take c = 4, the n = 3 one cannot
         corpus = tmp_path / "corpus"

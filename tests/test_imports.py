@@ -9,17 +9,19 @@ somewhere in the package, or it is dead code.  No module may reach an
 underscore-prefixed numpy or scipy module or name: those are not API and
 change between releases without notice.
 
-One module, and one only, imports ``multiprocessing`` or
-``concurrent.futures``: ``moments``, whose ``ForkPool`` is the package's one
-way to run work in other processes.
+One module, and one only, starts other processes: ``moments``, whose
+``ForkPool`` is the package's one way to run work in them.  It calls
+``os.fork``; no other module may call ``os.fork``, ``os.forkpty`` or
+``os.posix_spawn*``, or import ``multiprocessing``, ``concurrent.futures`` or
+``subprocess``.
 
 Importing the package must not import ``scipy.stats``, which would be most of
 its import time; only the ``gauss`` law needs it, and imports it itself.  Nor
-may it import ``multiprocessing`` or an executor of ``concurrent.futures``:
-only a ``ForkPool`` with workers imports them, when it starts.  (The
-``concurrent.futures`` package itself is loaded by ``scipy.sparse``, through
-``numpy.testing``, so only its executors are checked.)  A fresh interpreter
-checks both.
+may it import ``multiprocessing`` or an executor of ``concurrent.futures``,
+and a ``ForkPool`` that forks workers must not import ``multiprocessing``
+either.  (The ``concurrent.futures`` package itself is loaded by
+``scipy.sparse``, through ``numpy.testing``, so only its executors are
+checked.)  A fresh interpreter checks each.
 """
 
 import ast
@@ -165,24 +167,36 @@ def test_no_private_numpy_or_scipy_use(path):
     assert private_library_uses(path.read_text(encoding="utf-8")) == []
 
 
-POOLS = ("multiprocessing", "concurrent.futures")
+POOLS = ("multiprocessing", "concurrent.futures", "subprocess")
+
+
+def _starts_processes(path: str) -> bool:
+    """Whether the dotted ``path`` is one of ``POOLS`` or a module of one, or
+    one of ``os.fork``, ``os.forkpty`` and ``os.posix_spawn*``."""
+    return (any(path == pool or path.startswith(pool + ".") for pool in POOLS)
+            or path in ("os.fork", "os.forkpty") or path.startswith("os.posix_spawn"))
 
 
 def pool_imports(source: str) -> list[str]:
-    """Imports in ``source`` of ``multiprocessing``, ``concurrent.futures``
-    or a module of either, at any depth of the syntax tree."""
+    """Imports in ``source`` of ``multiprocessing``, ``concurrent.futures``,
+    ``subprocess`` or a module of one, and uses of ``os.fork``,
+    ``os.forkpty`` and ``os.posix_spawn*``, by attribute or import, at any
+    depth of the syntax tree, in line order."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             paths = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            paths = [node.module]
+            paths = [node.module] + [f"{node.module}.{alias.name}"
+                                     for alias in node.names if node.module == "os"]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os"):
+            paths = [f"os.{node.attr}"]
         else:
             continue
-        found += [f"{path} (line {node.lineno})" for path in paths
-                  if any(path == pool or path.startswith(pool + ".")
-                         for pool in POOLS)]
-    return found
+        found += [(node.lineno, node.col_offset, path) for path in paths
+                  if _starts_processes(path)]
+    return [f"{path} (line {line})" for line, _, path in sorted(found)]
 
 
 def test_finds_a_pool_import():
@@ -193,10 +207,18 @@ def test_finds_a_pool_import():
            "    from concurrent.futures import ProcessPoolExecutor\n"
            "    import concurrent.futures.thread as t\n"
            "from .multiprocessing import x\n"
-           "import multiprocessing_tools\n")
+           "import multiprocessing_tools\n"
+           "import subprocess\n"
+           "def g():\n"
+           "    return os.fork() or os.forkpty()\n"
+           "from os import posix_spawnp, getpid\n"
+           "spawn, forked, pid = os.posix_spawn, os.forked, os.getpid()\n"
+           "has_fork = hasattr(os, 'fork')\n")
     assert pool_imports(src) == [
         "multiprocessing (line 3)", "multiprocessing.pool (line 4)",
-        "concurrent.futures (line 5)", "concurrent.futures.thread (line 6)"]
+        "concurrent.futures (line 5)", "concurrent.futures.thread (line 6)",
+        "subprocess (line 9)", "os.fork (line 11)", "os.forkpty (line 11)",
+        "os.posix_spawnp (line 12)", "os.posix_spawn (line 13)"]
 
 
 def test_one_module_runs_work_in_other_processes():
@@ -227,6 +249,20 @@ def test_package_import_leaves_out_process_pools():
     out = run_fresh(f"import rpsbm, rpsbm.cli\n"
                     f"print([m for m in {pools!r} if m in sys.modules])")
     assert out.split() == ["[]"]
+
+
+def test_pool_on_two_cpus_leaves_out_multiprocessing():
+    # forks are counted, so the check cannot pass because the rows were
+    # computed inline
+    out = run_fresh(
+        "import os\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+        "import rpsbm\n"
+        "rpsbm.compute_moments([rpsbm.Graph.complete(6)] * 2, 2)\n"
+        "print(len(forks), 'multiprocessing' in sys.modules)")
+    assert out.split() == ["2", "False"]
 
 
 def test_gauss_law_builds_and_draws_in_a_fresh_process():

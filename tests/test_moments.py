@@ -2,7 +2,6 @@
 
 import contextlib
 import json
-import multiprocessing
 import os
 import tracemalloc
 import warnings
@@ -30,8 +29,9 @@ from rpsbm import (
     UniformProductLaw,
 )
 from rpsbm import replicate
-from rpsbm.moments import LARGE, MEDIUM, SMALL, moments_report
+from rpsbm.moments import LARGE, MEDIUM, SMALL, ForkPool, moments_report
 from rpsbm.replicate import run_scenario
+from test_imports import run_fresh
 
 
 def table_moments(lam, cov, rho, N, n):
@@ -205,6 +205,12 @@ class TestStream:
         assert peak < 3 * largest
 
 
+def assert_no_child_process():
+    """This process has no child process at all, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextlib.contextmanager
 def on_cpus(count):
     """Context in which the package sees ``count`` usable CPUs: one keeps
@@ -241,7 +247,7 @@ class TestPool:
                     compute_moments(corpus, c)
                 assert type(info.value) is ValueError
                 assert str(info.value) == message
-                assert multiprocessing.active_children() == []
+                assert_no_child_process()
 
     def test_worker_warnings_reach_the_caller(self):
         clamped = RpsbmModel(omega=1.0, law=DiracLaw([1.5]), epsilon=0.0, s=[1.0])
@@ -257,7 +263,55 @@ class TestPool:
         model = SbmParams(0.5, [0.5, 0.5], [0.8, 0.6], 0.1)
         with on_cpus(2):
             compute_moments(iter_corpus(model, 40, 4, 0), 2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
+
+    def test_a_worker_runs_its_own_pools_inline(self):
+        def inner_pid(_):
+            with ForkPool(lambda _: os.getpid(), 2) as inner:
+                return inner.map(range(2)), os.getpid()
+
+        with ForkPool(inner_pid, 2) as pool:
+            done = pool.map(range(2))
+        assert [pids for pids, _ in done] == [[pid, pid] for _, pid in done]
+        assert len({pid for _, pid in done} | {os.getpid()}) == 3
+        assert_no_child_process()
+
+    def test_dead_and_abandoned_workers_leave_no_child(self):
+        # in a fresh interpreter, so that a pool that waits forever for a
+        # dead or endless worker fails on run_fresh's timeout instead of
+        # hanging
+        out = run_fresh(
+            "import os, re, signal, time\n"
+            "from rpsbm.moments import ForkPool\n"
+            "def die_at(k):\n"
+            "    def fn(x):\n"
+            "        if x == k:\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer\n"
+            "        return x\n"
+            "    return fn\n"
+            "calls = [lambda: ForkPool(die_at(1), 2).map(range(4)),\n"
+            "         lambda: ForkPool(die_at(0), 2).map(range(4)),\n"
+            "         lambda: ForkPool(os._exit, 1).submit(3)()]\n"
+            "def abandon():\n"
+            "    with ForkPool(time.sleep, 1) as pool:\n"
+            "        pool.submit(300)  # left uncollected: killed on leaving\n"
+            "    print('left')\n"
+            "calls.append(abandon)\n"
+            "for call in calls:\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ChildProcessError as exc:\n"
+            "        print(re.sub(r'pid \\d+', 'pid PID', str(exc)))\n"
+            "    try:\n"
+            "        print(os.waitpid(-1, os.WNOHANG))\n"
+            "    except ChildProcessError:\n"
+            "        print('no child')\n")
+        tail = "without returning its results"
+        assert out.splitlines() == [
+            f"fork pool worker 1 (pid PID) was killed by SIGKILL {tail}", "no child",
+            f"fork pool worker 0 (pid PID) was killed by SIGKILL {tail}", "no child",
+            f"fork pool worker 0 (pid PID) exited with status 3 {tail}", "no child",
+            "left", "no child"]
 
 
 # small enough for a test, large enough that the search crosses
@@ -273,7 +327,7 @@ class TestBackgroundSearch:
         for cpus in (1, 2):
             with on_cpus(cpus):
                 result = run_scenario("critical-n", 3, CRITICAL)
-            assert multiprocessing.active_children() == []
+            assert_no_child_process()
             results.append(json.dumps(result, default=np.ndarray.tolist))
         assert results[0] == results[1]
 
@@ -293,7 +347,7 @@ class TestBackgroundSearch:
             assert str(info.value) == "condition never violated up to N_max=6"
             # the worker's traceback is the cause of an error raised there
             assert (info.value.__cause__ is not None) == (cpus == 2)
-            assert multiprocessing.active_children() == []
+            assert_no_child_process()
             caught.append([(w.category, str(w.message)) for w in rec])
         assert caught[0] == caught[1]
         empty = (UserWarning, "empty graph: p_hat set to 0")
@@ -306,7 +360,7 @@ class TestBackgroundSearch:
         monkeypatch.setattr(replicate, "run_er_mixture_pipeline", fail)
         with on_cpus(2), pytest.raises(RuntimeError, match="curve failed"):
             run_scenario("critical-n", 0, CRITICAL)
-        assert multiprocessing.active_children() == []
+        assert_no_child_process()
 
 
 class TestTotalVariance:
