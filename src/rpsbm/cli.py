@@ -10,8 +10,8 @@ for a fixed seed.  Exit codes: 0 success, 1 I/O or validation failure, 2
 infeasibility (small-variance regime or geometry violations); the wrapper
 maps exceptions to them.
 
-Only ``replicate`` takes --config, its experiment config.  Every JSON input
-(model spec, experiment config, mixture spec) is read by ``models._read``, so
+Only ``replicate`` takes --config, its experiment config.  Both JSON inputs
+(the model spec and the experiment config) are read by ``models._read``, so
 an unknown or missing key, or a value of the wrong kind, exits 1 naming it.
 """
 
@@ -32,7 +32,7 @@ from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_param
 from .geometry import cluster_by_community_count, detect_geometry
 from .models import (LAWS, LazyCorpus, _read, load_model, model_to_dict,
                      sample_corpus)
-from .moments import _rows, classify_regimes, compute_moments, moments_report
+from .moments import _rows, compute_moments, moments_report
 from .replicate import SCENARIOS, run_scenario
 from .spectral import Graph, load_edgelist, save_edgelist
 
@@ -62,11 +62,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _config_hash(path: str | None, fallback: dict) -> str:
@@ -123,11 +118,6 @@ def _write(path: Path, payload) -> None:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         _write_json(path, payload)
-
-
-def _scenario_files(result: dict, report_name: str) -> dict:
-    """A scenario runner's tables and its report, by file name."""
-    return {**result["tables"], report_name: {"format": 1, **result["report"]}}
 
 
 @click.group()
@@ -214,21 +204,6 @@ def moments(seed, corpus_dir, trunc):
             {"corpus": corpus_dir, "c": trunc}, seed)
 
 
-@command
-@click.option("--corpus", "corpus_dir", required=True)
-@click.option("-c", "trunc", type=int, required=True)
-def regimes(seed, corpus_dir, trunc):
-    """Variance-regime report per eigenvalue index."""
-    rep = classify_regimes(compute_moments(_load_corpus(corpus_dir), trunc))
-    payload = {
-        "format": 1,
-        "regimes": list(rep.regimes),
-        "diagnostic": rep.diagnostic,
-        "ratio": rep.ratio,
-    }
-    return {"regimes.json": payload}, {"corpus": corpus_dir, "c": trunc}, seed
-
-
 def _geometry_s(corpus, trunc):
     """Average geometry vector over graphs whose detected count equals c."""
     estimates = [detect_geometry(g) for g in corpus]
@@ -311,24 +286,6 @@ def geometry(seed, corpus_dir):
 
 
 @command
-@click.option("--mixture-spec", "spec_path", required=True,
-              help="JSON with n, omega, p_values.")
-@click.option("--n-max", type=int, required=True)
-def critical_n(seed, spec_path, n_max):
-    """Critical corpus size for the ER-mixture bandwidth condition."""
-    spec = _load_json(spec_path)
-    params = _read("mixture spec", spec, format=int, n=int, p_values=list,
-                   omega=(float, None))
-    if params.pop("format") != 1:
-        raise ValueError("unsupported mixture spec format")
-    if params["omega"] is None:
-        del params["omega"]
-    result = run_scenario("critical-n", seed, {**params, "N_max": n_max})
-    return (_scenario_files(result, "critical_n.json"),
-            {"mixture_spec": spec, "n_max": n_max}, seed)
-
-
-@command
 @click.option("--file", "contact_file", required=True, help="Contact stream file.")
 @click.option("--window", type=int, default=2700, show_default=True)
 @click.option("--step", type=int, default=20, show_default=True)
@@ -348,15 +305,16 @@ def replicate(seed, scenario, config):
     """Run a full benchmark scenario and emit its error tables."""
     params = {}
     if config is not None:
-        cfg = _read("config", _load_json(config), format=int, scenario=str,
-                    seed=(int, seed), params=(dict, {}))
+        cfg = _read("config", json.loads(Path(config).read_text(encoding="utf-8")),
+                    format=int, scenario=str, seed=(int, seed), params=(dict, {}))
         if cfg["format"] != 1:
             raise ValueError("unsupported config format")
         if cfg["scenario"] != scenario:
             raise ValueError(f"config is for scenario {cfg['scenario']!r}, "
                              f"not {scenario!r}")
         seed, params = cfg["seed"], cfg["params"]
-    return (_scenario_files(run_scenario(scenario, seed, params), "report.json"),
+    result = run_scenario(scenario, seed, params)
+    return ({**result["tables"], "report.json": {"format": 1, **result["report"]}},
             {"scenario": scenario, "params": params}, seed)
 
 

@@ -51,11 +51,14 @@ def load_contacts(path) -> ContactStream:
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            if len(parts) < 3:
-                raise ValueError(f"{path}:{lineno}: expected 't i j'")
+            try:
+                if len(parts) < 3:
+                    raise ValueError("expected 't i j'")
+                t, i, j = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(parts) > 3:
                 extra_seen = True
-            t, i, j = int(parts[0]), int(parts[1]), int(parts[2])
             if i == j:
                 dropped += 1
                 continue

@@ -376,7 +376,6 @@ class CurveTable:
     f_hat: np.ndarray
     f_silverman: np.ndarray
     p_hat: np.ndarray
-    h_N: float
 
 
 def _normal_mixture(z, means, sds):
@@ -422,5 +421,4 @@ def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
         f_hat=_normal_mixture(z, hat_means, hat_sds),
         f_silverman=_normal_mixture(z, hat_means, silver_sd),
         p_hat=p_hat,
-        h_N=h_N,
     )

@@ -314,7 +314,8 @@ def classify_regimes(m: SampleMoments, s=None) -> RegimeReport:
 
 def moments_report(m: SampleMoments) -> dict:
     """JSON-ready moments report with regime classification at equal
-    block sizes."""
+    block sizes; ``regime_ratio`` is ``RegimeReport.ratio``, with null where
+    it is infinite (a zero variance), so the report stays strict JSON."""
     reg = classify_regimes(m)
     return {
         "format": 1,
@@ -326,4 +327,5 @@ def moments_report(m: SampleMoments) -> dict:
         "c": m.c,
         "regimes": list(reg.regimes),
         "regime_diagnostic": reg.diagnostic.tolist(),
+        "regime_ratio": [r if np.isfinite(r) else None for r in reg.ratio.tolist()],
     }

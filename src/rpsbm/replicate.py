@@ -16,7 +16,7 @@ that the runner does not read, or a value not of its kind, is an error:
     mixture-beta    N, n: int; omega, q: float; s, p_values: list
     critical-n      n, N_max, repetitions, subcritical, supercritical: int
                     (n at least 2, the others at least 1); omega: float;
-                    p_values: list (not empty)
+                    p_values: list (not empty, each entry in (0, 1/omega])
     contacts        file: str (required); window, step, resample,
                     min_cluster: int
 
@@ -180,6 +180,9 @@ def run_critical_n(seed: int, params: dict) -> dict:
     if not p_values.size:
         raise ValueError("critical-n params 'p_values' must not be empty")
     omega = 2.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
+    if p_values.min() <= 0 or omega * p_values.max() > 1 + 1e-12:
+        raise ValueError(f"critical-n params 'p_values' must lie in (0, 1/omega] "
+                         f"at omega = {omega:g}, not {p_values.tolist()}")
     with ForkPool(lambda: critical_sample_size(
             p_values, n, omega, p["N_max"], seed=seed,
             repetitions=p["repetitions"]), usable_cpus() - 1) as pool:

@@ -269,15 +269,20 @@ def load_edgelist(path: str | os.PathLike) -> Graph:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "n":
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'n <count>'")
-                n_header = int(parts[1])
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected two node ids")
-            i, j = int(parts[0]), int(parts[1])
-            pairs.append((i, j))
+            try:
+                if parts[0] == "n":
+                    if len(parts) != 2:
+                        raise ValueError("expected 'n <count>'")
+                    n_header = int(parts[1])
+                elif len(parts) < 2:
+                    raise ValueError("expected two node ids")
+                else:
+                    pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n = n_header if n_header is not None else (int(arr.max()) + 1 if arr.size else 1)
-    return Graph(n, arr)
+    try:
+        return Graph(n, arr)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -156,15 +156,22 @@ class TestMomentsAndRegimes:
         payload = json.loads((out / "moments.json").read_text())
         assert payload["format"] == 1
         assert len(payload["lambda_bar"]) == 2
-
-    def test_regimes_json(self, runner, tmp_path):
-        corpus_dir = make_corpus_dir(tmp_path)
-        out = tmp_path / "r"
-        r = runner.invoke(main, ["regimes", "--corpus", str(corpus_dir),
-                                 "-c", "2", "--out", str(out)])
-        assert r.exit_code == 0
-        payload = json.loads((out / "regimes.json").read_text())
         assert set(payload["regimes"]) <= {"small", "medium", "large"}
+
+    def test_one_graph_report_is_strict_json(self, runner, tmp_path):
+        # one graph has zero variance, so each regime ratio is infinite
+        corpus_dir = make_corpus_dir(tmp_path, count=1)
+        out = tmp_path / "m"
+        r = runner.invoke(main, ["moments", "--corpus", str(corpus_dir),
+                                 "-c", "2", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads((out / "moments.json").read_text(),
+                             parse_constant=reject)
+        assert payload["regime_ratio"] == [None, None]
 
 
 class TestFit:
@@ -446,40 +453,18 @@ class TestReplicateScenarios:
             assert fit["members"] == report["clusters"][count]
             assert len(fit["lambda_bar"]) == int(count)
 
-    def test_critical_n_command_matches_replicate(self, runner, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"format": 1, "n": 200,
-                                    "p_values": [0.75, 0.85]}))
-        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
-                                 "--n-max", "200", "--seed", "4",
-                                 "--out", str(tmp_path / "cmd")])
-        assert r.exit_code == 0, r.output
-        cfg = write_config(tmp_path / "cfg.json", "critical-n", 4,
-                           {"n": 200, "p_values": [0.75, 0.85], "N_max": 200})
-        r = runner.invoke(main, ["replicate", "critical-n", "--config", str(cfg),
-                                 "--out", str(tmp_path / "rep")])
-        assert r.exit_code == 0, r.output
-        cmd, rep = read_bytes(tmp_path / "cmd"), read_bytes(tmp_path / "rep")
-        manifest = json.loads(cmd["manifest.json"])
-        assert manifest["outputs"] == ["critical_n.json"] + CURVES
-        assert cmd["critical_n.json"] == rep["report.json"]
-        for name in CURVES:
-            assert cmd[name] == rep[name]
-
 
 def contract_inputs(tmp_path) -> dict:
     """One input file or directory of each kind the subcommands read."""
     model = tmp_path / "model.json"
     save_model(SbmParams(omega=0.4, s=[0.5, 0.5], p=[0.8, 0.6], q=0.05), model)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"format": 1, "n": 200, "p_values": [0.75, 0.85]}))
     stream = tmp_path / "contacts.txt"
     stream.write_text("".join(f"{t} {t % 5} {(t + 1) % 5}\n"
                               for t in range(0, 4000, 40)))
     cfg = write_config(tmp_path / "cfg.json", "recoverability", 3,
                        {"N": 8, "n": 200})
     return {"model": model, "corpus": make_corpus_dir(tmp_path, count=12),
-            "spec": spec, "stream": stream, "cfg": cfg}
+            "stream": stream, "cfg": cfg}
 
 
 # (command line before --seed/--out, manifest command, manifest seed); the
@@ -491,16 +476,12 @@ CONTRACT = {
                 "spectra", 7),
     "moments": (lambda i: ["moments", "--corpus", i["corpus"], "-c", "2"],
                 "moments", 7),
-    "regimes": (lambda i: ["regimes", "--corpus", i["corpus"], "-c", "2"],
-                "regimes", 7),
     "fit": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2"], "fit", 7),
     "fit-geometry": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2",
                                 "--s-from-geometry"], "fit", 7),
     "fit-np": (lambda i: ["fit-np", "--corpus", i["corpus"], "-c", "2"],
                "fit-np", 7),
     "geometry": (lambda i: ["geometry", "--corpus", i["corpus"]], "geometry", 7),
-    "critical-n": (lambda i: ["critical-n", "--mixture-spec", i["spec"],
-                              "--n-max", "60"], "critical-n", 7),
     "contacts": (lambda i: ["contacts", "--file", i["stream"], "--window", "1000",
                             "--step", "200"], "contacts", 7),
     "replicate": (lambda i: ["replicate", "recoverability", "--config", i["cfg"]],
@@ -524,6 +505,10 @@ class TestOutputContract:
         assert manifest["command"] == command
         assert manifest["seed"] == seed
         assert r.output == f"wrote {', '.join(files)} to {outs[1]}\n"
+
+    def test_every_command_has_a_case(self):
+        assert {command.split()[0] for _, command, _ in CONTRACT.values()} == \
+            set(main.commands)
 
 
 def _config(scenario, **params):
@@ -565,13 +550,6 @@ WRONG_KIND = {
                           {"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
                            "law": {"kind": "dirac", "center": 0.5}},
                           "dirac law 'center' must be a list of numbers"),
-    "mixture_spec_n_float": (["critical-n", "--n-max", "10", "--mixture-spec"],
-                             {"format": 1, "n": 200.5, "p_values": [0.75, 0.85]},
-                             "mixture spec 'n' must be an integer"),
-    "mixture_spec_p_values_2d": (["critical-n", "--n-max", "10", "--mixture-spec"],
-                                 {"format": 1, "n": 200,
-                                  "p_values": [[0.75], [0.85]]},
-                                 "mixture spec 'p_values' must be a list of numbers"),
     "critical_n_p_values_2d": (["replicate", "critical-n", "--config"],
                                _config("critical-n", p_values=[[0.75], [0.85]]),
                                "critical-n params 'p_values' must be a list of numbers"),
@@ -581,10 +559,6 @@ WRONG_KIND = {
     "critical_n_N_max_zero": (["replicate", "critical-n", "--config"],
                               _config("critical-n", N_max=0),
                               "critical-n params 'N_max' must be at least 1, not 0"),
-    "critical_n_n_max_option_zero": (["critical-n", "--n-max", "0", "--mixture-spec"],
-                                     {"format": 1, "n": 200, "p_values": [0.75, 0.85]},
-                                     "critical-n params 'N_max' must be at least 1, "
-                                     "not 0"),
     "critical_n_repetitions_zero": (["replicate", "critical-n", "--config"],
                                     _config("critical-n", repetitions=0),
                                     "critical-n params 'repetitions' must be at "
@@ -600,6 +574,15 @@ WRONG_KIND = {
     "critical_n_p_values_empty": (["replicate", "critical-n", "--config"],
                                   _config("critical-n", p_values=[]),
                                   "critical-n params 'p_values' must not be empty"),
+    "critical_n_p_values_zero": (["replicate", "critical-n", "--config"],
+                                 _config("critical-n", n=100, p_values=[0.0, 0.05]),
+                                 "critical-n params 'p_values' must lie in "
+                                 "(0, 1/omega] at omega = 0.2, not [0.0, 0.05]"),
+    "critical_n_p_values_above_one_over_omega": (
+        ["replicate", "critical-n", "--config"],
+        _config("critical-n", n=100, p_values=[0.8, 9.0]),
+        "critical-n params 'p_values' must lie in (0, 1/omega] at omega = 0.2, "
+        "not [0.8, 9.0]"),
     "centers_2d": (["replicate", "recoverability", "--config"],
                    _config("recoverability", centers=[[0.85], [0.575]]),
                    "recoverability params 'centers' must be a list of numbers"),
@@ -662,13 +645,6 @@ class TestInvalidJson:
     def test_empty_config_is_not_ignored(self, runner, tmp_path):
         self.assert_clean_exit_1(self.replicate(runner, tmp_path, {}))
 
-    def test_mixture_spec_list(self, runner, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text("[1000, 0.5]")
-        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
-                                 "--n-max", "10", "--out", str(tmp_path / "o")])
-        self.assert_clean_exit_1(r)
-
     @pytest.mark.parametrize("text", [
         "[]",
         '{"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0, "law": []}',
@@ -692,13 +668,6 @@ class TestInvalidJson:
                                  "--count", "1", "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
 
-    def test_mixture_spec_p_values_not_list(self, runner, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text('{"format": 1, "n": 100, "p_values": 0.5}')
-        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(spec),
-                                 "--n-max", "10", "--out", str(tmp_path / "o")])
-        self.assert_clean_exit_1(r)
-
     def test_edgelist_header_without_count(self, runner, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -706,6 +675,29 @@ class TestInvalidJson:
         r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "1",
                                  "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
+
+    @pytest.mark.parametrize("text, message", [
+        ("n 3\n1 x\n", ":2: invalid literal for int() with base 10: 'x'"),
+        ("n 3\n0 3\n", ": edge endpoint out of range"),
+    ], ids=["non_integer", "endpoint_out_of_range"])
+    def test_edgelist_error_names_the_file(self, runner, tmp_path, text, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "graph_0000.txt").write_text("n 3\n0 1\n")
+        (corpus / "graph_0001.txt").write_text(text)
+        r = runner.invoke(main, ["moments", "--corpus", str(corpus), "-c", "1",
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert f"error: {corpus / 'graph_0001.txt'}{message}\n" in r.output
+
+    def test_contacts_error_names_the_file(self, runner, tmp_path):
+        stream = tmp_path / "contacts.txt"
+        stream.write_text("0 1 2\n20 1 x\n")
+        r = runner.invoke(main, ["contacts", "--file", str(stream),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert (f"error: {stream}:2: invalid literal for int() with base 10: 'x'\n"
+                in r.output)
 
     @pytest.mark.parametrize("scenario, params", [
         ("recoverability", {"n": [300]}),
@@ -757,20 +749,6 @@ class TestInvalidJson:
         cfg.write_text(json.dumps(config))
         r = runner.invoke(main, ["replicate", "critical-n", "--config", str(cfg),
                                  "--out", str(tmp_path / "o")])
-        self.assert_clean_exit_1(r)
-        assert f"error: {message}" in r.output
-
-    @pytest.mark.parametrize("spec, message", [
-        ({"format": 1, "n": 200, "p_values": [0.75, 0.85], "omgea": 0.5},
-         "mixture spec does not read keys ['omgea']"),
-        ({"format": 1, "p_values": [0.75, 0.85]},
-         "mixture spec needs keys ['n']"),
-    ], ids=["typo", "missing"])
-    def test_mixture_spec_keys_checked(self, runner, tmp_path, spec, message):
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec))
-        r = runner.invoke(main, ["critical-n", "--mixture-spec", str(path),
-                                 "--n-max", "10", "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
         assert f"error: {message}" in r.output
 

@@ -332,10 +332,9 @@ class TestBackgroundSearch:
         assert results[0] == results[1]
 
     def test_search_error_and_warnings_reach_the_caller(self):
-        # p = 0 never crosses: every draw is empty and warns.  It also makes
-        # f_true's sd zero, so the curves warn of a divide by zero; every
+        # p = 1e-9 never crosses: every draw is empty and warns; every
         # warning is recorded, and both CPU counts must show the same ones.
-        params = {"n": 60, "omega": 0.5, "p_values": [0.0], "N_max": 6,
+        params = {"n": 60, "omega": 0.5, "p_values": [1e-9], "N_max": 6,
                   "repetitions": 1, "subcritical": 2, "supercritical": 3}
         caught = []
         for cpus in (1, 2):
@@ -414,6 +413,8 @@ class TestRegimes:
         assert rep.regimes == (MEDIUM,)
 
     def test_report_payload(self):
-        rep = moments_report(self.paper_moments())
+        m = self.paper_moments()
+        rep = moments_report(m)
         assert rep["format"] == 1
         assert rep["regimes"] == ["large", "large"]
+        assert rep["regime_ratio"] == classify_regimes(m).ratio.tolist()
