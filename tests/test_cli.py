@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,54 @@ class TestSample:
         assert r.exit_code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["versions"]["rpsbm"] == __version__
+
+    def test_holds_one_graph_at_a_time(self, runner, tmp_path):
+        # each graph is drawn as its file is written; twenty graphs held at
+        # once would be twenty graphs' edges
+        model = tmp_path / "model.json"
+        params = SbmParams(omega=0.5, s=[0.5, 0.5], p=[0.8, 0.6], q=0.1)
+        save_model(params, model)
+        edge_bytes = max(g.edges.nbytes for g in sample_corpus(params, 400, 20, 3))
+
+        def sample(n, count, out):
+            return runner.invoke(main, ["sample", "--model", str(model),
+                                        "--n", str(n), "--count", str(count),
+                                        "--seed", "3", "--out", str(tmp_path / out)])
+
+        sample(20, 1, "warm")  # what the command path allocates once
+        tracemalloc.start()
+        try:
+            r = sample(400, 20, "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 0, r.output
+        assert len(list((tmp_path / "out").glob("graph_*.txt"))) == 20
+        assert peak < 3 * edge_bytes
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_draw_removes_what_it_wrote(self, runner, tmp_path, existing):
+        # a draw fails only as its file is written: at seed 6, p ~ U[-0.1,
+        # 0.1] clamps to 0 on graph 3 alone of 0-3, after three files; a new
+        # --out goes, with the parents the run made, and an --out that was
+        # there keeps only its own files
+        model = tmp_path / "model.json"
+        save_model(RpsbmModel(omega=0.5, law=UniformProductLaw([0.0], [0.2]),
+                              epsilon=0.0, s=[1.0]), model)
+        top = tmp_path / "top"
+        out = top / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("kept\n")
+        with pytest.warns(UserWarning, match="clamped"):
+            r = runner.invoke(main, ["sample", "--model", str(model), "--n", "20",
+                                     "--count", "4", "--seed", "6", "--out", str(out)])
+        assert r.exit_code == 1
+        assert "error: empty support after clamping" in r.output
+        if existing:
+            assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+        else:
+            assert not top.exists()
 
     def test_missing_model_is_io_error(self, runner, tmp_path):
         r = runner.invoke(main, ["sample", "--model", str(tmp_path / "nope.json"),
@@ -288,13 +337,17 @@ class TestReplicateCommand:
     def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path):
         # one CPU reduces every graph, and runs critical-n's search, in the
         # process; every usable CPU maps the graphs over the pool of
-        # compute_moments and forks the search; not one byte may differ
+        # compute_moments, whose workers draw them or cut the contact
+        # windows, and forks the search; not one byte may differ
         root = str(Path(rpsbm.__file__).resolve().parent.parent)
         one_cpu = {min(os.sched_getaffinity(0))}
+        stream = planted_contact_stream(tmp_path / "contacts.txt")
         for scenario, params, files in (
                 ("recoverability", {"N": 6, "n": 500}, ["errors.csv"]),
                 ("critical-n", {"n": 200, "N_max": 200, "repetitions": 2,
-                                "supercritical": 30}, CURVES)):
+                                "supercritical": 30}, CURVES),
+                ("contacts", {"file": str(stream), "window": 300, "step": 20,
+                              "resample": 20}, [])):
             cfg = write_config(tmp_path / f"{scenario}.json", scenario, 5, params)
             outputs = []
             for pin in (lambda: os.sched_setaffinity(0, one_cpu), None):
@@ -583,6 +636,37 @@ WRONG_KIND = {
         _config("critical-n", n=100, p_values=[0.8, 9.0]),
         "critical-n params 'p_values' must lie in (0, 1/omega] at omega = 0.2, "
         "not [0.8, 9.0]"),
+    "critical_n_omega_zero": (["replicate", "critical-n", "--config"],
+                              _config("critical-n", n=100, omega=0.0),
+                              "critical-n params 'omega' must lie in (0, 1], not 0"),
+    "critical_n_omega_above_one": (["replicate", "critical-n", "--config"],
+                                   _config("critical-n", n=100, omega=1.5,
+                                           p_values=[0.5]),
+                                   "critical-n params 'omega' must lie in (0, 1], "
+                                   "not 1.5"),
+    "recoverability_omega_zero": (["replicate", "recoverability", "--config"],
+                                  _config("recoverability", omega=0.0),
+                                  "recoverability params 'omega' must lie in "
+                                  "(0, 1], not 0"),
+    "recoverability_default_omega_above_one": (
+        ["replicate", "recoverability", "--config"],
+        _config("recoverability", n=50),
+        "recoverability params 'omega' must lie in (0, 1], not 1.41421"),
+    "mixture_beta_omega_above_one": (["replicate", "mixture-beta", "--config"],
+                                     _config("mixture-beta", omega=1.5),
+                                     "mixture-beta params 'omega' must lie in "
+                                     "(0, 1], not 1.5"),
+    # checked before the stream is loaded, so the file need not exist
+    "contacts_window_zero": (["replicate", "contacts", "--config"],
+                             _config("contacts", file="absent.txt", window=0),
+                             "contacts params 'window' must be at least 1, not 0"),
+    "contacts_step_negative": (["replicate", "contacts", "--config"],
+                               _config("contacts", file="absent.txt", step=-5),
+                               "contacts params 'step' must be at least 1, not -5"),
+    "contacts_resample_zero": (["replicate", "contacts", "--config"],
+                               _config("contacts", file="absent.txt", resample=0),
+                               "contacts params 'resample' must be at least 1, "
+                               "not 0"),
     "centers_2d": (["replicate", "recoverability", "--config"],
                    _config("recoverability", centers=[[0.85], [0.575]]),
                    "recoverability params 'centers' must be a list of numbers"),
@@ -602,6 +686,10 @@ WRONG_KIND = {
     "count_zero": (["sample", "--n", "10", "--count", "0", "--model"],
                    {"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5], "q": 0.0},
                    "--count must be at least 1, not 0"),
+    "contacts_window_zero_option": (["contacts", "--window", "0", "--file"], {},
+                                    "--window must be at least 1, not 0"),
+    "contacts_step_negative_option": (["contacts", "--step", "-5", "--file"], {},
+                                      "--step must be at least 1, not -5"),
     "bandwidth_not_a_number": (["fit-np", "-c", "1", "--bandwidth", "fixed:abc",
                                 "--corpus"], {},
                                "--bandwidth 'fixed:abc': the h of 'fixed:<h>' "

@@ -1,10 +1,13 @@
 """Contact-stream parsing and sliding-window graph extraction."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rpsbm import ContactStream, Graph, load_contacts, window_contacts
+from rpsbm import ContactStream, Graph, load_contacts, replicate, window_contacts
 from rpsbm.contacts import window_count
 
 
@@ -105,7 +108,7 @@ class TestWindows:
     def test_short_stream_gives_no_windows(self):
         records = [(0, 0, 1), (100, 1, 2)]
         stream = self.stream(records)
-        assert window_contacts(stream, 2700, 20) == []
+        assert len(window_contacts(stream, 2700, 20)) == 0
 
     def test_matches_brute_force_on_random_streams(self):
         gen = np.random.default_rng(50)
@@ -151,3 +154,45 @@ class TestWindows:
             window_contacts(stream, 0, 20)
         with pytest.raises(ValueError):
             window_contacts(stream, 2700, 0)
+
+
+def planted_stream(n=100, seed=5):
+    """Two equal groups for 2000 s, then three groups for 2000 s, one tick
+    every 20 s; node ids are already 0..n-1."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    ticks, t = [], 0
+    for groups in (((0.5, 0.02), (0.5, 0.02)),
+                   ((0.34, 0.03), (0.33, 0.03), (0.33, 0.025))):
+        fractions, rates = np.array(groups).T
+        cuts = np.round(np.cumsum(fractions)[:-1] * n).astype(int)
+        group = np.searchsorted(cuts, np.arange(n), side="right")
+        rate = np.where(group[iu] == group[ju], rates[group[iu]], 0.0008)
+        for _ in range(100):
+            hit = np.nonzero(rng.random(len(iu)) < rate)[0]
+            ticks.append(np.column_stack([np.full(len(hit), t), iu[hit], ju[hit]]))
+            t += 20
+    return ContactStream(records=np.concatenate(ticks),
+                         node_map={k: k for k in range(n)})
+
+
+class TestRunContactsMemory:
+    def test_peak_holds_one_window(self, monkeypatch):
+        # the windows are cut one at a time for geometry and, at one CPU,
+        # for the cluster moments too; the stream is loaded before tracing
+        stream = planted_stream()
+        params = {"file": "unread", "window": 600, "step": 20, "resample": 10}
+        sizes = [g.edges.nbytes for g in window_contacts(stream, 600, 20)]
+        one_window, hessian = max(sizes), 8 * stream.n ** 2
+        monkeypatch.setattr(replicate, "load_contacts", lambda path: stream)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        tracemalloc.start()
+        try:
+            report = replicate.run_contacts(0, params)["report"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["N"] == len(sizes) > 100
+        assert set(report["fits"]) == {2, 3}
+        assert peak < 6 * (one_window + hessian)
+        assert peak < sum(sizes) / 5
