@@ -240,7 +240,7 @@ def moments(seed, corpus_dir, trunc):
 
 def _geometry_s(corpus, trunc):
     """Average geometry vector over graphs whose detected count equals c."""
-    estimates = detect_geometries(corpus)
+    estimates = list(detect_geometries(corpus))
     members = cluster_by_community_count(estimates).get(trunc)
     if not members:
         raise InfeasibleFitError(
@@ -310,7 +310,7 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
 @click.option("--corpus", "corpus_dir", required=True)
 def geometry(seed, corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
-    estimates = detect_geometries(_load_corpus(corpus_dir))
+    estimates = list(detect_geometries(_load_corpus(corpus_dir)))
     payload = {
         "format": 1,
         "graphs": [e.to_dict() for e in estimates],

@@ -17,12 +17,13 @@ a rotation inside a degenerate eigenspace can change them.  s is the sorted
 label counts over n.
 
 ``detect_geometries`` runs ``detect_geometry`` over a corpus one graph at a
-time and builds every Bethe Hessian of one size in the same array.
+time, yields each estimate as it is done, and builds every Bethe Hessian of
+one size in the same array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,23 +87,27 @@ def detect_geometry(g: Graph,
     return GeometryEstimate(s=np.sort(counts[counts > 0])[::-1] / g.n)
 
 
-def detect_geometries(corpus: Iterable[Graph]) -> list[GeometryEstimate]:
-    """``detect_geometry`` of every graph of ``corpus``, in order.
+def detect_geometries(corpus: Iterable[Graph]) -> Iterator[GeometryEstimate]:
+    """``detect_geometry`` of every graph of ``corpus``, in order, yielded
+    one at a time as each graph is done.
 
-    The graphs are read one at a time, so a lazy corpus (contact windows, a
-    corpus directory) holds one graph here.  Every graph's Bethe Hessian is
-    built in one work array, an n x n float array in Fortran order that is
-    made again only when the graph size changes: an array made and freed per
-    graph would be faulted in again from the OS each time.  No array outlives
-    the call.  ``detect_geometry`` is looked up in this module at each call,
-    so a wrapper installed on it sees every graph.
+    The graphs are read one at a time, and each is dropped before its
+    estimate is yielded, so a lazy corpus (contact windows, a corpus
+    directory) holds one graph here, and a caller that reads graph k again
+    for estimate k holds one copy.  Every graph's Bethe Hessian is built in
+    one work array, an n x n float array in Fortran order that is made again
+    only when the graph size changes: an array made and freed per graph
+    would be faulted in again from the OS each time.  No array outlives the
+    generator.  ``detect_geometry`` is looked up in this module at each
+    call, so a wrapper installed on it sees every graph.
     """
-    estimates, work = [], None
+    work = None
     for g in corpus:
         if work is None or work.shape[0] != g.n:
             work = np.empty((g.n, g.n), order="F")
-        estimates.append(detect_geometry(g, work))
-    return estimates
+        est = detect_geometry(g, work)
+        del g
+        yield est
 
 
 def cluster_by_community_count(

@@ -6,15 +6,20 @@ sample total Frechet variance equal to trace of the eigenvalue covariance --
 an exact identity under the proxy mean, tested as such.
 
 ``ForkPool`` is the package's one way to run work in other processes: it
-forks them itself and reads each one's results from a pipe.  The graphs of
-``compute_moments`` (sampled corpora, the CLI's corpus directories and
-``spectra``, and the contact windows of ``replicate.run_contacts``, which
-the workers cut from the inherited records) and critical-n's sample-size
-search (``replicate.run_critical_n``) go through it.
+forks them itself, streams their items to them and reads each one's
+results from a pipe.  The graphs of ``compute_moments`` (sampled corpora,
+the CLI's corpus directories and ``spectra``), the rows of the contact
+windows of ``replicate.run_contacts``, which its workers cut from the
+inherited records as the geometry pass yields each window's community
+count, and critical-n's sample-size search (``replicate.run_critical_n``)
+go through it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import pickle
 import signal
@@ -125,67 +130,146 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
 
 
+#: Thread-count setters of the OpenBLAS builds that numpy
+#: (``libscipy_openblas64_``) and scipy (``libscipy_openblas``) load.
+BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                       "scipy_openblas_set_num_threads")
+#: OpenBLAS's own fork handler, which stops its thread pool.  A setter called
+#: after a fork starts the pool again, and its idle threads spin for about
+#: 0.1 s after each start: this takes them off the worker's CPUs.
+BLAS_POOL_SHUTDOWN = "blas_thread_shutdown_"
+
+
+@functools.cache
+def _one_blas_thread() -> tuple:
+    """Calls that set every OpenBLAS library this process has mapped (read
+    from /proc/self/maps on the first call) to one thread: each library's
+    ``BLAS_THREAD_SETTERS`` with 1, then its ``BLAS_POOL_SHUTDOWN``.  None
+    where the maps cannot be read or no library exports a setter."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(None, 5) for line in maps]
+    except OSError:
+        return ()
+    paths = {f[5].rstrip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    calls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setters = [functools.partial(getattr(lib, name), 1)
+                   for name in BLAS_THREAD_SETTERS if hasattr(lib, name)]
+        if setters and hasattr(lib, BLAS_POOL_SHUTDOWN):
+            setters.append(getattr(lib, BLAS_POOL_SHUTDOWN))
+        calls += setters
+    return tuple(calls)
+
+
 class ForkPool:
     """Calls of one function ``fn`` on up to ``workers`` forked processes,
     or in this process.
 
-    ``map(items)`` returns ``[fn(x) for x in items]``; worker w of k =
-    min(workers, len(items)) computes ``items[w::k]`` as this process waits.
+    ``map(items)`` returns ``[fn(x) for x in items]`` and streams ``items``:
+    item i goes to worker i % workers, which is forked when its first item
+    arrives and reads the others from a pipe as this process makes them, so
+    a generator's work here overlaps the workers'.  Each worker returns its
+    results once its pipe is closed at the end of ``items``.
     ``submit(*args)`` forks one worker for ``fn(*args)`` and returns a
-    callable that waits for its result.  Workers inherit ``fn`` by
-    ``os.fork`` (spawn or forkserver would re-import the package, about
-    0.45 s, and could not inherit a closure), pickle their results to a pipe
-    and leave through ``os._exit``.  Their warnings, and the first error
-    with the worker's traceback as its cause, come here in item order; a
-    worker that ends without results raises ``ChildProcessError`` naming it
-    and its exit status or signal.  With fewer than one worker, in a worker
-    and without ``os.fork``, ``map`` runs here at once and a submitted call
-    when collected.  Leaving the ``with`` block kills and reaps every worker
-    not yet collected.  On Python >= 3.12, forking while BLAS threads run
-    issues a ``DeprecationWarning``.
+    callable that waits for its result.  Workers inherit ``fn`` and their
+    first item by ``os.fork`` (spawn or forkserver would re-import the
+    package, about 0.45 s, and could not inherit a closure); later items are
+    pickled.  A worker sets every OpenBLAS library it finds to one thread,
+    and stops its thread pool, before it runs anything, so that workers and
+    this process do not oversubscribe the CPUs; it pickles its results to a
+    pipe and leaves through ``os._exit``.  The workers' warnings, and the
+    first error with the worker's traceback as its cause, come here in item
+    order; a worker that ends without results raises ``ChildProcessError``
+    naming it and its exit status or signal, when it is joined or as soon as
+    ``map`` fails to pipe it an item.  With fewer than one worker, in a
+    worker and without ``os.fork``, ``map`` runs here, one item at a time as
+    ``items`` yields it, and a submitted call runs when collected.  Leaving
+    the ``with`` block, or an error raised by ``items``, kills and reaps
+    every worker not yet collected.  On Python >= 3.12, forking while BLAS
+    threads run issues a ``DeprecationWarning``.
     """
 
     def __init__(self, fn, workers: int):
-        self._fn, self._running = fn, {}  # pid -> read end of its pipe
+        # pid -> the read end of its result pipe, the write end of its task pipe
+        self._fn, self._running = fn, {}
         self._workers = workers if hasattr(os, "fork") and not _in_worker else 0
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
-        for pid, pipe in self._running.items():
-            pipe.close()
+        for pid, (results, tasks) in self._running.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            results.close()
+            with contextlib.suppress(BrokenPipeError):  # an item left unsent
+                tasks.close()
         self._running.clear()
 
-    def _start(self, tasks: list) -> int:
-        """Fork a worker that pipes ``_call`` of ``fn`` on each of ``tasks``."""
-        read, write = os.pipe()
+    def _start(self, args: tuple) -> int:
+        """Fork a worker that runs ``_call`` of ``fn`` on ``args``, then on
+        each item ``_send`` pipes it, and pipes the results back at the end
+        of its items."""
+        blas_calls = _one_blas_thread()
+        fds = os.pipe()
         try:
+            fds += os.pipe()
             pid = os.fork()
         except OSError:
-            os.close(read)
-            os.close(write)
+            for fd in fds:
+                os.close(fd)
             raise
+        task_read, task_write, read, write = fds
         if pid == 0:  # leaves through os._exit: no caller cleanup or atexit
             global _in_worker
             _in_worker = True
+            for call in blas_calls:
+                call()
             try:
-                with open(write, "wb") as pipe:
-                    pipe.write(pickle.dumps([_call(self._fn, a) for a in tasks]))
+                # the other workers' task pipes must see their end when this
+                # process closes them, not when this worker exits
+                for pipes in self._running.values():
+                    for pipe in pipes:
+                        pipe.close()
+                os.close(task_write)
+                os.close(read)
+                with open(task_read, "rb") as tasks, open(write, "wb") as out:
+                    done = [_call(self._fn, args)]
+                    with contextlib.suppress(EOFError):  # the end of the items
+                        while True:
+                            done.append(_call(self._fn, (pickle.load(tasks),)))
+                    out.write(pickle.dumps(done))
             except BaseException:  # such as a result that cannot be pickled
                 traceback.print_exc()
                 os._exit(1)
             os._exit(0)
+        os.close(task_read)
         os.close(write)
-        self._running[pid] = open(read, "rb")
+        self._running[pid] = open(read, "rb"), open(task_write, "wb")
         return pid
+
+    def _send(self, pid: int, worker: int, item) -> None:
+        """Pipe ``item`` to worker number ``worker``."""
+        tasks = self._running[pid][1]
+        try:
+            pickle.dump(item, tasks)
+            tasks.flush()
+        except BrokenPipeError:  # the worker has ended: its status says how
+            self._join(pid, worker)
+            raise
 
     def _join(self, pid: int, worker: int) -> list:
         """What worker number ``worker`` wrote, once it has exited."""
-        with self._running[pid] as pipe:
-            done = pipe.read()
+        results, tasks = self._running[pid]
+        with contextlib.suppress(BrokenPipeError):
+            tasks.close()
+        with results:
+            done = results.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         del self._running[pid]
         if code:
@@ -196,22 +280,31 @@ class ForkPool:
         return pickle.loads(done)
 
     def map(self, items) -> list:
-        items = list(items)
-        k = min(self._workers, len(items))
-        if k < 1:
+        if self._workers < 1:
             return list(map(self._fn, items))
+        pids = []
         try:
-            pids = [self._start([(x,) for x in items[w::k]]) for w in range(k)]
+            for i, x in enumerate(items):
+                if i < self._workers:
+                    pids.append(self._start((x,)))
+                else:
+                    w = i % self._workers
+                    self._send(pids[w], w, x)
+            for pid in pids:  # the end of every worker's items
+                self._running[pid][1].close()
             shares = [self._join(pid, w) for w, pid in enumerate(pids)]
         finally:
             self.__exit__()
+        k = len(pids)
         registry = {}  # a repeated warning shows once, as inline
-        return [_collect(shares[i % k][i // k], registry) for i in range(len(items))]
+        return [_collect(shares[i % k][i // k], registry)
+                for i in range(sum(map(len, shares)))]
 
     def submit(self, *args):
         if self._workers < 1:
             return lambda: self._fn(*args)
-        pid = self._start([args])
+        pid = self._start(args)
+        self._running[pid][1].close()
         return lambda: _collect(self._join(pid, 0)[0], {})
 
 
@@ -230,20 +323,10 @@ def _rows(corpus: Iterable[Graph], c: int) -> list:
         return pool.map(range(len(corpus)))
 
 
-def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
-    """Per-graph spectra and densities of a corpus, with the mean spectrum
-    and its unbiased covariance.
-
-    ``corpus`` is a sized, indexable corpus, such as a list or a
-    ``models.LazyCorpus`` (``iter_corpus``, the CLI's corpus directories);
-    its graphs are reduced to their rows on every usable CPU (see ``_rows``),
-    and the table is the same whatever the number of workers.  Any other
-    iterable is read inline, one graph at a time.  Only each graph's row is
-    kept, so with a lazy corpus neither path holds more than the graphs it
-    is reducing, one per worker.  An empty corpus, mixed graph sizes and
-    c > n raise ``ValueError``; a graph with c > n is not reduced.
-    """
-    rows = _rows(corpus, c)
+def _table(rows: list, c: int) -> SampleMoments:
+    """The table of graphs' rows (``_row`` at c), in corpus order, with the
+    mean spectrum and its unbiased covariance.  No rows, mixed graph sizes
+    and c > n raise ``ValueError``."""
     if not rows:
         raise ValueError("empty corpus")
     sizes = {row[0] for row in rows}
@@ -264,6 +347,22 @@ def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
         cov = diff.T @ diff / (N - 1)
     return SampleMoments(spectra=spectra, densities=densities, n=n,
                          mean_spectrum=mean_spec, cov=cov)
+
+
+def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
+    """Per-graph spectra and densities of a corpus, with the mean spectrum
+    and its unbiased covariance.
+
+    ``corpus`` is a sized, indexable corpus, such as a list or a
+    ``models.LazyCorpus`` (``iter_corpus``, the CLI's corpus directories);
+    its graphs are reduced to their rows on every usable CPU (see ``_rows``),
+    and the table is the same whatever the number of workers.  Any other
+    iterable is read inline, one graph at a time.  Only each graph's row is
+    kept, so with a lazy corpus neither path holds more than the graphs it
+    is reducing, one per worker.  An empty corpus, mixed graph sizes and
+    c > n raise ``ValueError``; a graph with c > n is not reduced.
+    """
+    return _table(_rows(corpus, c), c)
 
 
 def frechet_total_variance(corpus: Sequence[Graph], c: int) -> float:

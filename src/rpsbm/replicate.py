@@ -41,7 +41,6 @@ from .fitting import (
 )
 from .geometry import cluster_by_community_count, detect_geometries
 from .models import (
-    LazyCorpus,
     RpsbmModel,
     SbmParams,
     UniformProductLaw,
@@ -49,7 +48,7 @@ from .models import (
     iter_corpus,
     model_to_dict,
 )
-from .moments import ForkPool, compute_moments, usable_cpus
+from .moments import ForkPool, _row, _table, compute_moments, usable_cpus
 from .contacts import load_contacts, window_contacts
 
 SCENARIOS = ("recoverability", "mixture-beta", "critical-n", "contacts")
@@ -223,10 +222,15 @@ def run_contacts(seed: int, params: dict) -> dict:
 
     The windows are a lazy corpus (``window_contacts``), so only the
     stream's records stay in memory.  Geometry reads the windows here, one
-    at a time, with one Bethe-Hessian array (``detect_geometries``).  Each
-    fitted cluster's moments then read a lazy corpus of its members' windows:
-    the pool workers of ``compute_moments`` cut the windows they reduce from
-    the records they inherited, and only rows come back.
+    at a time, with one Bethe-Hessian array (``detect_geometries``).  As
+    each window's community count comes out of that pass, a ``ForkPool`` of
+    one worker per spare CPU (this process is busy) cuts the window again
+    from the records it inherited and reduces it to its row at that count,
+    so the rows are computed while geometry runs, and only rows come back.
+    With no spare CPU the rows are computed here, window by window after
+    each window's geometry, and one window is alive at a time.  Each fitted
+    cluster's table is its members' rows, equal to ``compute_moments`` of
+    their windows.
     """
     p = _read("contacts params", params, file=str, window=(int, 2700),
               step=(int, 20), resample=(int, 500), min_cluster=(int, 5))
@@ -238,15 +242,24 @@ def run_contacts(seed: int, params: dict) -> dict:
     corpus = window_contacts(stream, p["window"], p["step"])
     if not corpus:
         raise ValueError("stream shorter than one window")
-    geoms = detect_geometries(corpus)
+    geoms = []
+
+    def counts():
+        """The geometry pass, as (window, community count) pairs."""
+        for k, est in enumerate(detect_geometries(corpus)):
+            geoms.append(est)
+            yield k, est.community_count
+
+    with ForkPool(lambda kc: _row(corpus[kc[0]], kc[1]),
+                  usable_cpus() - 1) as pool:
+        rows = pool.map(counts())
     clusters = cluster_by_community_count(geoms)
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}
     for count, members in sizes[:2]:
         if len(members) < p["min_cluster"]:
             continue
-        windows = LazyCorpus(corpus.make, [corpus.keys[i] for i in members])
-        mom = compute_moments(windows, count)
+        mom = _table([rows[i] for i in members], count)
         # a detected s has community_count entries, one per block
         s_rows = np.vstack([geoms[i].s for i in members])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)

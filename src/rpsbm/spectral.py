@@ -206,8 +206,10 @@ def _top(g: Graph, k: int, vectors: bool):
             return (w, np.eye(g.n, k)) if vectors else w
         res = _lanczos(g, k, vectors)
     if res is None:
+        # A is symmetric, so its transpose is A in Fortran order, which
+        # LAPACK overwrites in place instead of copying
         res = scipy.linalg.eigh(
-            g.adjacency(), eigvals_only=not vectors,
+            g.adjacency().T, eigvals_only=not vectors,
             subset_by_index=[g.n - k, g.n - 1], overwrite_a=True,
             check_finite=False)
     if not vectors:

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rpsbm import ContactStream, Graph, load_contacts, replicate, window_contacts
+from rpsbm import (
+    ContactStream,
+    Graph,
+    compute_moments,
+    load_contacts,
+    replicate,
+    window_contacts,
+)
 from rpsbm.contacts import window_count
+from rpsbm.models import LazyCorpus
 
 
 def write_stream(tmp_path, lines, name="contacts.txt"):
@@ -196,3 +204,33 @@ class TestRunContactsMemory:
         assert set(report["fits"]) == {2, 3}
         assert peak < 6 * (one_window + hessian)
         assert peak < sum(sizes) / 5
+
+
+class TestRunContactsRows:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cluster_tables_are_their_windows_moments(self, monkeypatch, cpus):
+        # the rows computed beside the geometry pass, gathered per cluster,
+        # are the table compute_moments makes of the members' windows
+        stream = planted_stream()
+        params = {"file": "unread", "window": 600, "step": 20, "resample": 10}
+        tables = {}
+        fit = replicate.fit_nonparametric
+
+        def spy(mom, **kwargs):
+            tables[mom.c] = mom
+            return fit(mom, **kwargs)
+
+        monkeypatch.setattr(replicate, "load_contacts", lambda path: stream)
+        monkeypatch.setattr(replicate, "fit_nonparametric", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        report = replicate.run_contacts(0, params)["report"]
+        assert set(tables) == set(report["fits"]) == {2, 3}
+        windows = window_contacts(stream, 600, 20)
+        for count, fitted in report["fits"].items():
+            members = LazyCorpus(windows.make,
+                                 [windows.keys[i] for i in fitted["members"]])
+            expect = compute_moments(members, count)
+            got = tables[count]
+            assert got.n == expect.n
+            for name in ("spectra", "densities", "mean_spectrum", "cov"):
+                assert getattr(got, name).tobytes() == getattr(expect, name).tobytes()

@@ -179,7 +179,7 @@ class TestGeometryPass:
     def test_equals_one_call_per_graph(self, corpus):
         # the work array still holds the last graph's Hessian, and its size
         # changes along the corpus
-        got = detect_geometries(corpus)
+        got = list(detect_geometries(corpus))
         assert len(got) == len(corpus)
         for est, g in zip(got, corpus):
             np.testing.assert_array_equal(est.s, detect_geometry(g).s)

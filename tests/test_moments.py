@@ -1,13 +1,16 @@
 """Corpus moments, the total-variance identity, and regime classification."""
 
 import contextlib
+import ctypes
 import json
 import os
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, strategies as st
 
 from rpsbm import (
@@ -29,7 +32,15 @@ from rpsbm import (
     UniformProductLaw,
 )
 from rpsbm import replicate
-from rpsbm.moments import LARGE, MEDIUM, SMALL, ForkPool, moments_report
+from rpsbm.moments import (
+    BLAS_POOL_SHUTDOWN,
+    BLAS_THREAD_SETTERS,
+    LARGE,
+    MEDIUM,
+    SMALL,
+    ForkPool,
+    moments_report,
+)
 from rpsbm.replicate import run_scenario
 from test_imports import run_fresh
 
@@ -313,6 +324,128 @@ class TestPool:
             f"fork pool worker 0 (pid PID) exited with status 3 {tail}", "no child",
             "left", "no child"]
 
+
+def blas_thread_controls():
+    """(getter, setter) of the thread count of every OpenBLAS library this
+    process has mapped that exports one of ``BLAS_THREAD_SETTERS``, and
+    whether each of them exports ``BLAS_POOL_SHUTDOWN`` too."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(None, 5)[5].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        paths = set()
+    controls, shutdown = [], True
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        found = [(getattr(lib, name.replace("_set_", "_get_")), getattr(lib, name))
+                 for name in BLAS_THREAD_SETTERS if hasattr(lib, name)]
+        shutdown &= not found or hasattr(lib, BLAS_POOL_SHUTDOWN)
+        controls += found
+    return controls, shutdown
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestStreamingMap:
+    def test_items_are_read_as_the_workers_run(self, tmp_path):
+        # item 2 is made only once worker 0 has returned item 0, so a map
+        # that read every item before it forked would time out here
+        def mark(x):
+            (tmp_path / str(x)).touch()
+            return -x
+
+        def items():
+            yield from (0, 1)
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "0").exists():
+                assert time.monotonic() < deadline, "item 0 never came back"
+                time.sleep(0.005)
+            yield from (2, 3, 4)
+
+        assert ForkPool(mark, 2).map(items()) == [0, -1, -2, -3, -4]
+        assert_no_child_process()
+
+    def test_an_error_in_the_items_leaves_no_child(self):
+        def items():
+            yield from range(5)
+            raise KeyError("stream broke")
+
+        with pytest.raises(KeyError, match="stream broke"):
+            ForkPool(abs, 2).map(items())
+        assert_no_child_process()
+
+    def test_a_worker_killed_mid_stream_fails_the_map(self):
+        # the items never end (slowly, so a map that lists them first does
+        # not fill the memory), so only a map that sees the dead worker
+        # returns; in a fresh interpreter, so that one that does not fails
+        # on run_fresh's timeout instead of hanging
+        out = run_fresh(
+            "import itertools, os, re, signal, time\n"
+            "from rpsbm.moments import ForkPool\n"
+            "def fn(x):\n"
+            "    if x == 5:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return x\n"
+            "def items():\n"
+            "    for x in itertools.count():\n"
+            "        yield x\n"
+            "        time.sleep(0.001)\n"
+            "try:\n"
+            "    ForkPool(fn, 2).map(items())\n"
+            "except ChildProcessError as exc:\n"
+            "    print(re.sub(r'pid \\d+', 'pid PID', str(exc)))\n"
+            "try:\n"
+            "    print(os.waitpid(-1, os.WNOHANG))\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n")
+        assert out.splitlines() == [
+            "fork pool worker 1 (pid PID) was killed by SIGKILL without "
+            "returning its results", "no child"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_no_descriptor_outlives_a_map(self):
+        def failing():
+            yield 1
+            raise KeyError("stream broke")
+
+        before = open_descriptors()
+        with ForkPool(abs, 2) as pool:
+            assert pool.map(iter(range(-9, 0))) == list(range(9, 0, -1))
+            assert pool.map([-1]) == [1]
+            assert pool.submit(-2)() == 2
+            with pytest.raises(KeyError):
+                pool.map(failing())
+        assert open_descriptors() == before
+        assert_no_child_process()
+
+    def test_a_worker_runs_one_blas_thread(self):
+        controls, shutdown = blas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS library with a thread setter is loaded")
+
+        def threads(_):
+            # after a dense solve, which would start a BLAS thread pool
+            scipy.linalg.eigh(np.eye(200) + 1.0)
+            return [get() for get, _ in controls], len(os.listdir("/proc/self/task"))
+
+        counts = [get() for get, _ in controls]
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            with ForkPool(threads, 2) as pool:
+                done = pool.map(range(3))
+            assert [blas for blas, _ in done] == [[1] * len(controls)] * 3
+            if shutdown:  # and no idle pool thread beside the worker's own
+                assert [tasks for _, tasks in done] == [1] * 3
+            # this process keeps its own count
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, counts):
+                set_threads(count)
 
 # small enough for a test, large enough that the search crosses
 CRITICAL = {"n": 200, "N_max": 200, "repetitions": 2, "supercritical": 30}

@@ -1,6 +1,7 @@
 """Graph representation, spectra, and pseudometric properties."""
 
 import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -321,6 +322,22 @@ class TestSpectrum:
             h = Graph(g.n, edges)
             diff = full_spectrum(g).values - full_spectrum(h).values
             assert np.max(np.abs(diff)) <= 1.0 + 1e-9
+
+    def test_dense_solve_holds_one_adjacency(self):
+        # LAPACK overwrites a Fortran-order adjacency in place: a C-order
+        # one would be copied first, a second n x n array
+        n = 240
+        g = random_graph(n, 0.2, 8)
+        tracemalloc.start()
+        try:
+            values = spectrum(g, 3).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+        copied = scipy.linalg.eigh(g.adjacency(), eigvals_only=True,
+                                   subset_by_index=[n - 3, n - 1])
+        np.testing.assert_array_equal(values, copied[::-1])
 
 
 def eigensolver_calls(monkeypatch) -> list[tuple[str, dict]]:
