@@ -66,7 +66,6 @@ from .fitting import (
 from .geometry import (
     GeometryEstimate,
     cluster_by_community_count,
-    detect_geometries,
     detect_geometry,
 )
 from .contacts import ContactStream, load_contacts, window_contacts

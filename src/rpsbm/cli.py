@@ -8,9 +8,9 @@ payload) and writes manifest.json recording the exact invocation.  The
 graphs of ``sample`` and ``contacts`` are made as their files are written,
 one at a time, and a command that fails removes what it wrote, so it leaves
 no --out behind.  Every command is bit-reproducible for a fixed seed.  Exit
-codes: 0 success, 1 I/O or validation failure, 2 infeasibility
-(small-variance regime or geometry violations); the wrapper maps exceptions
-to them.
+codes: 0 success, 1 I/O, validation or out-of-memory failure, 2
+infeasibility (small-variance regime or geometry violations); the wrapper
+maps exceptions to them.
 
 Only ``replicate`` takes --config, its experiment config.  Both JSON inputs
 (the model spec and the experiment config) are read by ``models._read``, so
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .contacts import load_contacts, window_contacts
 from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
-from .geometry import cluster_by_community_count, detect_geometries
+from .geometry import cluster_by_community_count, detect_geometry
 from .models import (LAWS, LazyCorpus, _read, iter_corpus, load_model,
                      model_to_dict)
 from .moments import _rows, compute_moments, moments_report
@@ -161,7 +161,8 @@ def command(body):
     positional arguments, and its config hash is that of the file --config
     names, on the command that has it.  A payload made as it is written can
     still fail; then ``_discard`` removes what the run wrote.  Infeasible
-    fits exit 2, I/O and validation errors exit 1.
+    fits exit 2; I/O, validation and out-of-memory errors, and a negative
+    --seed, which is checked before the body runs, exit 1.
     """
 
     @functools.wraps(body)
@@ -169,6 +170,8 @@ def command(body):
         outdir = Path(out)
         made, written = None, []
         try:
+            if seed < 0:
+                raise ValueError(f"--seed must be at least 0, not {seed}")
             files, args, seed = body(seed, **options)
             # the outermost directory this run creates, if any
             made = next((d for d in [*reversed(outdir.parents), outdir]
@@ -186,9 +189,9 @@ def command(body):
             _discard(made, written)
             if isinstance(exc, InfeasibleFitError):
                 _fail(str(exc), 2)
-            if isinstance(exc, (OSError, ValueError, KeyError,
+            if isinstance(exc, (OSError, ValueError, KeyError, MemoryError,
                                 json.JSONDecodeError)):
-                _fail(str(exc), 1)
+                _fail(str(exc) or type(exc).__name__, 1)
             raise
         click.echo(f"wrote {', '.join(sorted([*files, 'manifest.json']))} "
                    f"to {outdir}")
@@ -240,7 +243,7 @@ def moments(seed, corpus_dir, trunc):
 
 def _geometry_s(corpus, trunc):
     """Average geometry vector over graphs whose detected count equals c."""
-    estimates = list(detect_geometries(corpus))
+    estimates = list(map(detect_geometry, corpus))
     members = cluster_by_community_count(estimates).get(trunc)
     if not members:
         raise InfeasibleFitError(
@@ -310,7 +313,7 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
 @click.option("--corpus", "corpus_dir", required=True)
 def geometry(seed, corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
-    estimates = list(detect_geometries(_load_corpus(corpus_dir)))
+    estimates = list(map(detect_geometry, _load_corpus(corpus_dir)))
     payload = {
         "format": 1,
         "graphs": [e.to_dict() for e in estimates],
@@ -329,6 +332,8 @@ def contacts(seed, contact_file, window, step):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, not {value}")
     graphs = window_contacts(load_contacts(contact_file), window, step)
+    if not graphs:
+        raise ValueError("stream shorter than one window")
     return (_graph_files(graphs),
             {"file": contact_file, "window": window, "step": step}, seed)
 
@@ -350,6 +355,8 @@ def replicate(seed, scenario, config):
             raise ValueError(f"config is for scenario {cfg['scenario']!r}, "
                              f"not {scenario!r}")
         seed, params = cfg["seed"], cfg["params"]
+        if seed < 0:
+            raise ValueError(f"config 'seed' must be at least 0, not {seed}")
     result = run_scenario(scenario, seed, params)
     return ({**result["tables"], "report.json": {"format": 1, **result["report"]}},
             {"scenario": scenario, "params": params}, seed)

@@ -10,9 +10,6 @@ emitted: the count is floor((t_max - window)/step) + 1, clipped at 0.
 known by its slice of the time-sorted records, and its graph is cut from
 them only when it is read.  No window outlives its reader, and a forked
 worker that reads a window cuts it from the records it inherited.
-``replicate.run_contacts`` cuts each window twice: once for its geometry,
-and once more, in a pool worker while the geometry pass goes on, for its
-top eigenvalues at the community count found.
 """
 
 from __future__ import annotations

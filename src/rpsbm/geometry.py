@@ -15,15 +15,11 @@ per community, and each node takes the axis it leans on most.  The labels
 depend only on the span of V, so neither the signs the eigensolver picks nor
 a rotation inside a degenerate eigenspace can change them.  s is the sorted
 label counts over n.
-
-``detect_geometries`` runs ``detect_geometry`` over a corpus one graph at a
-time, yields each estimate as it is done, and builds every Bethe Hessian of
-one size in the same array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,16 +50,14 @@ def _pivoted_qr_labels(V: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(V @ (u @ vt)), axis=1)
 
 
-def detect_geometry(g: Graph,
-                    work: np.ndarray | None = None) -> GeometryEstimate:
+def detect_geometry(g: Graph) -> GeometryEstimate:
     """Community count and block fractions s from the Bethe Hessian.
 
-    H is built in ``work``, an n x n float array in Fortran order that it
-    overwrites, or in a new such array when none is given.  Fortran order
-    is the layout LAPACK reads, so ``eigh`` solves H in place instead of
-    copying it.  Its zeros are written as -0.0, the product -r * 0, which is
-    what -r A with its diagonal then set holds: the sign of a zero can steer
-    LAPACK's Householder reflections, and with them the rounding.
+    H is built in a new n x n float array in Fortran order, the layout
+    LAPACK reads, so ``eigh`` solves H in place instead of copying it.  Its
+    zeros are written as -0.0, the product -r * 0, which is what -r A with
+    its diagonal then set holds: the sign of a zero can steer LAPACK's
+    Householder reflections, and with them the rounding.
     """
     one = GeometryEstimate(s=np.array([1.0]))
     if g.m == 0:
@@ -73,8 +67,7 @@ def detect_geometry(g: Graph,
     if r2 <= 1.0:
         return one
     r = np.sqrt(r2)
-    H = np.empty((g.n, g.n), order="F") if work is None else work
-    H.fill(-0.0)
+    H = np.full((g.n, g.n), -0.0, order="F")
     i, j = g.edges[:, 0], g.edges[:, 1]
     H[i, j] = -r
     H[j, i] = -r
@@ -85,29 +78,6 @@ def detect_geometry(g: Graph,
         return one
     counts = np.bincount(_pivoted_qr_labels(V))
     return GeometryEstimate(s=np.sort(counts[counts > 0])[::-1] / g.n)
-
-
-def detect_geometries(corpus: Iterable[Graph]) -> Iterator[GeometryEstimate]:
-    """``detect_geometry`` of every graph of ``corpus``, in order, yielded
-    one at a time as each graph is done.
-
-    The graphs are read one at a time, and each is dropped before its
-    estimate is yielded, so a lazy corpus (contact windows, a corpus
-    directory) holds one graph here, and a caller that reads graph k again
-    for estimate k holds one copy.  Every graph's Bethe Hessian is built in
-    one work array, an n x n float array in Fortran order that is made again
-    only when the graph size changes: an array made and freed per graph
-    would be faulted in again from the OS each time.  No array outlives the
-    generator.  ``detect_geometry`` is looked up in this module at each
-    call, so a wrapper installed on it sees every graph.
-    """
-    work = None
-    for g in corpus:
-        if work is None or work.shape[0] != g.n:
-            work = np.empty((g.n, g.n), order="F")
-        est = detect_geometry(g, work)
-        del g
-        yield est
 
 
 def cluster_by_community_count(

@@ -7,12 +7,7 @@ an exact identity under the proxy mean, tested as such.
 
 ``ForkPool`` is the package's one way to run work in other processes: it
 forks them itself, streams their items to them and reads each one's
-results from a pipe.  The graphs of ``compute_moments`` (sampled corpora,
-the CLI's corpus directories and ``spectra``), the rows of the contact
-windows of ``replicate.run_contacts``, which its workers cut from the
-inherited records as the geometry pass yields each window's community
-count, and critical-n's sample-size search (``replicate.run_critical_n``)
-go through it.
+results from a pipe.
 """
 
 from __future__ import annotations
@@ -25,9 +20,8 @@ import pickle
 import signal
 import traceback
 import warnings
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -172,26 +166,26 @@ class ForkPool:
 
     ``map(items)`` returns ``[fn(x) for x in items]`` and streams ``items``:
     item i goes to worker i % workers, which is forked when its first item
-    arrives and reads the others from a pipe as this process makes them, so
+    arrives and reads its items from a pipe as this process makes them, so
     a generator's work here overlaps the workers'.  Each worker returns its
     results once its pipe is closed at the end of ``items``.
-    ``submit(*args)`` forks one worker for ``fn(*args)`` and returns a
-    callable that waits for its result.  Workers inherit ``fn`` and their
-    first item by ``os.fork`` (spawn or forkserver would re-import the
-    package, about 0.45 s, and could not inherit a closure); later items are
-    pickled.  A worker sets every OpenBLAS library it finds to one thread,
-    and stops its thread pool, before it runs anything, so that workers and
-    this process do not oversubscribe the CPUs; it pickles its results to a
-    pipe and leaves through ``os._exit``.  The workers' warnings, and the
-    first error with the worker's traceback as its cause, come here in item
-    order; a worker that ends without results raises ``ChildProcessError``
-    naming it and its exit status or signal, when it is joined or as soon as
-    ``map`` fails to pipe it an item.  With fewer than one worker, in a
-    worker and without ``os.fork``, ``map`` runs here, one item at a time as
-    ``items`` yields it, and a submitted call runs when collected.  Leaving
-    the ``with`` block, or an error raised by ``items``, kills and reaps
-    every worker not yet collected.  On Python >= 3.12, forking while BLAS
-    threads run issues a ``DeprecationWarning``.
+    ``submit(*args)`` forks one worker, pipes it ``args`` and returns a
+    callable that waits for ``fn(*args)``.  Workers inherit ``fn`` by
+    ``os.fork`` (spawn or forkserver would re-import the package, about
+    0.45 s, and could not inherit a closure); items and args are pickled.
+    A worker sets every OpenBLAS library it finds to one thread, and stops
+    its thread pool, before it runs anything, so that workers and this
+    process do not oversubscribe the CPUs; it pickles its results to a pipe
+    and leaves through ``os._exit``.  The workers' warnings, and the first
+    error with the worker's traceback as its cause, come here in item order;
+    a worker that ends without results raises ``ChildProcessError`` naming
+    it and its exit status or signal, when it is joined or as soon as it
+    cannot be piped an item.  With fewer than one worker, in a worker and
+    without ``os.fork``, ``map`` runs here, one item at a time as ``items``
+    yields it, and a submitted call runs when collected.  Leaving the
+    ``with`` block, or an error raised by ``items``, kills and reaps every
+    worker not yet collected.  On Python >= 3.12, forking while BLAS threads
+    run issues a ``DeprecationWarning``.
     """
 
     def __init__(self, fn, workers: int):
@@ -211,10 +205,10 @@ class ForkPool:
                 tasks.close()
         self._running.clear()
 
-    def _start(self, args: tuple) -> int:
-        """Fork a worker that runs ``_call`` of ``fn`` on ``args``, then on
-        each item ``_send`` pipes it, and pipes the results back at the end
-        of its items."""
+    def _start(self) -> int:
+        """Fork a worker that runs ``_call`` of ``fn`` on each args tuple
+        ``_send`` pipes it, and pipes the results back at the end of its
+        items."""
         blas_calls = _one_blas_thread()
         fds = os.pipe()
         try:
@@ -239,10 +233,10 @@ class ForkPool:
                 os.close(task_write)
                 os.close(read)
                 with open(task_read, "rb") as tasks, open(write, "wb") as out:
-                    done = [_call(self._fn, args)]
+                    done = []
                     with contextlib.suppress(EOFError):  # the end of the items
                         while True:
-                            done.append(_call(self._fn, (pickle.load(tasks),)))
+                            done.append(_call(self._fn, pickle.load(tasks)))
                     out.write(pickle.dumps(done))
             except BaseException:  # such as a result that cannot be pickled
                 traceback.print_exc()
@@ -253,11 +247,11 @@ class ForkPool:
         self._running[pid] = open(read, "rb"), open(task_write, "wb")
         return pid
 
-    def _send(self, pid: int, worker: int, item) -> None:
-        """Pipe ``item`` to worker number ``worker``."""
+    def _send(self, pid: int, worker: int, args: tuple) -> None:
+        """Pipe the call ``fn(*args)`` to worker number ``worker``."""
         tasks = self._running[pid][1]
         try:
-            pickle.dump(item, tasks)
+            pickle.dump(args, tasks)
             tasks.flush()
         except BrokenPipeError:  # the worker has ended: its status says how
             self._join(pid, worker)
@@ -286,10 +280,9 @@ class ForkPool:
         try:
             for i, x in enumerate(items):
                 if i < self._workers:
-                    pids.append(self._start((x,)))
-                else:
-                    w = i % self._workers
-                    self._send(pids[w], w, x)
+                    pids.append(self._start())
+                w = i % self._workers
+                self._send(pids[w], w, (x,))
             for pid in pids:  # the end of every worker's items
                 self._running[pid][1].close()
             shares = [self._join(pid, w) for w, pid in enumerate(pids)]
@@ -303,23 +296,23 @@ class ForkPool:
     def submit(self, *args):
         if self._workers < 1:
             return lambda: self._fn(*args)
-        pid = self._start(args)
+        pid = self._start()
+        self._send(pid, 0, args)
         self._running[pid][1].close()
         return lambda: _collect(self._join(pid, 0)[0], {})
 
 
-def _rows(corpus: Iterable[Graph], c: int) -> list:
+def _rows(corpus: Sequence[Graph], c: int) -> list:
     """``_row`` of every graph, in graph order.
 
-    A sized, indexable corpus is mapped over graph indices by a ``ForkPool``
-    of one worker per usable CPU, at most one per graph: a worker reads item
-    k itself, so a lazy corpus draws or loads graph k there, and only rows
-    come back.  Any other iterable, and fewer than two workers, run inline.
+    The corpus is mapped over graph indices by a ``ForkPool`` of one worker
+    per usable CPU, at most one per graph: a worker reads item k itself, so
+    a lazy corpus draws or loads graph k there, and only rows come back.
+    Fewer than two workers run inline, one graph at a time.
     """
-    workers = min(usable_cpus(), len(corpus)) if isinstance(corpus, Sequence) else 1
-    if workers < 2:
-        return list(map(_row, corpus, repeat(c)))  # map drops each graph
-    with ForkPool(lambda k: _row(corpus[k], c), workers) as pool:
+    workers = min(usable_cpus(), len(corpus))
+    with ForkPool(lambda k: _row(corpus[k], c),
+                  workers if workers > 1 else 0) as pool:
         return pool.map(range(len(corpus)))
 
 
@@ -349,17 +342,16 @@ def _table(rows: list, c: int) -> SampleMoments:
                          mean_spectrum=mean_spec, cov=cov)
 
 
-def compute_moments(corpus: Iterable[Graph], c: int) -> SampleMoments:
+def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
     """Per-graph spectra and densities of a corpus, with the mean spectrum
     and its unbiased covariance.
 
     ``corpus`` is a sized, indexable corpus, such as a list or a
     ``models.LazyCorpus`` (``iter_corpus``, the CLI's corpus directories);
     its graphs are reduced to their rows on every usable CPU (see ``_rows``),
-    and the table is the same whatever the number of workers.  Any other
-    iterable is read inline, one graph at a time.  Only each graph's row is
-    kept, so with a lazy corpus neither path holds more than the graphs it
-    is reducing, one per worker.  An empty corpus, mixed graph sizes and
+    and the table is the same whatever the number of workers.  Only each
+    graph's row is kept, so with a lazy corpus no more graphs are alive than
+    are being reduced, one per worker.  An empty corpus, mixed graph sizes and
     c > n raise ``ValueError``; a graph with c > n is not reduced.
     """
     return _table(_rows(corpus, c), c)

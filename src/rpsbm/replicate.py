@@ -39,7 +39,7 @@ from .fitting import (
     run_er_mixture_pipeline,
     sample_mixture,
 )
-from .geometry import cluster_by_community_count, detect_geometries
+from .geometry import cluster_by_community_count, detect_geometry
 from .models import (
     RpsbmModel,
     SbmParams,
@@ -222,15 +222,14 @@ def run_contacts(seed: int, params: dict) -> dict:
 
     The windows are a lazy corpus (``window_contacts``), so only the
     stream's records stay in memory.  Geometry reads the windows here, one
-    at a time, with one Bethe-Hessian array (``detect_geometries``).  As
-    each window's community count comes out of that pass, a ``ForkPool`` of
-    one worker per spare CPU (this process is busy) cuts the window again
-    from the records it inherited and reduces it to its row at that count,
-    so the rows are computed while geometry runs, and only rows come back.
-    With no spare CPU the rows are computed here, window by window after
-    each window's geometry, and one window is alive at a time.  Each fitted
-    cluster's table is its members' rows, equal to ``compute_moments`` of
-    their windows.
+    at a time.  As each window's community count comes out of that pass, a
+    ``ForkPool`` of one worker per spare CPU (this process is busy) cuts the
+    window again from the records it inherited and reduces it to its row at
+    that count, so the rows are computed while geometry runs, and only rows
+    come back.  With no spare CPU the rows are computed here, window by
+    window after each window's geometry, and one window is alive at a time.
+    Each fitted cluster's table is its members' rows, equal to
+    ``compute_moments`` of their windows.
     """
     p = _read("contacts params", params, file=str, window=(int, 2700),
               step=(int, 20), resample=(int, 500), min_cluster=(int, 5))
@@ -246,7 +245,7 @@ def run_contacts(seed: int, params: dict) -> dict:
 
     def counts():
         """The geometry pass, as (window, community count) pairs."""
-        for k, est in enumerate(detect_geometries(corpus)):
+        for k, est in enumerate(map(detect_geometry, corpus)):
             geoms.append(est)
             yield k, est.community_count
 

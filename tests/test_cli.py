@@ -318,6 +318,17 @@ class TestContactsCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["outputs"]) == (3960 - 1000) // 200 + 1
 
+    def test_stream_shorter_than_one_window_exits_1(self, runner, tmp_path):
+        contact = tmp_path / "contacts.txt"
+        contact.write_text("0 1 2\n10 2 3\n20 1 3\n")
+        out = tmp_path / "corpus"
+        r = runner.invoke(main, ["contacts", "--file", str(contact),
+                                 "--window", "100", "--step", "5",
+                                 "--out", str(out)])
+        assert r.exit_code == 1
+        assert "error: stream shorter than one window" in r.output
+        assert not out.exists()
+
 
 class TestReplicateCommand:
     def test_recoverability_small_run(self, runner, tmp_path):
@@ -344,6 +355,7 @@ class TestReplicateCommand:
         stream = planted_contact_stream(tmp_path / "contacts.txt")
         for scenario, params, files in (
                 ("recoverability", {"N": 6, "n": 500}, ["errors.csv"]),
+                ("mixture-beta", {"N": 20, "n": 200}, ["errors.csv"]),
                 ("critical-n", {"n": 200, "N_max": 200, "repetitions": 2,
                                 "supercritical": 30}, CURVES),
                 ("contacts", {"file": str(stream), "window": 300, "step": 20,
@@ -690,6 +702,21 @@ WRONG_KIND = {
                                     "--window must be at least 1, not 0"),
     "contacts_step_negative_option": (["contacts", "--step", "-5", "--file"], {},
                                       "--step must be at least 1, not -5"),
+    # a negative seed is refused before the stream is loaded
+    "seed_option_negative": (["replicate", "contacts", "--seed", "-1", "--config"],
+                             _config("contacts", file="absent.txt"),
+                             "--seed must be at least 0, not -1"),
+    "config_seed_negative": (["replicate", "contacts", "--config"],
+                             {**_config("contacts", file="absent.txt"), "seed": -1},
+                             "config 'seed' must be at least 0, not -1"),
+    # no host can allocate the labels of 10^17 nodes, so numpy refuses them
+    # at once, here and in a pool worker, and no memory is touched
+    "n_out_of_memory": (["sample", "--n", str(10**17), "--count", "1", "--model"],
+                        {"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5], "q": 0.0},
+                        "Unable to allocate"),
+    "replicate_n_out_of_memory": (["replicate", "recoverability", "--config"],
+                                  _config("recoverability", n=1e17, N=2),
+                                  "Unable to allocate"),
     "bandwidth_not_a_number": (["fit-np", "-c", "1", "--bandwidth", "fixed:abc",
                                 "--corpus"], {},
                                "--bandwidth 'fixed:abc': the h of 'fixed:<h>' "

@@ -11,9 +11,7 @@ from rpsbm import (
     Graph,
     SbmParams,
     cluster_by_community_count,
-    detect_geometries,
     detect_geometry,
-    geometry,
     sample_sbm,
 )
 from rpsbm.geometry import _pivoted_qr_labels
@@ -156,53 +154,6 @@ class TestPlanted:
             planted(sum(sizes), sizes, p, 0.05, seed, omega)), sizes)
             for seed in range(20))
         assert hits >= 18
-
-
-@st.composite
-def pass_graphs(draw):
-    """An empty graph, a perfect matching (r <= 1) or a planted draw of one
-    to three blocks, at a size from a small set, so that sizes repeat and
-    change along a corpus."""
-    n = draw(st.sampled_from([1, 2, 9, 30, 48]))
-    kind = draw(st.sampled_from(["empty", "matching", "planted"]))
-    if kind == "empty" or n < 9:
-        return Graph.empty(n)
-    if kind == "matching":
-        return Graph(n, [(2 * k, 2 * k + 1) for k in range(n // 2)])
-    blocks = draw(st.integers(1, 3))
-    sizes = [n // blocks + (k < n % blocks) for k in range(blocks)]
-    return planted(n, sizes, [0.9] * blocks, 0.05, draw(st.integers(0, 50)))
-
-
-class TestGeometryPass:
-    @given(corpus=st.lists(pass_graphs(), max_size=8))
-    def test_equals_one_call_per_graph(self, corpus):
-        # the work array still holds the last graph's Hessian, and its size
-        # changes along the corpus
-        got = list(detect_geometries(corpus))
-        assert len(got) == len(corpus)
-        for est, g in zip(got, corpus):
-            np.testing.assert_array_equal(est.s, detect_geometry(g).s)
-
-    def test_one_array_per_run_of_sizes(self, monkeypatch):
-        # every graph goes through the module's detect_geometry, which a
-        # wrapper (the benchmark's tracer) may replace
-        works = []
-        inner = geometry.detect_geometry
-
-        def spy(g, work=None):
-            works.append(work)
-            return inner(g, work)
-
-        monkeypatch.setattr(geometry, "detect_geometry", spy)
-        corpus = [planted(30, [15, 15], [0.9, 0.9], 0.05, seed) for seed in (1, 2)]
-        corpus += [Graph.empty(30), planted(48, [24, 24], [0.9, 0.9], 0.05, 3),
-                   Graph.empty(48), Graph.empty(30)]
-        assert [e.community_count for e in detect_geometries(corpus)] == [2, 2, 1, 2, 1, 1]
-        assert [w.shape[0] for w in works] == [30, 30, 30, 48, 48, 30]
-        assert works[0] is works[1] is works[2] and works[3] is works[4]
-        assert works[2] is not works[3] and works[4] is not works[5]
-        assert all(w.flags.f_contiguous for w in works)
 
 
 class TestClustering:

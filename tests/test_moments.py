@@ -32,6 +32,7 @@ from rpsbm import (
     UniformProductLaw,
 )
 from rpsbm import replicate
+from rpsbm.models import LazyCorpus
 from rpsbm.moments import (
     BLAS_POOL_SHUTDOWN,
     BLAS_THREAD_SETTERS,
@@ -195,7 +196,8 @@ class TestStream:
     @example([3, 5, 3, 6], 4)
     def test_stream_raises_what_a_list_raises(self, sizes, c):
         corpus = [Graph.complete(n) for n in sizes]
-        assert moments_or_error(iter(corpus), c) == moments_or_error(corpus, c)
+        assert (moments_or_error(LazyCorpus(Graph.complete, sizes), c)
+                == moments_or_error(corpus, c))
 
     def test_stream_holds_one_graph_at_a_time(self, monkeypatch):
         # tracemalloc sees only this process; pinned to one CPU, the graphs
