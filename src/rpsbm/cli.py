@@ -37,7 +37,7 @@ from .models import (LAWS, LazyCorpus, _read, iter_corpus, load_model,
                      model_to_dict)
 from .moments import _rows, compute_moments, moments_report
 from .replicate import SCENARIOS, run_scenario
-from .spectral import Graph, load_edgelist, save_edgelist
+from .spectral import INT64_BOUND, Graph, load_edgelist, save_edgelist
 
 click.UsageError.exit_code = 1  # spec: validation errors exit 1
 
@@ -331,6 +331,8 @@ def contacts(seed, contact_file, window, step):
     for name, value in (("--window", window), ("--step", step)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, not {value}")
+        if value >= INT64_BOUND:
+            raise ValueError(f"{name} must be below 2**63, not {value}")
     graphs = window_contacts(load_contacts(contact_file), window, step)
     if not graphs:
         raise ValueError("stream shorter than one window")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LazyCorpus
-from .spectral import Graph
+from .spectral import Graph, _parse_int
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def load_contacts(path) -> ContactStream:
             try:
                 if len(parts) < 3:
                     raise ValueError("expected 't i j'")
-                t, i, j = int(parts[0]), int(parts[1]), int(parts[2])
+                t, i, j = map(_parse_int, parts[:3])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if len(parts) > 3:

@@ -37,11 +37,9 @@ from .models import (
     TruncGaussianProductLaw,
     UniformProductLaw,
     iter_corpus,
-    sample_corpus,
 )
-from .moments import (SMALL, SampleMoments, block_sizes, classify_regimes,
+from .moments import (SMALL, SampleMoments, _row, block_sizes, classify_regimes,
                       inherent_variance)
-from .spectral import density, spectrum
 
 EPSILON_MAX = 0.2
 EPSILON_WARN = 0.1
@@ -328,25 +326,24 @@ def critical_n_for_threshold(sigma: float, threshold: float) -> float:
     return ((4.0 / 3.0) ** 0.2 * sigma / np.sqrt(threshold)) ** 5
 
 
-def _er_observables(components, n, seed, graph_index):
-    """(rho, p_hat) of one draw from the uniform mixture of the ER
-    ``components``."""
-    g = sample_corpus(components, n, 1, seed, graph_index)[0]
-    rho = density(g)
+def _er_observables(row):
+    """(rho, p_hat) of an ER mixture draw, from its ``moments._row`` at
+    c = 1."""
+    n, values, rho = row
     if rho == 0:
         warnings.warn("empty graph: p_hat set to 0")
         return rho, 0.0
-    return rho, (spectrum(g, 1).values[0] - 1.0) / (n * rho)
+    return rho, (values[0] - 1.0) / (n * rho)
 
 
 def critical_sample_size(p_values, n: int, omega: float, N_max: int,
                          seed: int = 0, repetitions: int = 5) -> int:
     """Smallest corpus size at which max_k 2 p_hat^(k) exceeds h_N.
 
-    Grows a corpus one draw at a time per repetition, comparing the running
-    max of 2*p_hat against the oracle-sigma Silverman bandwidth h_N; returns
-    the repetition average (rounded).  Raises if no repetition crosses by
-    N_max.
+    Repetition r grows the corpus of graphs 0, 1, ... at seed + r one draw
+    at a time, comparing the running max of 2*p_hat against the
+    oracle-sigma Silverman bandwidth h_N; returns the repetition average
+    (rounded).  Raises if no repetition crosses by N_max.
     """
     sigma = oracle_sigma(p_values, n, omega)
     components = [er_params(p, omega) for p in np.asarray(p_values, dtype=float)]
@@ -354,8 +351,8 @@ def critical_sample_size(p_values, n: int, omega: float, N_max: int,
     for rep in range(repetitions):
         max2p = -np.inf
         hit = None
-        for k in range(1, N_max + 1):
-            _, p_hat = _er_observables(components, n, seed + rep, k - 1)
+        for k, g in enumerate(iter_corpus(components, n, N_max, seed + rep), 1):
+            _, p_hat = _er_observables(_row(g, 1))
             max2p = max(max2p, 2.0 * p_hat)
             h = float(silverman_bandwidth(k, sigma).H[0, 0])
             if max2p > h:
@@ -401,8 +398,8 @@ def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
     components = [er_params(pj, omega) for pj in p]
     rho = np.empty(N)
     p_hat = np.empty(N)
-    for k in range(N):
-        rho[k], p_hat[k] = _er_observables(components, n, seed, k)
+    for k, g in enumerate(iter_corpus(components, n, N, seed)):
+        rho[k], p_hat[k] = _er_observables(_row(g, 1))
     hat_means = n * rho * p_hat + 1.0
     hat_sds = np.sqrt(np.maximum(2.0 * p_hat, 1e-12))
     true_means = n * omega * p + 1.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import rng as rngmod
-from .spectral import Graph
+from .spectral import INT64_BOUND, Graph
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -243,8 +243,8 @@ def law_from_dict(d: dict) -> ParamLaw:
 
 
 #: What a value of each ``_read`` kind must be, for the error message.
-_KINDS = {int: "an integer", float: "a finite number", str: "a string",
-          list: "a list of numbers",
+_KINDS = {int: "an integer of magnitude below 2**63", float: "a finite number",
+          str: "a string", list: "a list of numbers",
           np.ndarray: "a list of numbers or of such lists",
           dict: "a JSON object"}
 
@@ -266,7 +266,8 @@ def _as_kind(kind, value):
             or not abs(value) <= sys.float_info.max):
         return None
     if kind is int:
-        return int(value) if value == int(value) else None
+        return (int(value) if value == int(value) and abs(value) < INT64_BOUND
+                else None)
     return float(value)
 
 
@@ -275,13 +276,14 @@ def _read(what: str, d, /, **spec) -> dict:
     to its kind; every JSON input of the package is read through here.
 
     A spec entry is ``key=kind`` (required) or ``key=(kind, default)``
-    (optional).  The kinds are int, float (finite), str, dict (a JSON
-    object), list (a one-dimensional float array) and np.ndarray (a float
-    array of at least one dimension, for tables); bools fit none of them,
-    and a float fits int only when it is integral.  An absent optional key
-    reads as its default, converted unless it is None.  A non-object, a key
-    not in ``spec``, a missing required key and a value that does not fit
-    its kind raise ``ValueError``; ``what`` names the object in the message.
+    (optional).  The kinds are int (of magnitude below ``INT64_BOUND``),
+    float (finite), str, dict (a JSON object), list (a one-dimensional
+    float array) and np.ndarray (a float array of at least one dimension,
+    for tables); bools fit none of them, and a float fits int only when it
+    is integral.  An absent optional key reads as its default, converted
+    unless it is None.  A non-object, a key not in ``spec``, a missing
+    required key and a value that does not fit its kind raise
+    ``ValueError``; ``what`` names the object in the message.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")

@@ -5,7 +5,7 @@ the sample Frechet mean graph (the two agree for large n), which makes the
 sample total Frechet variance equal to trace of the eigenvalue covariance --
 an exact identity under the proxy mean, tested as such.
 
-``ForkPool`` is the package's one way to run work in other processes: it
+``fork_map`` is the package's one way to run work in other processes: it
 forks them itself, streams their items to them and reads each one's
 results from a pipe.
 """
@@ -87,27 +87,27 @@ def _row(g: Graph, c: int):
     return g.n, spectrum(g, c).values, density(g)
 
 
-_in_worker = False  # set in a ForkPool worker, whose own pools run inline
+_in_worker = False  # set in a fork_map worker, whose own fork_maps run inline
 
 
 class _WorkerTraceback(Exception):
     """A worker's formatted traceback: the cause of the error it raised."""
 
 
-def _call(fn, args: tuple):
-    """``fn(*args)``, or the exception it raised and its formatted
-    traceback, with the warnings it issued."""
+def _call(fn, x):
+    """``fn(x)``, or the exception it raised and its formatted traceback,
+    with the warnings it issued."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            done = fn(*args), None
+            done = fn(x), None
         except Exception as exc:  # raised in the parent, when collected
             done = None, (exc, "".join(traceback.format_exception(exc)))
     return *done, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _collect(done, registry: dict):
-    """Issue a task's warnings again here, then return its result or raise
+    """Issue a call's warnings again here, then return its result or raise
     its exception, with the worker's traceback as its cause."""
     result, error, caught = done
     for message, category, filename, lineno in caught:
@@ -138,7 +138,7 @@ BLAS_POOL_SHUTDOWN = "blas_thread_shutdown_"
 def _one_blas_thread() -> tuple:
     """Calls that set every OpenBLAS library this process has mapped (read
     from /proc/self/maps on the first call) to one thread: each library's
-    ``BLAS_THREAD_SETTERS`` with 1, then its ``BLAS_POOL_SHUTDOWN``.  None
+    ``BLAS_THREAD_SETTERS`` with 1, then its ``BLAS_POOL_SHUTDOWN``.  ``()``
     where the maps cannot be read or no library exports a setter."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
@@ -160,56 +160,43 @@ def _one_blas_thread() -> tuple:
     return tuple(calls)
 
 
-class ForkPool:
-    """Calls of one function ``fn`` on up to ``workers`` forked processes,
-    or in this process.
+def fork_map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``workers`` forked processes or
+    in this one.
 
-    ``map(items)`` returns ``[fn(x) for x in items]`` and streams ``items``:
-    item i goes to worker i % workers, which is forked when its first item
-    arrives and reads its items from a pipe as this process makes them, so
-    a generator's work here overlaps the workers'.  Each worker returns its
-    results once its pipe is closed at the end of ``items``.
-    ``submit(*args)`` forks one worker, pipes it ``args`` and returns a
-    callable that waits for ``fn(*args)``.  Workers inherit ``fn`` by
-    ``os.fork`` (spawn or forkserver would re-import the package, about
-    0.45 s, and could not inherit a closure); items and args are pickled.
-    A worker sets every OpenBLAS library it finds to one thread, and stops
-    its thread pool, before it runs anything, so that workers and this
-    process do not oversubscribe the CPUs; it pickles its results to a pipe
-    and leaves through ``os._exit``.  The workers' warnings, and the first
-    error with the worker's traceback as its cause, come here in item order;
-    a worker that ends without results raises ``ChildProcessError`` naming
-    it and its exit status or signal, when it is joined or as soon as it
-    cannot be piped an item.  With fewer than one worker, in a worker and
-    without ``os.fork``, ``map`` runs here, one item at a time as ``items``
-    yields it, and a submitted call runs when collected.  Leaving the
-    ``with`` block, or an error raised by ``items``, kills and reaps every
-    worker not yet collected.  On Python >= 3.12, forking while BLAS threads
-    run issues a ``DeprecationWarning``.
+    ``items`` is streamed: item i goes to worker i % workers, which is
+    forked when its first item arrives and reads its items from a pipe as
+    this process makes them, so a generator's work here overlaps the
+    workers'.  Each worker returns its results once its pipe is closed at
+    the end of ``items``.  Workers inherit ``fn`` by ``os.fork`` (spawn or
+    forkserver would re-import the package, about 0.45 s, and could not
+    inherit a closure); items are pickled.  A worker sets every OpenBLAS
+    library it finds to one thread, and stops its thread pool, before it
+    runs anything, so that workers and this process do not oversubscribe
+    the CPUs; it pickles its results to a pipe and leaves through
+    ``os._exit``.  The workers' warnings, and the first error with the
+    worker's traceback as its cause, come here in item order, once
+    ``items`` has ended; a worker that ends without results raises
+    ``ChildProcessError`` naming it and its exit status or signal, when it
+    is joined or as soon as it cannot be piped an item.  Any error, raised
+    by ``items``, by a worker or here, kills and reaps every worker.
+
+    With fewer than one worker, in a worker and without ``os.fork``, ``fn``
+    runs here once ``items`` has been read to its end, so that the items'
+    own work and warnings, and then the calls' warnings and first error,
+    come in the same order as forked.  On Python >= 3.12, forking while
+    BLAS threads run issues a ``DeprecationWarning``.
     """
+    if workers < 1 or _in_worker or not hasattr(os, "fork"):
+        return [fn(x) for x in list(items)]
+    blas_calls = _one_blas_thread()
+    # worker number -> its pid, the read end of its result pipe and the
+    # write end of its item pipe
+    running = {}
 
-    def __init__(self, fn, workers: int):
-        # pid -> the read end of its result pipe, the write end of its task pipe
-        self._fn, self._running = fn, {}
-        self._workers = workers if hasattr(os, "fork") and not _in_worker else 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        for pid, (results, tasks) in self._running.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            results.close()
-            with contextlib.suppress(BrokenPipeError):  # an item left unsent
-                tasks.close()
-        self._running.clear()
-
-    def _start(self) -> int:
-        """Fork a worker that runs ``_call`` of ``fn`` on each args tuple
-        ``_send`` pipes it, and pipes the results back at the end of its
-        items."""
-        blas_calls = _one_blas_thread()
+    def start() -> tuple:
+        """Fork a worker that runs ``_call`` of ``fn`` on each item piped to
+        it, and pipes the results back at the end of its items."""
         fds = os.pipe()
         try:
             fds += os.pipe()
@@ -225,18 +212,18 @@ class ForkPool:
             for call in blas_calls:
                 call()
             try:
-                # the other workers' task pipes must see their end when this
+                # the other workers' item pipes must see their end when this
                 # process closes them, not when this worker exits
-                for pipes in self._running.values():
-                    for pipe in pipes:
-                        pipe.close()
+                for _, results, tasks in running.values():
+                    results.close()
+                    tasks.close()
                 os.close(task_write)
                 os.close(read)
                 with open(task_read, "rb") as tasks, open(write, "wb") as out:
                     done = []
                     with contextlib.suppress(EOFError):  # the end of the items
                         while True:
-                            done.append(_call(self._fn, pickle.load(tasks)))
+                            done.append(_call(fn, pickle.load(tasks)))
                     out.write(pickle.dumps(done))
             except BaseException:  # such as a result that cannot be pickled
                 traceback.print_exc()
@@ -244,76 +231,63 @@ class ForkPool:
             os._exit(0)
         os.close(task_read)
         os.close(write)
-        self._running[pid] = open(read, "rb"), open(task_write, "wb")
-        return pid
+        return pid, open(read, "rb"), open(task_write, "wb")
 
-    def _send(self, pid: int, worker: int, args: tuple) -> None:
-        """Pipe the call ``fn(*args)`` to worker number ``worker``."""
-        tasks = self._running[pid][1]
-        try:
-            pickle.dump(args, tasks)
-            tasks.flush()
-        except BrokenPipeError:  # the worker has ended: its status says how
-            self._join(pid, worker)
-            raise
-
-    def _join(self, pid: int, worker: int) -> list:
-        """What worker number ``worker`` wrote, once it has exited."""
-        results, tasks = self._running[pid]
+    def join(w: int) -> list:
+        """What worker number ``w`` wrote, once it has exited."""
+        pid, results, tasks = running[w]
         with contextlib.suppress(BrokenPipeError):
             tasks.close()
         with results:
             done = results.read()
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del self._running[pid]
+        del running[w]
         if code:
             how = (f"was killed by {signal.Signals(-code).name}" if code < 0
                    else f"exited with status {code}")
-            raise ChildProcessError(f"fork pool worker {worker} (pid {pid}) "
+            raise ChildProcessError(f"fork pool worker {w} (pid {pid}) "
                                     f"{how} without returning its results")
         return pickle.loads(done)
 
-    def map(self, items) -> list:
-        if self._workers < 1:
-            return list(map(self._fn, items))
-        pids = []
-        try:
-            for i, x in enumerate(items):
-                if i < self._workers:
-                    pids.append(self._start())
-                w = i % self._workers
-                self._send(pids[w], w, (x,))
-            for pid in pids:  # the end of every worker's items
-                self._running[pid][1].close()
-            shares = [self._join(pid, w) for w, pid in enumerate(pids)]
-        finally:
-            self.__exit__()
-        k = len(pids)
-        registry = {}  # a repeated warning shows once, as inline
-        return [_collect(shares[i % k][i // k], registry)
-                for i in range(sum(map(len, shares)))]
-
-    def submit(self, *args):
-        if self._workers < 1:
-            return lambda: self._fn(*args)
-        pid = self._start()
-        self._send(pid, 0, args)
-        self._running[pid][1].close()
-        return lambda: _collect(self._join(pid, 0)[0], {})
+    try:
+        for i, x in enumerate(items):
+            w = i % workers
+            if i < workers:
+                running[w] = start()
+            tasks = running[w][2]
+            try:
+                pickle.dump(x, tasks)
+                tasks.flush()
+            except BrokenPipeError:  # the worker has ended: its status says how
+                join(w)
+                raise
+        for _, _, tasks in running.values():  # the end of every worker's items
+            tasks.close()
+        shares = [join(w) for w in range(len(running))]
+    finally:
+        for pid, results, tasks in running.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            results.close()
+            with contextlib.suppress(BrokenPipeError):  # an item left unsent
+                tasks.close()
+    k = len(shares)
+    registry = {}  # a repeated warning shows once, as inline
+    return [_collect(shares[i % k][i // k], registry)
+            for i in range(sum(map(len, shares)))]
 
 
 def _rows(corpus: Sequence[Graph], c: int) -> list:
     """``_row`` of every graph, in graph order.
 
-    The corpus is mapped over graph indices by a ``ForkPool`` of one worker
-    per usable CPU, at most one per graph: a worker reads item k itself, so
-    a lazy corpus draws or loads graph k there, and only rows come back.
-    Fewer than two workers run inline, one graph at a time.
+    ``fork_map`` maps the graph indices over one worker per usable CPU, at
+    most one per graph: a worker reads item k itself, so a lazy corpus draws
+    or loads graph k there, and only rows come back.  Fewer than two workers
+    run inline.
     """
     workers = min(usable_cpus(), len(corpus))
-    with ForkPool(lambda k: _row(corpus[k], c),
-                  workers if workers > 1 else 0) as pool:
-        return pool.map(range(len(corpus)))
+    return fork_map(lambda k: _row(corpus[k], c), range(len(corpus)),
+                    workers if workers > 1 else 0)
 
 
 def _table(rows: list, c: int) -> SampleMoments:

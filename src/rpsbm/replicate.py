@@ -20,9 +20,10 @@ that the runner does not read, or a value not of its kind, is an error:
     contacts        file: str (required); window, step, resample (each at
                     least 1), min_cluster: int
 
-where a float is finite, an int may be written as an integral float, and a
-list is a one-dimensional array of numbers (``p_values`` of mixture-beta is
-a table: one density vector per component, one entry per block of ``s``).
+where a float is finite, an int lies below 2**63 in magnitude and may be
+written as an integral float, and a list is a one-dimensional array of
+numbers (``p_values`` of mixture-beta is a table: one density vector per
+component, one entry per block of ``s``).
 ``omega``, given or defaulted from n, must lie in (0, 1].  The ranges are
 checked before anything is loaded, drawn or forked, and an error names the
 key.
@@ -48,7 +49,7 @@ from .models import (
     iter_corpus,
     model_to_dict,
 )
-from .moments import ForkPool, _row, _table, compute_moments, usable_cpus
+from .moments import _row, _table, compute_moments, fork_map, usable_cpus
 from .contacts import load_contacts, window_contacts
 
 SCENARIOS = ("recoverability", "mixture-beta", "critical-n", "contacts")
@@ -171,13 +172,16 @@ def run_critical_n(seed: int, params: dict) -> dict:
     density curves at sub/critical/super sample sizes.
 
     The search for N_crit (``critical_sample_size``) and the curves draw
-    from separate streams, so they overlap: the search runs in a
-    ``ForkPool`` of one worker while this process draws the subcritical and
-    supercritical curves, and the critical curve follows once N_crit is in.
-    The worker needs a CPU of its own, since this process is busy meanwhile;
-    with no spare CPU the search runs here, in the same order.  The curves
-    always stay in this process.  The params are checked before anything is
-    drawn or forked.
+    graphs that are pure functions of (seed, graph index), and neither reads
+    what the other computes.  They share graphs: repetition r of the search
+    draws graphs 0, 1, ... at seed + r, so repetition 0 draws the curves'
+    graphs again, and repetition r those of repetition 0 at seed + r.  The
+    search is the one item of a ``fork_map`` of one worker, whose items
+    generator then draws the subcritical and supercritical curves here, so
+    the two overlap; the critical curve follows once N_crit is in.  The
+    worker needs a CPU of its own, since this process is busy meanwhile;
+    with no spare CPU the search runs here after those curves, in the same
+    order.  The params are checked before anything is drawn or forked.
     """
     p = _read("critical-n params", params, n=(int, 1000), omega=(float, None),
               p_values=(list, [0.75, 0.85]), N_max=(int, 400),
@@ -195,14 +199,18 @@ def run_critical_n(seed: int, params: dict) -> dict:
     if p_values.min() <= 0 or omega * p_values.max() > 1 + 1e-12:
         raise ValueError(f"critical-n params 'p_values' must lie in (0, 1/omega] "
                          f"at omega = {omega:g}, not {p_values.tolist()}")
-    with ForkPool(lambda: critical_sample_size(
-            p_values, n, omega, p["N_max"], seed=seed,
-            repetitions=p["repetitions"]), usable_cpus() - 1) as pool:
-        search = pool.submit()
-        curves = {label: run_er_mixture_pipeline(p_values, n, omega, p[label],
-                                                 seed=seed)
-                  for label in ("subcritical", "supercritical")}
-        n_crit = search()
+    curves = {}
+
+    def items():
+        """The search's one item, then the curves it overlaps."""
+        yield None
+        for label in ("subcritical", "supercritical"):
+            curves[label] = run_er_mixture_pipeline(p_values, n, omega, p[label],
+                                                    seed=seed)
+
+    (n_crit,) = fork_map(lambda _: critical_sample_size(
+        p_values, n, omega, p["N_max"], seed=seed, repetitions=p["repetitions"]),
+        items(), usable_cpus() - 1)
     curves["critical"] = run_er_mixture_pipeline(p_values, n, omega, n_crit,
                                                  seed=seed)
     tables = {}
@@ -222,12 +230,13 @@ def run_contacts(seed: int, params: dict) -> dict:
 
     The windows are a lazy corpus (``window_contacts``), so only the
     stream's records stay in memory.  Geometry reads the windows here, one
-    at a time.  As each window's community count comes out of that pass, a
-    ``ForkPool`` of one worker per spare CPU (this process is busy) cuts the
-    window again from the records it inherited and reduces it to its row at
-    that count, so the rows are computed while geometry runs, and only rows
-    come back.  With no spare CPU the rows are computed here, window by
-    window after each window's geometry, and one window is alive at a time.
+    at a time.  As each window's community count comes out of that pass,
+    ``fork_map`` pipes it to one worker per spare CPU (this process is
+    busy), which cuts the window again from the records it inherited and
+    reduces it to its row at that count, so the rows are computed while
+    geometry runs, and only rows come back.  With no spare CPU the rows are
+    computed here once the whole geometry pass is done, each window cut
+    again, and one window is alive at a time throughout.
     Each fitted cluster's table is its members' rows, equal to
     ``compute_moments`` of their windows.
     """
@@ -249,9 +258,8 @@ def run_contacts(seed: int, params: dict) -> dict:
             geoms.append(est)
             yield k, est.community_count
 
-    with ForkPool(lambda kc: _row(corpus[kc[0]], kc[1]),
-                  usable_cpus() - 1) as pool:
-        rows = pool.map(counts())
+    rows = fork_map(lambda kc: _row(corpus[kc[0]], kc[1]), counts(),
+                    usable_cpus() - 1)
     clusters = cluster_by_community_count(geoms)
     sizes = sorted(clusters.items(), key=lambda kv: len(kv[1]), reverse=True)
     fits = {}

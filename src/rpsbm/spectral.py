@@ -256,6 +256,20 @@ def dist_truncated(a: SpectralSignature, b: SpectralSignature) -> float:
 # duplicates and reversed pairs are collapsed on load.
 # ---------------------------------------------------------------------------
 
+#: Every integer the package reads must lie below this in magnitude, since
+#: numpy keeps ids, times, counts and sizes as int64.
+INT64_BOUND = 2**63
+
+
+def _parse_int(text: str) -> int:
+    """``int(text)``; a value of magnitude ``INT64_BOUND`` or more raises
+    ``ValueError``."""
+    value = int(text)
+    if abs(value) >= INT64_BOUND:
+        raise ValueError(f"{text!r} is not an integer of magnitude below 2**63")
+    return value
+
+
 def save_edgelist(g: Graph, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"n {g.n}\n")
@@ -275,11 +289,11 @@ def load_edgelist(path: str | os.PathLike) -> Graph:
                 if parts[0] == "n":
                     if len(parts) != 2:
                         raise ValueError("expected 'n <count>'")
-                    n_header = int(parts[1])
+                    n_header = _parse_int(parts[1])
                 elif len(parts) < 2:
                     raise ValueError("expected two node ids")
                 else:
-                    pairs.append((int(parts[0]), int(parts[1])))
+                    pairs.append((_parse_int(parts[0]), _parse_int(parts[1])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

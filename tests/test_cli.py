@@ -717,6 +717,26 @@ WRONG_KIND = {
     "replicate_n_out_of_memory": (["replicate", "recoverability", "--config"],
                                   _config("recoverability", n=1e17, N=2),
                                   "Unable to allocate"),
+    # numpy keeps integers as int64: one past it is refused where it is read
+    "critical_n_n_past_int64": (["replicate", "critical-n", "--config"],
+                                _config("critical-n", n=1e20),
+                                "critical-n params 'n' must be an integer of "
+                                "magnitude below 2**63"),
+    "contacts_step_past_int64": (["replicate", "contacts", "--config"],
+                                 _config("contacts", file="absent.txt", step=1e20),
+                                 "contacts params 'step' must be an integer of "
+                                 "magnitude below 2**63"),
+    "config_seed_past_int64": (["replicate", "contacts", "--config"],
+                               {**_config("contacts", file="absent.txt"),
+                                "seed": 2**64},
+                               "config 'seed' must be an integer of magnitude "
+                               "below 2**63"),
+    "contacts_window_past_int64_option": (
+        ["contacts", "--window", str(10**20), "--file"], {},
+        f"--window must be below 2**63, not {10**20}"),
+    "contacts_step_past_int64_option": (
+        ["contacts", "--step", str(2**63), "--file"], {},
+        f"--step must be below 2**63, not {2**63}"),
     "bandwidth_not_a_number": (["fit-np", "-c", "1", "--bandwidth", "fixed:abc",
                                 "--corpus"], {},
                                "--bandwidth 'fixed:abc': the h of 'fixed:<h>' "
@@ -794,7 +814,12 @@ class TestInvalidJson:
     @pytest.mark.parametrize("text, message", [
         ("n 3\n1 x\n", ":2: invalid literal for int() with base 10: 'x'"),
         ("n 3\n0 3\n", ": edge endpoint out of range"),
-    ], ids=["non_integer", "endpoint_out_of_range"])
+        (f"n {10**20}\n0 1\n",
+         f":1: '{10**20}' is not an integer of magnitude below 2**63"),
+        (f"n 3\n0 1\n{-2**63} 1\n",
+         f":3: '{-2**63}' is not an integer of magnitude below 2**63"),
+    ], ids=["non_integer", "endpoint_out_of_range", "n_past_int64",
+            "id_past_int64"])
     def test_edgelist_error_names_the_file(self, runner, tmp_path, text, message):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -813,6 +838,19 @@ class TestInvalidJson:
         self.assert_clean_exit_1(r)
         assert (f"error: {stream}:2: invalid literal for int() with base 10: 'x'\n"
                 in r.output)
+
+    @pytest.mark.parametrize("line", [f"{10**20} 1 2", f"20 1 {2**63}",
+                                      f"20 {-10**19} 2"])
+    def test_contacts_integer_past_int64_names_the_line(self, runner, tmp_path,
+                                                        line):
+        stream = tmp_path / "contacts.txt"
+        stream.write_text(f"0 1 2\n{line}\n")
+        r = runner.invoke(main, ["contacts", "--file", str(stream),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        bad = next(x for x in line.split() if abs(int(x)) >= 2**63)
+        assert (f"error: {stream}:2: '{bad}' is not an integer of magnitude "
+                f"below 2**63\n" in r.output)
 
     @pytest.mark.parametrize("scenario, params", [
         ("recoverability", {"n": [300]}),

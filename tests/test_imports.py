@@ -9,16 +9,15 @@ somewhere in the package, or it is dead code.  No module may reach an
 underscore-prefixed numpy or scipy module or name: those are not API and
 change between releases without notice.
 
-One module, and one only, starts other processes: ``moments``, whose
-``ForkPool`` is the package's one way to run work in them.  It calls
-``os.fork``; no other module may call ``os.fork``, ``os.forkpty`` or
-``os.posix_spawn*``, or import ``multiprocessing``, ``concurrent.futures`` or
-``subprocess``.
+One call, and one only, starts other processes: the ``os.fork`` in
+``moments.fork_map``, the package's one way to run work in them.  No other
+code may call ``os.fork``, ``os.forkpty`` or ``os.posix_spawn*``, or import
+``multiprocessing``, ``concurrent.futures`` or ``subprocess``.
 
 Importing the package must not import ``scipy.stats``, which would be most of
 its import time; only the ``gauss`` law needs it, and imports it itself.  Nor
 may it import ``multiprocessing`` or an executor of ``concurrent.futures``,
-and a ``ForkPool`` that forks workers must not import ``multiprocessing``
+and a ``fork_map`` that forks workers must not import ``multiprocessing``
 either.  (The ``concurrent.futures`` package itself is loaded by
 ``scipy.sparse``, through ``numpy.testing``, so only its executors are
 checked.)  A fresh interpreter checks each.
@@ -26,6 +25,7 @@ checked.)  A fresh interpreter checks each.
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -222,9 +222,17 @@ def test_finds_a_pool_import():
 
 
 def test_one_module_runs_work_in_other_processes():
-    importers = {p.name: pool_imports(p.read_text(encoding="utf-8"))
-                 for p in PACKAGE}
-    assert [name for name, found in importers.items() if found] == ["moments.py"]
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    found = {name: uses for name, source in sources.items()
+             if (uses := pool_imports(source))}
+    assert list(found) == ["moments.py"]
+    # and there, only the os.fork inside fork_map
+    (use,) = found["moments.py"]
+    match = re.fullmatch(r"os\.fork \(line (\d+)\)", use)
+    assert match, use
+    (fork_map,) = [node for node in ast.parse(sources["moments.py"]).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "fork_map"]
+    assert fork_map.lineno <= int(match[1]) <= fork_map.end_lineno
 
 
 def run_fresh(code: str) -> str:

@@ -440,11 +440,12 @@ class TestModelSpecFiles:
                              "p": [0.5], "q": 0.0})
 
 
-# JSON values of every type, with integers past the float range; the lists
-# hold integers only, so all of them read as lists of numbers
+# JSON values of every type, with integers about the int64 bound and past the
+# float range; the lists hold integers only, so all of them read as lists of
+# numbers
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2**53, 2**53),
-    st.sampled_from([2**1024, -10**400]), st.floats(),
+    st.sampled_from([2**62, -2**63, 2**63, 1e20, 2**1024, -10**400]), st.floats(),
     st.text(max_size=2), st.lists(st.integers(0, 9), max_size=2),
     st.dictionaries(st.text(max_size=1), st.integers(0, 9), max_size=1))
 
@@ -455,7 +456,7 @@ def fits(kind, value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     finite = abs(value) < 2**1024 if isinstance(value, int) else math.isfinite(value)
-    return finite and (kind is float or value == int(value))
+    return finite and (kind is float or value == int(value) and abs(value) < 2**63)
 
 
 class TestRead:

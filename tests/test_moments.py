@@ -39,7 +39,7 @@ from rpsbm.moments import (
     LARGE,
     MEDIUM,
     SMALL,
-    ForkPool,
+    fork_map,
     moments_report,
 )
 from rpsbm.replicate import run_scenario
@@ -280,11 +280,9 @@ class TestPool:
 
     def test_a_worker_runs_its_own_pools_inline(self):
         def inner_pid(_):
-            with ForkPool(lambda _: os.getpid(), 2) as inner:
-                return inner.map(range(2)), os.getpid()
+            return fork_map(lambda _: os.getpid(), range(2), 2), os.getpid()
 
-        with ForkPool(inner_pid, 2) as pool:
-            done = pool.map(range(2))
+        done = fork_map(inner_pid, range(2), 2)
         assert [pids for pids, _ in done] == [[pid, pid] for _, pid in done]
         assert len({pid for _, pid in done} | {os.getpid()}) == 3
         assert_no_child_process()
@@ -295,20 +293,25 @@ class TestPool:
         # hanging
         out = run_fresh(
             "import os, re, signal, time\n"
-            "from rpsbm.moments import ForkPool\n"
+            "from rpsbm.moments import fork_map\n"
             "def die_at(k):\n"
             "    def fn(x):\n"
             "        if x == k:\n"
             "            os.kill(os.getpid(), signal.SIGKILL)  # as the OOM killer\n"
             "        return x\n"
             "    return fn\n"
-            "calls = [lambda: ForkPool(die_at(1), 2).map(range(4)),\n"
-            "         lambda: ForkPool(die_at(0), 2).map(range(4)),\n"
-            "         lambda: ForkPool(os._exit, 1).submit(3)()]\n"
+            "calls = [lambda: fork_map(die_at(1), range(4), 2),\n"
+            "         lambda: fork_map(die_at(0), range(4), 2),\n"
+            "         lambda: fork_map(os._exit, [3], 1)]\n"
             "def abandon():\n"
-            "    with ForkPool(time.sleep, 1) as pool:\n"
-            "        pool.submit(300)  # left uncollected: killed on leaving\n"
-            "    print('left')\n"
+            "    def items():\n"
+            "        yield 300\n"
+            "        time.sleep(0.1)\n"
+            "        raise KeyError('items broke')  # the worker sleeps: killed\n"
+            "    try:\n"
+            "        fork_map(time.sleep, items(), 1)\n"
+            "    except KeyError:\n"
+            "        print('left')\n"
             "calls.append(abandon)\n"
             "for call in calls:\n"
             "    try:\n"
@@ -367,8 +370,38 @@ class TestStreamingMap:
                 time.sleep(0.005)
             yield from (2, 3, 4)
 
-        assert ForkPool(mark, 2).map(items()) == [0, -1, -2, -3, -4]
+        assert fork_map(mark, items(), 2) == [0, -1, -2, -3, -4]
         assert_no_child_process()
+
+    def test_inline_and_forked_calls_keep_one_order(self):
+        # the items' warnings come first, then each call's in item order, up
+        # to and including the first error
+        def items():
+            for x in range(4):
+                warnings.warn(f"item {x}")
+                yield x
+
+        def fn(x):
+            warnings.warn(f"call {x}")
+            if x == fail:
+                raise KeyError(x)
+            return -x
+
+        for fail, calls in ((None, 4), (2, 3)):
+            seen = []
+            for workers in (0, 2):
+                with warnings.catch_warnings(record=True) as rec:
+                    warnings.simplefilter("always")
+                    try:
+                        done = fork_map(fn, items(), workers)
+                    except KeyError as exc:
+                        done = exc.args
+                seen.append((done, [str(w.message) for w in rec]))
+                assert_no_child_process()
+            assert seen[0] == seen[1]
+            assert seen[1] == ([0, -1, -2, -3] if fail is None else (2,),
+                               [f"item {x}" for x in range(4)]
+                               + [f"call {x}" for x in range(calls)])
 
     def test_an_error_in_the_items_leaves_no_child(self):
         def items():
@@ -376,7 +409,7 @@ class TestStreamingMap:
             raise KeyError("stream broke")
 
         with pytest.raises(KeyError, match="stream broke"):
-            ForkPool(abs, 2).map(items())
+            fork_map(abs, items(), 2)
         assert_no_child_process()
 
     def test_a_worker_killed_mid_stream_fails_the_map(self):
@@ -386,7 +419,7 @@ class TestStreamingMap:
         # on run_fresh's timeout instead of hanging
         out = run_fresh(
             "import itertools, os, re, signal, time\n"
-            "from rpsbm.moments import ForkPool\n"
+            "from rpsbm.moments import fork_map\n"
             "def fn(x):\n"
             "    if x == 5:\n"
             "        os.kill(os.getpid(), signal.SIGKILL)\n"
@@ -396,7 +429,7 @@ class TestStreamingMap:
             "        yield x\n"
             "        time.sleep(0.001)\n"
             "try:\n"
-            "    ForkPool(fn, 2).map(items())\n"
+            "    fork_map(fn, items(), 2)\n"
             "except ChildProcessError as exc:\n"
             "    print(re.sub(r'pid \\d+', 'pid PID', str(exc)))\n"
             "try:\n"
@@ -415,12 +448,11 @@ class TestStreamingMap:
             raise KeyError("stream broke")
 
         before = open_descriptors()
-        with ForkPool(abs, 2) as pool:
-            assert pool.map(iter(range(-9, 0))) == list(range(9, 0, -1))
-            assert pool.map([-1]) == [1]
-            assert pool.submit(-2)() == 2
-            with pytest.raises(KeyError):
-                pool.map(failing())
+        assert fork_map(abs, iter(range(-9, 0)), 2) == list(range(9, 0, -1))
+        assert fork_map(abs, [-1], 2) == [1]
+        assert fork_map(abs, [-2], 1) == [2]
+        with pytest.raises(KeyError):
+            fork_map(abs, failing(), 2)
         assert open_descriptors() == before
         assert_no_child_process()
 
@@ -438,8 +470,7 @@ class TestStreamingMap:
         try:
             for _, set_threads in controls:
                 set_threads(2)
-            with ForkPool(threads, 2) as pool:
-                done = pool.map(range(3))
+            done = fork_map(threads, range(3), 2)
             assert [blas for blas, _ in done] == [[1] * len(controls)] * 3
             if shutdown:  # and no idle pool thread beside the worker's own
                 assert [tasks for _, tasks in done] == [1] * 3
