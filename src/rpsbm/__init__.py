@@ -14,7 +14,6 @@ from .spectral import (
     SpectralSignature,
     density,
     dist_truncated,
-    full_spectrum,
     load_edgelist,
     save_edgelist,
     spectrum,
@@ -48,7 +47,6 @@ from .moments import (
     SampleMoments,
     classify_regimes,
     compute_moments,
-    frechet_total_variance,
 )
 from .fitting import (
     Bandwidth,

@@ -331,19 +331,6 @@ def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
     return _table(_rows(corpus, c), c)
 
 
-def frechet_total_variance(corpus: Sequence[Graph], c: int) -> float:
-    """Sample total variance around the spectral proxy of the Frechet mean.
-
-    (1/(N-1)) * sum_k ||lambda^(k) - lambda_bar||^2; equals trace of the
-    sample covariance up to floating error.
-    """
-    if len(corpus) < 2:
-        raise ValueError("total variance needs at least two graphs")
-    m = compute_moments(corpus, c)
-    diff = m.spectra - m.mean_spectrum
-    return float(np.sum(diff * diff) / (m.N - 1))
-
-
 def inherent_variance(lam: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
     """SBM-inherent eigenvalue variance 2 lambda_i / (n s_i): the spread of
     lambda_i over draws of one SBM, which no parameter law J can undercut."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -21,20 +22,33 @@ import scipy.sparse.linalg
 # vs 8.0 ms at n = 400).  The cut-off sits at 400 so that graphs of a few
 # hundred nodes (contact windows, the benchmark's 300-node test runs) keep
 # their exact LAPACK values, where ARPACK would save a few ms per graph.
-# ARPACK starts from a fixed Gaussian vector: a structured start such as the
-# all-ones vector is orthogonal to every antisymmetric eigenvector (the second
-# eigenvector of a path, say), which Lanczos then never finds.  tol=0 means
-# machine-precision residuals, well inside the 1e-8 contract.  It must stay 0:
-# with tol = 1e-10 or 1e-12 the top 3 of the 401-node cycle come back with
-# lambda_3 off by 7.4e-4, because Lanczos stops before it finds the second
-# copy of a double eigenvalue (1e-14 is right again).  A looser tol would
-# cut a c = 1 solve of a 500-node Erdos-Renyi draw from 31 to 21 matvecs.
+# ARPACK starts from _start(n): the unit all-ones vector plus
+# ARPACK_START_WEIGHT times a unit Gaussian vector drawn from ARPACK_SEED,
+# built once per n.  The Perron vector of a near-regular draw is almost
+# constant, so a start close to it converges sooner: a c = 1 solve of a
+# 500-node Erdos-Renyi draw (omega = 2/sqrt(n), p = 0.8, critical-n's draws)
+# takes 21 operator applications, one Lanczos run of eigsh's default ncv,
+# where a Gaussian start took 31, one implicit restart more.  The Gaussian
+# part stays because the all-ones vector is orthogonal to every
+# antisymmetric eigenvector (the second eigenvector of a path, say), which
+# Lanczos then reaches only through rounding.  Applications per solve (one
+# BLAS thread), Gaussian start -> weights 0.01 / 0.1 / 0.3 / 1: the c = 1
+# draws above 31 -> 21 at every weight; c = 2 recoverability draws (n = 2000
+# and 6000, the workloads' law) 21 -> 21; c = 3 on three equal blocks
+# (n = 1000, omega = 0.1, p = 0.9, q = 0.05) 38 -> 38; c = 3 on the 401-node
+# cycle 3060 -> 2970 / 2962 / 2916 / 3193.  The block-model counts are flat
+# in the weight and the cycle's vary by rounding, so the weight is 0.1.
+# tol=0 means machine-precision residuals, well inside the 1e-8 contract.
+# It must stay 0: with tol = 1e-10 or 1e-12 the top 3 of the 401-node cycle
+# came back (from the Gaussian start) with lambda_3 off by 7.4e-4, because
+# Lanczos stops before it finds the second copy of a double eigenvalue
+# (1e-14 is right again).
 # The dense solver decides when ARPACK fails or the c-th Ritz value is <= 0: a
 # graph with fewer than c positive eigenvalues has a large zero eigenspace
 # that Lanczos can step over.
-# ARPACK_MAXITER caps the implicit restarts.  Block-model draws converge in one
-# restart (checked with maxiter=1 at n = 401 to 6000, c = 1 to 3), so 300
-# leaves them a wide margin.  Clustered top eigenvalues (paths, cycles) can
+# ARPACK_MAXITER caps the implicit restarts.  Block-model draws converge in at
+# most one restart (checked with maxiter=1 at n = 401 to 6000, c = 1 to 3), so
+# 300 leaves them a wide margin.  Clustered top eigenvalues (paths, cycles) can
 # need thousands: on a 2100-node path with c = 2, 300 restarts take about
 # 0.3 s and the dense fallback then 1.2 s, where an uncapped solve takes
 # 10.5 s.  One restart costs O(ncv m) against O(n^3) for the dense solve, so
@@ -52,6 +66,7 @@ import scipy.sparse.linalg
 DENSE_EIG = 400
 ARPACK_TOL = 0.0
 ARPACK_SEED = 20220705
+ARPACK_START_WEIGHT = 0.1
 ARPACK_MAXITER = 300
 
 
@@ -180,15 +195,26 @@ def _adjacency_operator(g: Graph) -> scipy.sparse.linalg.LinearOperator:
         (g.n, g.n), matvec=lambda x: ut @ x + u @ x, dtype=float)
 
 
+@functools.lru_cache(maxsize=8)
+def _start(n: int) -> np.ndarray:
+    """ARPACK's start vector on n nodes, read-only: the unit all-ones vector
+    plus ARPACK_START_WEIGHT times the unit fixed Gaussian."""
+    z = np.random.default_rng(ARPACK_SEED).standard_normal(n)
+    v0 = np.full(n, 1.0 / np.sqrt(n)) + ARPACK_START_WEIGHT / np.linalg.norm(z) * z
+    v0.setflags(write=False)
+    return v0
+
+
 def _lanczos(g: Graph, k: int, return_eigenvectors: bool):
-    """eigsh's top-k of the half-stored adjacency operator, or None where the
-    dense solver must decide: ARPACK failed or hit its restart cap, or the
-    k-th Ritz value is <= 0."""
-    v0 = np.random.default_rng(ARPACK_SEED).standard_normal(g.n)
+    """eigsh's top-k of the half-stored adjacency operator, started near the
+    all-ones vector (``_start``; see the notes above DENSE_EIG), or None where
+    the dense solver must decide: ARPACK failed or hit its restart cap, or
+    the k-th Ritz value is <= 0."""
     try:
         res = scipy.sparse.linalg.eigsh(
-            _adjacency_operator(g), k=k, which="LA", v0=v0, tol=ARPACK_TOL,
-            maxiter=ARPACK_MAXITER, return_eigenvectors=return_eigenvectors,
+            _adjacency_operator(g), k=k, which="LA", v0=_start(g.n),
+            tol=ARPACK_TOL, maxiter=ARPACK_MAXITER,
+            return_eigenvectors=return_eigenvectors,
         )
     except scipy.sparse.linalg.ArpackError:
         return None
@@ -224,11 +250,6 @@ def spectrum(g: Graph, c: int) -> SpectralSignature:
     if not 1 <= c <= g.n:
         raise ValueError(f"truncation order must satisfy 1 <= c <= {g.n}")
     return SpectralSignature(_top(g, c, vectors=False), c, g.n)
-
-
-def full_spectrum(g: Graph) -> SpectralSignature:
-    """All n adjacency eigenvalues, non-increasing."""
-    return spectrum(g, g.n)
 
 
 def eigenpairs(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 Each is an independent route to a quantity the package computes another way
 (a block sum, a discretized operator, a pointwise kernel), or a diagnostic
-only the tests read.
+only the tests read (the full spectrum, the total Frechet variance).
 """
 
 import math
@@ -10,14 +10,36 @@ import math
 import numpy as np
 
 from rpsbm import (
+    Graph,
     SbmParams,
+    SpectralSignature,
     build_theory_matrices,
+    compute_moments,
     eigenfunction_values,
     expected_eigenvalue,
     limiting_covariance,
+    spectrum,
 )
 from rpsbm import rng
 from rpsbm.models import block_labels
+
+
+def full_spectrum(g: Graph) -> SpectralSignature:
+    """All n adjacency eigenvalues, non-increasing."""
+    return spectrum(g, g.n)
+
+
+def frechet_total_variance(corpus, c: int) -> float:
+    """Sample total variance around the spectral proxy of the Frechet mean.
+
+    (1/(N-1)) * sum_k ||lambda^(k) - lambda_bar||^2; equals trace of the
+    sample covariance up to floating error.
+    """
+    if len(corpus) < 2:
+        raise ValueError("total variance needs at least two graphs")
+    m = compute_moments(corpus, c)
+    diff = m.spectra - m.mean_spectrum
+    return float(np.sum(diff * diff) / (m.N - 1))
 
 
 def canonical_kernel_value(params: SbmParams, x: float, y: float) -> float:

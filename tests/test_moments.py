@@ -22,8 +22,6 @@ from rpsbm import (
     compute_moments,
     density,
     fit_nonparametric,
-    frechet_total_variance,
-    full_spectrum,
     iter_corpus,
     sample_corpus,
     sample_sbm,
@@ -43,6 +41,7 @@ from rpsbm.moments import (
     moments_report,
 )
 from rpsbm.replicate import run_scenario
+from oracles import frechet_total_variance, full_spectrum
 from test_imports import run_fresh
 
 

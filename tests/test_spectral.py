@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, strategies as st
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from rpsbm import (
     Graph,
@@ -18,19 +19,20 @@ from rpsbm import (
     density,
     detect_geometry,
     dist_truncated,
-    full_spectrum,
     load_edgelist,
     sample_rpsbm,
     sample_sbm,
     save_edgelist,
     spectrum,
 )
+from rpsbm import spectral
 from rpsbm.spectral import (
     DENSE_EIG,
     _adjacency_operator,
     _upper_adjacency,
     eigenpairs,
 )
+from oracles import full_spectrum
 
 
 def dense_eigs(g: Graph) -> np.ndarray:
@@ -90,6 +92,30 @@ def graphs(draw, max_n=40, max_pairs=120):
     pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]),
                           max_size=max_pairs), label="pairs")
     return Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+@st.composite
+def lopsided_graphs(draw):
+    """Graphs of just above DENSE_EIG nodes on which the all-ones vector is a
+    lopsided start: a hub with leaves, components of unequal size and
+    density, and isolated nodes, under a random relabelling."""
+    n = draw(st.integers(DENSE_EIG + 1, DENSE_EIG + 40), label="n")
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    leaves = draw(st.integers(0, 60), label="leaves")
+    edges = [np.column_stack((np.zeros(leaves, dtype=np.int64),
+                              np.arange(1, leaves + 1)))]
+    start = leaves + 1
+    for size, p in draw(st.lists(st.tuples(st.integers(2, 120),
+                                           st.floats(0.02, 1.0)),
+                                 max_size=4), label="components"):
+        size = min(size, n - start)
+        iu, ju = np.triu_indices(size, 1)
+        keep = gen.random(len(iu)) < p
+        edges.append(start + np.column_stack((iu[keep], ju[keep])))
+        start += size
+    # nodes start..n-1 stay isolated
+    perm = gen.permutation(n)
+    return Graph(n, perm[np.vstack(edges)])
 
 
 def cycle(n):
@@ -306,6 +332,16 @@ class TestSpectrum:
             np.testing.assert_allclose(spectrum(g, 2).values, dense_eigs(g)[:2],
                                        rtol=1e-10, atol=0)
 
+    @settings(max_examples=20)
+    @given(lopsided_graphs())
+    def test_lopsided_graphs_match_dense(self, g):
+        # the all-ones part of ARPACK's start weighs each component by its
+        # size and a hub's leaves more than the hub
+        expect = dense_eigs(g)
+        for c in (1, 2, 3, 4):
+            np.testing.assert_allclose(spectrum(g, c).values, expect[:c],
+                                       rtol=0, atol=1e-8, err_msg=f"c={c}")
+
     def test_permutation_invariance(self):
         g = random_graph(50, 0.2, 4)
         perm = np.random.default_rng(5).permutation(50)
@@ -357,6 +393,60 @@ def eigensolver_calls(monkeypatch) -> list[tuple[str, dict]]:
         monkeypatch.setattr(np.linalg, name, spy(f"numpy.linalg.{name}",
                                                  getattr(np.linalg, name)))
     return calls
+
+
+def operator_applications(monkeypatch) -> list[int]:
+    """One count per adjacency operator that ``spectral._lanczos`` builds
+    from here on: the number of times ARPACK applied it."""
+    counts = []
+    build = spectral._adjacency_operator
+
+    def counted(g):
+        op = build(g)
+        counts.append(0)
+        slot = len(counts) - 1
+
+        def matvec(x):
+            counts[slot] += 1
+            return op.matvec(x)
+        return scipy.sparse.linalg.LinearOperator(op.shape, matvec=matvec,
+                                                  dtype=float)
+
+    monkeypatch.setattr(spectral, "_adjacency_operator", counted)
+    return counts
+
+
+class TestLanczosStart:
+    """ARPACK starts near the Perron vector of a near-regular draw, so a
+    top-c solve takes one Lanczos run of eigsh's default ncv and no
+    implicit restart."""
+
+    def test_critical_n_draw_needs_no_restart(self, monkeypatch):
+        # a c = 1 critical-n draw: 31 applications from a Gaussian start
+        n = 500
+        params = SbmParams(omega=2 / np.sqrt(n), s=[1.0], p=[0.8], q=0.0)
+        counts = operator_applications(monkeypatch)
+        for k in range(3):
+            g = sample_sbm(params, n, 0, k)
+            value = spectrum(g, 1).values
+            np.testing.assert_allclose(value, dense_eigs(g)[:1], rtol=1e-10,
+                                       atol=0)
+        assert len(counts) == 3 and max(counts) <= 22, counts
+
+    def test_recoverability_draw_stays_at_the_floor(self, monkeypatch):
+        n = 2000
+        model = RpsbmModel(10 / np.sqrt(n),
+                           UniformProductLaw([0.85, 0.575], [0.1, 0.05]),
+                           0.05, np.array([0.5, 0.5]))
+        g = sample_rpsbm(model, n, 0, 0)
+        counts = operator_applications(monkeypatch)
+        spectrum(g, 2)
+        assert len(counts) == 1 and counts[0] <= 21, counts
+
+    def test_start_is_built_once_per_size(self):
+        v0 = spectral._start(DENSE_EIG + 1)
+        assert spectral._start(DENSE_EIG + 1) is v0
+        assert not v0.flags.writeable
 
 
 class TestSpectrumMemo:
