@@ -350,15 +350,14 @@ def replicate(seed, scenario, config):
     params = {}
     if config is not None:
         cfg = _read("config", json.loads(Path(config).read_text(encoding="utf-8")),
-                    format=int, scenario=str, seed=(int, seed), params=(dict, {}))
+                    format=int, scenario=str, seed=(int, seed, 0),
+                    params=(dict, {}))
         if cfg["format"] != 1:
             raise ValueError("unsupported config format")
         if cfg["scenario"] != scenario:
             raise ValueError(f"config is for scenario {cfg['scenario']!r}, "
                              f"not {scenario!r}")
         seed, params = cfg["seed"], cfg["params"]
-        if seed < 0:
-            raise ValueError(f"config 'seed' must be at least 0, not {seed}")
     result = run_scenario(scenario, seed, params)
     return ({**result["tables"], "report.json": {"format": 1, **result["report"]}},
             {"scenario": scenario, "params": params}, seed)

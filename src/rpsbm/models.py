@@ -30,6 +30,23 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def _block_geometry(model) -> np.ndarray:
+    """Store ``model.s`` as a read-only 1-D float vector and check the block
+    geometry that ``SbmParams`` and ``RpsbmModel`` share: at least one
+    community, sizes positive and summing to 1 (within 1e-12), and omega in
+    (0, 1].  Each test is written so that NaN fails it.  Returns ``s``."""
+    s = _as_vector(model.s, "s")
+    object.__setattr__(model, "s", s)
+    s.setflags(write=False)
+    if len(s) < 1:
+        raise ValueError("need at least one community")
+    if not (np.all(s > 0) and abs(s.sum() - 1.0) <= 1e-12):
+        raise ValueError("community sizes must be positive and sum to 1")
+    if not 0 < model.omega <= 1:
+        raise ValueError("omega must lie in (0, 1]")
+    return s
+
+
 @dataclass(frozen=True)
 class SbmParams:
     """Deterministic SBM parameters (omega, p, q, s).
@@ -45,22 +62,12 @@ class SbmParams:
     q: float
 
     def __post_init__(self):
-        s = _as_vector(self.s, "s")
+        s = _block_geometry(self)
         p = _as_vector(self.p, "p")
-        object.__setattr__(self, "s", s)
         object.__setattr__(self, "p", p)
-        s.setflags(write=False)
         p.setflags(write=False)
         if len(s) != len(p):
             raise ValueError("s and p must have equal length")
-        if len(s) < 1:
-            raise ValueError("need at least one community")
-        if np.any(s <= 0):
-            raise ValueError("community sizes must be positive")
-        if abs(s.sum() - 1.0) > 1e-12:
-            raise ValueError("community sizes must sum to 1")
-        if not 0 < self.omega <= 1:
-            raise ValueError("omega must lie in (0, 1]")
         if not (self.q >= 0 and np.all(p >= 0)):  # NaN fails too
             raise ValueError("densities must be non-negative")
         if self.omega * max(p.max(), self.q) > 1 + 1e-12:
@@ -81,29 +88,41 @@ def block_labels(s: np.ndarray, n: int) -> np.ndarray:
 # Parameter laws J
 # ---------------------------------------------------------------------------
 
-def _law_fields(law) -> None:
-    """Store each field of a law as a 1-D float vector, rejecting NaN and inf;
-    every law reads its parameters through here."""
-    for f in fields(law):
-        v = _as_vector(getattr(law, f.name), f.name)
-        if not np.isfinite(v).all():
-            raise ValueError(f"{law.kind} law {f.name} must be finite")
-        object.__setattr__(law, f.name, v)
+class ParamLaw:
+    """A law J of the density vector p, the base of the four laws below.
+
+    A law is a frozen dataclass with a class attribute ``kind``, its JSON
+    name, and fields that are its JSON keys.  Its ``__post_init__`` calls
+    this one first, which stores every field as a finite 1-D float vector,
+    checks that all fields share one length and sets ``c`` to it, the block
+    count; the law then checks its own rules.  A law draws p with
+    ``draw(gen)`` and gives the mean and variance of each coordinate with
+    ``mean()`` and ``var()``.
+    """
+
+    kind: str
+    c: int
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        for name in names:
+            v = _as_vector(getattr(self, name), name)
+            if not np.isfinite(v).all():
+                raise ValueError(f"{self.kind} law {name} must be finite")
+            object.__setattr__(self, name, v)
+        lengths = {len(getattr(self, name)) for name in names}
+        if len(lengths) > 1:
+            raise ValueError(f"{self.kind} law parameters {names} must share "
+                             f"one length")
+        object.__setattr__(self, "c", lengths.pop())
 
 
 @dataclass(frozen=True)
-class DiracLaw:
+class DiracLaw(ParamLaw):
     """Point mass at a fixed density vector."""
 
     center: np.ndarray
     kind = "dirac"
-
-    def __post_init__(self):
-        _law_fields(self)
-
-    @property
-    def c(self):
-        return len(self.center)
 
     def draw(self, gen: np.random.Generator) -> np.ndarray:
         return self.center.copy()
@@ -116,7 +135,7 @@ class DiracLaw:
 
 
 @dataclass(frozen=True)
-class UniformProductLaw:
+class UniformProductLaw(ParamLaw):
     """Independent U[center_i - width_i/2, center_i + width_i/2] coordinates."""
 
     center: np.ndarray
@@ -124,15 +143,9 @@ class UniformProductLaw:
     kind = "uniform"
 
     def __post_init__(self):
-        _law_fields(self)
-        if len(self.center) != len(self.width):
-            raise ValueError("center and width must have equal length")
+        super().__post_init__()
         if np.any(self.width < 0):
             raise ValueError("widths must be non-negative")
-
-    @property
-    def c(self):
-        return len(self.center)
 
     def draw(self, gen: np.random.Generator) -> np.ndarray:
         u = gen.random(self.c)
@@ -146,7 +159,7 @@ class UniformProductLaw:
 
 
 @dataclass(frozen=True)
-class BetaProductLaw:
+class BetaProductLaw(ParamLaw):
     """Independent shifted Beta(alpha_i, beta_i) on [a_i, b_i] coordinates.
 
     a_i == b_i is allowed as a degenerate (Dirac) coordinate.
@@ -159,17 +172,11 @@ class BetaProductLaw:
     kind = "beta"
 
     def __post_init__(self):
-        _law_fields(self)
-        if not len(self.a) == len(self.b) == len(self.alpha) == len(self.beta):
-            raise ValueError("beta parameter vectors must share length")
+        super().__post_init__()
         if np.any(self.a > self.b):
             raise ValueError("need a_i <= b_i")
         if np.any(self.alpha <= 0) or np.any(self.beta <= 0):
             raise ValueError("shape parameters must be positive")
-
-    @property
-    def c(self):
-        return len(self.a)
 
     def draw(self, gen: np.random.Generator) -> np.ndarray:
         z = gen.beta(self.alpha, self.beta)
@@ -184,7 +191,7 @@ class BetaProductLaw:
 
 
 @dataclass(frozen=True)
-class TruncGaussianProductLaw:
+class TruncGaussianProductLaw(ParamLaw):
     """Independent Gaussian(mean_i, sd_i) coordinates truncated to [0, 1]."""
 
     mu: np.ndarray
@@ -192,9 +199,7 @@ class TruncGaussianProductLaw:
     kind = "gauss"
 
     def __post_init__(self):
-        _law_fields(self)
-        if len(self.mu) != len(self.sd):
-            raise ValueError("mu and sd must have equal length")
+        super().__post_init__()
         if np.any(self.sd < 0):
             raise ValueError("sd must be non-negative")
         # the frozen truncnorm, built once per law: building it takes about
@@ -207,10 +212,6 @@ class TruncGaussianProductLaw:
         object.__setattr__(self, "_dist", scipy.stats.truncnorm(
             (0.0 - self.mu) / sd, (1.0 - self.mu) / sd, loc=self.mu, scale=sd))
 
-    @property
-    def c(self):
-        return len(self.mu)
-
     def draw(self, gen: np.random.Generator) -> np.ndarray:
         out = self._dist.rvs(size=self.c, random_state=gen)
         return np.where(self.sd > 0, out, np.clip(self.mu, 0.0, 1.0))
@@ -222,10 +223,7 @@ class TruncGaussianProductLaw:
         return np.where(self.sd > 0, self._dist.var(), 0.0)
 
 
-ParamLaw = DiracLaw | UniformProductLaw | BetaProductLaw | TruncGaussianProductLaw
-
-#: Every parameter law by its JSON ``kind``; a law's dataclass fields, all
-#: vectors, are its JSON keys.
+#: Every parameter law by its JSON ``kind``.
 LAWS = {law.kind: law for law in (DiracLaw, UniformProductLaw, BetaProductLaw,
                                   TruncGaussianProductLaw)}
 
@@ -275,15 +273,17 @@ def _read(what: str, d, /, **spec) -> dict:
     """The keys of the JSON object ``d`` that ``spec`` names, each converted
     to its kind; every JSON input of the package is read through here.
 
-    A spec entry is ``key=kind`` (required) or ``key=(kind, default)``
-    (optional).  The kinds are int (of magnitude below ``INT64_BOUND``),
-    float (finite), str, dict (a JSON object), list (a one-dimensional
-    float array) and np.ndarray (a float array of at least one dimension,
-    for tables); bools fit none of them, and a float fits int only when it
-    is integral.  An absent optional key reads as its default, converted
-    unless it is None.  A non-object, a key not in ``spec``, a missing
-    required key and a value that does not fit its kind raise
-    ``ValueError``; ``what`` names the object in the message.
+    A spec entry is ``key=kind`` (required), ``key=(kind, default)``
+    (optional) or ``key=(kind, default, least)`` (optional, and at least
+    ``least``, for int and float).  The kinds are int (of magnitude below
+    ``INT64_BOUND``), float (finite), str, dict (a JSON object), list (a
+    one-dimensional float array) and np.ndarray (a float array of at least
+    one dimension, for tables); bools fit none of them, and a float fits int
+    only when it is integral.  An absent optional key reads as its default,
+    converted unless it is None.  A non-object, a key not in ``spec``, a
+    missing required key, a value that does not fit its kind and one below
+    its least raise ``ValueError``; ``what`` names the object in the
+    message.  A list may hold NaN or inf: what takes it checks its entries.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -296,11 +296,14 @@ def _read(what: str, d, /, **spec) -> dict:
         raise ValueError(f"{what} needs keys {missing}")
     out = {}
     for key, kind in spec.items():
-        kind, default = kind if isinstance(kind, tuple) else (kind, None)
+        kind, default, *least = kind if isinstance(kind, tuple) else (kind, None)
         value = d.get(key, default)
-        out[key] = None if value is None else _as_kind(kind, value)
-        if out[key] is None and key in d:
+        out[key] = value = None if value is None else _as_kind(kind, value)
+        if value is None and key in d:
             raise ValueError(f"{what} {key!r} must be {_KINDS[kind]}")
+        if least and value is not None and value < least[0]:
+            raise ValueError(f"{what} {key!r} must be at least {least[0]}, "
+                             f"not {value}")
     return out
 
 
@@ -319,17 +322,10 @@ class RpsbmModel:
     s: np.ndarray
 
     def __post_init__(self):
-        s = _as_vector(self.s, "s")
-        object.__setattr__(self, "s", s)
-        s.setflags(write=False)
-        if len(s) != self.law.c:
+        if len(_block_geometry(self)) != self.law.c:
             raise ValueError("geometry length must match the law dimension")
-        if np.any(s <= 0) or abs(s.sum() - 1.0) > 1e-12:
-            raise ValueError("community sizes must be positive and sum to 1")
-        if not 0 < self.omega <= 1:
-            raise ValueError("omega must lie in (0, 1]")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:  # NaN fails too
+            raise ValueError("epsilon must be finite and non-negative")
 
     @property
     def c(self) -> int:
@@ -396,10 +392,10 @@ def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Gr
     """
     if n < params.c:
         raise ValueError("graph size smaller than community count")
+    # SbmParams holds every omega*f within 1e-12 of [0, 1]; min(., 1) below
+    # clamps what lies inside that tolerance
     prob_table = np.full((params.c, params.c), params.omega * params.q)
     np.fill_diagonal(prob_table, params.omega * params.p)
-    if prob_table.max() > 1 + 1e-12:
-        raise ValueError("edge probability exceeds 1")
     sizes = np.bincount(block_labels(params.s, n), minlength=params.c)
     starts = np.cumsum(sizes) - sizes
     gen = rngmod.pair_stream(seed, graph_index)

@@ -11,9 +11,10 @@ JSON object with the keys ``format`` (1), ``scenario`` (the scenario's name),
 defaulting to {}).  ``params`` overrides the runner's defaults; a key there
 that the runner does not read, or a value not of its kind, is an error:
 
-    recoverability  N, n, resample: int; omega, eps: float;
-                    centers, widths, s: list
-    mixture-beta    N, n: int; omega, q: float; s, p_values: list
+    recoverability  N, n, resample: int (N and n at least 2, resample at
+                    least 1); omega, eps: float; centers, widths, s: list
+    mixture-beta    N, n: int (each at least 2); omega, q: float;
+                    s, p_values: list
     critical-n      n, N_max, repetitions, subcritical, supercritical: int
                     (n at least 2, the others at least 1); omega: float;
                     p_values: list (not empty, each entry in (0, 1/omega])
@@ -111,10 +112,10 @@ def run_recoverability(seed: int, params: dict) -> dict:
     Defaults: N=50, n=1000, omega=10/sqrt(n), eps=0.05, s=[0.5,0.5],
     J = U[0.8,0.9] x U[0.55,0.6].
     """
-    p = _read("recoverability params", params, N=(int, 50), n=(int, 1000),
-              omega=(float, None), eps=(float, 0.05),
+    p = _read("recoverability params", params, N=(int, 50, 2),
+              n=(int, 1000, 2), omega=(float, None), eps=(float, 0.05),
               centers=(list, [0.85, 0.575]), widths=(list, [0.1, 0.05]),
-              s=(list, [0.5, 0.5]), resample=(int, None))
+              s=(list, [0.5, 0.5]), resample=(int, None, 1))
     n, N, eps, s = p["n"], p["N"], p["eps"], p["s"]
     centers, widths = p["centers"], p["widths"]
     omega = _omega("recoverability params", p, 10.0)
@@ -144,8 +145,9 @@ def run_recoverability(seed: int, params: dict) -> dict:
 
 def run_mixture_beta(seed: int, params: dict) -> dict:
     """Four-component SBM mixture fitted with a product-of-betas law."""
-    p = _read("mixture-beta params", params, N=(int, 200), n=(int, 1000),
-              omega=(float, None), q=(float, 0.05), s=(list, [0.5, 0.5]),
+    p = _read("mixture-beta params", params, N=(int, 200, 2),
+              n=(int, 1000, 2), omega=(float, None), q=(float, 0.05),
+              s=(list, [0.5, 0.5]),
               p_values=(np.ndarray,
                         [[0.9, 0.5], [0.9, 0.3], [0.6, 0.5], [0.6, 0.3]]))
     n, N, s, p_values = p["n"], p["N"], p["s"], p["p_values"]
@@ -183,20 +185,15 @@ def run_critical_n(seed: int, params: dict) -> dict:
     with no spare CPU the search runs here after those curves, in the same
     order.  The params are checked before anything is drawn or forked.
     """
-    p = _read("critical-n params", params, n=(int, 1000), omega=(float, None),
-              p_values=(list, [0.75, 0.85]), N_max=(int, 400),
-              repetitions=(int, 5), subcritical=(int, 10),
-              supercritical=(int, 325))
-    for key, least in (("n", 2), ("N_max", 1), ("repetitions", 1),
-                       ("subcritical", 1), ("supercritical", 1)):
-        if p[key] < least:
-            raise ValueError(f"critical-n params {key!r} must be at least "
-                             f"{least}, not {p[key]}")
+    p = _read("critical-n params", params, n=(int, 1000, 2),
+              omega=(float, None), p_values=(list, [0.75, 0.85]),
+              N_max=(int, 400, 1), repetitions=(int, 5, 1),
+              subcritical=(int, 10, 1), supercritical=(int, 325, 1))
     n, p_values = p["n"], p["p_values"]
     if not p_values.size:
         raise ValueError("critical-n params 'p_values' must not be empty")
     omega = _omega("critical-n params", p, 2.0)
-    if p_values.min() <= 0 or omega * p_values.max() > 1 + 1e-12:
+    if not (p_values.min() > 0 and omega * p_values.max() <= 1 + 1e-12):
         raise ValueError(f"critical-n params 'p_values' must lie in (0, 1/omega] "
                          f"at omega = {omega:g}, not {p_values.tolist()}")
     curves = {}
@@ -240,12 +237,8 @@ def run_contacts(seed: int, params: dict) -> dict:
     Each fitted cluster's table is its members' rows, equal to
     ``compute_moments`` of their windows.
     """
-    p = _read("contacts params", params, file=str, window=(int, 2700),
-              step=(int, 20), resample=(int, 500), min_cluster=(int, 5))
-    for key in ("window", "step", "resample"):
-        if p[key] < 1:
-            raise ValueError(f"contacts params {key!r} must be at least 1, "
-                             f"not {p[key]}")
+    p = _read("contacts params", params, file=str, window=(int, 2700, 1),
+              step=(int, 20, 1), resample=(int, 500, 1), min_cluster=(int, 5))
     stream = load_contacts(p["file"])
     corpus = window_contacts(stream, p["window"], p["step"])
     if not corpus:

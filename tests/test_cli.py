@@ -233,6 +233,20 @@ class TestFit:
         payload = json.loads((out / "fit.json").read_text())
         assert payload["model"]["law"]["kind"] == "uniform"
 
+    def test_fit_gauss_model_samples(self, runner, tmp_path):
+        corpus_dir = make_corpus_dir(tmp_path, count=12)
+        out = tmp_path / "fit"
+        r = runner.invoke(main, ["fit", "--corpus", str(corpus_dir), "-c", "2",
+                                 "--family", "gauss", "--out", str(out)])
+        assert r.exit_code == 0, r.output
+        spec = tmp_path / "model.json"
+        spec.write_text(json.dumps(json.loads((out / "fit.json").read_text())["model"]))
+        model = rpsbm.load_model(spec)
+        assert isinstance(model.law, rpsbm.TruncGaussianProductLaw)
+        r = runner.invoke(main, ["sample", "--model", str(spec), "--n", "60",
+                                 "--count", "2", "--out", str(tmp_path / "s")])
+        assert r.exit_code == 0, r.output
+
     def test_fit_feasibility_fields(self, runner, tmp_path):
         # only fields that can read false on a fit that returns
         corpus_dir = make_corpus_dir(tmp_path, count=12)
@@ -611,6 +625,15 @@ WRONG_KIND = {
                            {"format": 1, "omega": "0.5", "s": [1.0], "p": [0.5],
                             "q": 0.0},
                            "fixed SBM model spec 'omega' must be a finite number"),
+    "model_s_nan": (["sample", "--n", "10", "--count", "1", "--model"],
+                    {"format": 1, "omega": 0.5, "s": [float("nan"), 0.5],
+                     "p": [0.5, 0.5], "q": 0.0},
+                    "community sizes must be positive and sum to 1"),
+    "rpsbm_s_nan": (["sample", "--n", "10", "--count", "1", "--model"],
+                    {"format": 1, "omega": 0.5, "s": [0.5, float("nan")],
+                     "epsilon": 0.0,
+                     "law": {"kind": "dirac", "center": [0.5, 0.5]}},
+                    "community sizes must be positive and sum to 1"),
     "law_center_scalar": (["sample", "--n", "10", "--count", "1", "--model"],
                           {"format": 1, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
                            "law": {"kind": "dirac", "center": 0.5}},
@@ -648,6 +671,12 @@ WRONG_KIND = {
         _config("critical-n", n=100, p_values=[0.8, 9.0]),
         "critical-n params 'p_values' must lie in (0, 1/omega] at omega = 0.2, "
         "not [0.8, 9.0]"),
+    # NaN fails the range test; a worker's message would name no key
+    "critical_n_p_values_nan": (["replicate", "critical-n", "--config"],
+                                _config("critical-n", n=100,
+                                        p_values=[float("nan"), 0.8]),
+                                "critical-n params 'p_values' must lie in "
+                                "(0, 1/omega] at omega = 0.2, not [nan, 0.8]"),
     "critical_n_omega_zero": (["replicate", "critical-n", "--config"],
                               _config("critical-n", n=100, omega=0.0),
                               "critical-n params 'omega' must lie in (0, 1], not 0"),
@@ -664,6 +693,25 @@ WRONG_KIND = {
         ["replicate", "recoverability", "--config"],
         _config("recoverability", n=50),
         "recoverability params 'omega' must lie in (0, 1], not 1.41421"),
+    # refused before the corpus is drawn and fitted
+    "recoverability_N_one": (["replicate", "recoverability", "--config"],
+                             _config("recoverability", N=1),
+                             "recoverability params 'N' must be at least 2, "
+                             "not 1"),
+    "recoverability_n_one": (["replicate", "recoverability", "--config"],
+                             _config("recoverability", n=1),
+                             "recoverability params 'n' must be at least 2, "
+                             "not 1"),
+    "recoverability_resample_zero": (["replicate", "recoverability", "--config"],
+                                     _config("recoverability", resample=0),
+                                     "recoverability params 'resample' must be "
+                                     "at least 1, not 0"),
+    "mixture_beta_N_one": (["replicate", "mixture-beta", "--config"],
+                           _config("mixture-beta", N=1),
+                           "mixture-beta params 'N' must be at least 2, not 1"),
+    "mixture_beta_n_zero": (["replicate", "mixture-beta", "--config"],
+                            _config("mixture-beta", n=0),
+                            "mixture-beta params 'n' must be at least 2, not 0"),
     "mixture_beta_omega_above_one": (["replicate", "mixture-beta", "--config"],
                                      _config("mixture-beta", omega=1.5),
                                      "mixture-beta params 'omega' must lie in "

@@ -267,6 +267,9 @@ FIT_ERRORS = {
     "regimes_s_length": (
         lambda: classify_regimes(_two_index_moments(), [1.0]),
         ValueError, "geometry length must equal truncation order"),
+    "unknown_family": (
+        lambda: fit_parametric(_two_index_moments(), family="nope"),
+        ValueError, "unknown family 'nope'"),
     "bandwidth_dimension": (
         lambda: fit_nonparametric(_two_index_moments(), Bandwidth(np.eye(3))),
         ValueError, "bandwidth dimension must equal truncation order"),

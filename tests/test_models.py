@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -331,6 +332,14 @@ class TestLaws:
             np.testing.assert_allclose(draws.var(axis=0, ddof=1), law.var(),
                                        rtol=0.08)
 
+    def test_dirac_moments(self):
+        law = DiracLaw([0.5, 0.25])
+        mean = law.mean()
+        np.testing.assert_array_equal(mean, [0.5, 0.25])
+        np.testing.assert_array_equal(law.var(), [0.0, 0.0])
+        mean[0] = 9.0
+        np.testing.assert_array_equal(law.center, [0.5, 0.25])
+
     def test_gauss_cached_dist_draws_like_a_fresh_one(self):
         law = TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.05])
         cached, fresh = np.random.default_rng(5), np.random.default_rng(5)
@@ -402,6 +411,66 @@ class TestSampleRpsbm:
                            s=np.array([1.0]))
         with pytest.raises(ValueError):
             draw_params(model, seed=0)
+
+
+# The checks of the model constructors, the laws and the sampler, each with
+# its message (TestParams has the density and probability cases):
+# (call, the start of the message).
+MODEL_ERRORS = {
+    "s_2d": (lambda: SbmParams(0.5, [[1.0]], [0.5], 0.0),
+             "s must be one-dimensional"),
+    "no_community": (lambda: SbmParams(0.5, [], [], 0.0),
+                     "need at least one community"),
+    "size_negative": (lambda: SbmParams(0.5, [1.5, -0.5], [0.5, 0.5], 0.0),
+                      "community sizes must be positive and sum to 1"),
+    "size_nan": (lambda: SbmParams(0.5, [np.nan, 0.5], [0.5, 0.5], 0.0),
+                 "community sizes must be positive and sum to 1"),
+    "omega_zero": (lambda: SbmParams(0.0, [1.0], [0.5], 0.0),
+                   "omega must lie in (0, 1]"),
+    "omega_nan": (lambda: SbmParams(np.nan, [1.0], [0.5], 0.0),
+                  "omega must lie in (0, 1]"),
+    "p_length": (lambda: SbmParams(0.5, [0.5, 0.5], [0.5], 0.0),
+                 "s and p must have equal length"),
+    "rpsbm_length": (lambda: RpsbmModel(0.5, DiracLaw([0.5]), 0.0, [0.5, 0.5]),
+                     "geometry length must match the law dimension"),
+    "rpsbm_omega_above_one": (lambda: RpsbmModel(1.5, DiracLaw([0.5]), 0.0, [1.0]),
+                              "omega must lie in (0, 1]"),
+    "rpsbm_epsilon_negative": (lambda: RpsbmModel(0.5, DiracLaw([0.5]), -0.1,
+                                                  [1.0]),
+                               "epsilon must be finite and non-negative"),
+    "rpsbm_epsilon_nan": (lambda: RpsbmModel(0.5, DiracLaw([0.5]), np.nan, [1.0]),
+                          "epsilon must be finite and non-negative"),
+    # q = inf * min(p) is NaN when a density is 0
+    "rpsbm_epsilon_inf": (lambda: RpsbmModel(0.5, DiracLaw([0.5]), np.inf, [1.0]),
+                          "epsilon must be finite and non-negative"),
+    "law_2d": (lambda: DiracLaw([[0.5]]), "center must be one-dimensional"),
+    "law_not_finite": (lambda: DiracLaw([np.inf]), "dirac law center must be finite"),
+    "uniform_lengths": (lambda: UniformProductLaw([0.5, 0.5], [0.1]),
+                        "uniform law parameters ['center', 'width'] must share "
+                        "one length"),
+    "beta_lengths": (lambda: BetaProductLaw([0.1], [0.9], [2.0, 2.0], [3.0]),
+                     "beta law parameters ['a', 'b', 'alpha', 'beta'] must "
+                     "share one length"),
+    "gauss_lengths": (lambda: TruncGaussianProductLaw([0.5], [0.1, 0.1]),
+                      "gauss law parameters ['mu', 'sd'] must share one length"),
+    "uniform_width_negative": (lambda: UniformProductLaw([0.5], [-0.1]),
+                               "widths must be non-negative"),
+    "beta_a_above_b": (lambda: BetaProductLaw([0.9], [0.1], [2.0], [3.0]),
+                       "need a_i <= b_i"),
+    "beta_shape_zero": (lambda: BetaProductLaw([0.1], [0.9], [0.0], [3.0]),
+                        "shape parameters must be positive"),
+    "gauss_sd_negative": (lambda: TruncGaussianProductLaw([0.5], [-0.1]),
+                          "sd must be non-negative"),
+    "graph_smaller_than_blocks": (lambda: sample_sbm(two_block(), 1, seed=0),
+                                  "graph size smaller than community count"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_ERRORS)
+def test_model_rejects_its_input(case):
+    call, message = MODEL_ERRORS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
 
 
 class TestSampleCorpus:
