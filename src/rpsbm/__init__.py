@@ -61,9 +61,5 @@ from .fitting import (
     sample_mixture,
     silverman_bandwidth,
 )
-from .geometry import (
-    GeometryEstimate,
-    cluster_by_community_count,
-    detect_geometry,
-)
+from .geometry import cluster_by_community_count, detect_geometry
 from .contacts import ContactStream, load_contacts, window_contacts

@@ -243,12 +243,11 @@ def moments(seed, corpus_dir, trunc):
 
 def _geometry_s(corpus, trunc):
     """Average geometry vector over graphs whose detected count equals c."""
-    estimates = list(map(detect_geometry, corpus))
-    members = cluster_by_community_count(estimates).get(trunc)
-    if not members:
+    matches = [s for s in map(detect_geometry, corpus) if len(s) == trunc]
+    if not matches:
         raise InfeasibleFitError(
             f"no corpus graph has {trunc} detected communities")
-    s = np.mean(np.vstack([estimates[i].s for i in members]), axis=0)
+    s = np.mean(np.vstack(matches), axis=0)
     return s / s.sum()
 
 
@@ -313,11 +312,11 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
 @click.option("--corpus", "corpus_dir", required=True)
 def geometry(seed, corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
-    estimates = list(map(detect_geometry, _load_corpus(corpus_dir)))
+    geometries = list(map(detect_geometry, _load_corpus(corpus_dir)))
     payload = {
         "format": 1,
-        "graphs": [e.to_dict() for e in estimates],
-        "clusters": cluster_by_community_count(estimates),
+        "graphs": [{"s": s, "community_count": len(s)} for s in geometries],
+        "clusters": cluster_by_community_count(geometries),
     }
     return {"geometry.json": payload}, {"corpus": corpus_dir}, seed
 

@@ -1,12 +1,14 @@
 """Per-graph community geometry from the Bethe Hessian.
 
-The Bethe Hessian H(r) = (r^2 - 1) I - r A + D, with D the degree matrix and
+A graph's geometry is its block-size vector s, non-increasing and summing to
+one; its community count is len(s).  The Bethe Hessian
+H(r) = (r^2 - 1) I - r A + D, with A the adjacency, D the degree matrix and
 r = sqrt(<d^2>/<d> - 1), has one negative eigenvalue per detectable community
-(Saade, Krzakala & Zdeborova 2014), so the community count is the number of
+(Saade, Krzakala & Zdeborova 2014), so the count is the number of
 eigenvalues of H at or below zero.  Below the non-backtracking threshold,
 r <= 1, nothing is detectable (and isolated nodes would put the negative
-r^2 - 1 on the diagonal), so the graph reads as one community, as it does
-when fewer than two eigenvalues lie at or below zero.
+r^2 - 1 on the diagonal), so the graph reads as one community, s = [1], as it
+does when fewer than two eigenvalues lie at or below zero.
 
 The nodes are then labelled from the k negative eigenvectors V by
 column-pivoted QR (Damle, Minden & Ying 2019): the pivots pick k well-spread
@@ -20,26 +22,11 @@ label counts over n.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .spectral import Graph
-
-
-@dataclass(frozen=True)
-class GeometryEstimate:
-    """Detected block fractions of one graph, non-increasing."""
-
-    s: np.ndarray
-
-    @property
-    def community_count(self) -> int:
-        return len(self.s)
-
-    def to_dict(self) -> dict:
-        return {"s": self.s.tolist(), "community_count": self.community_count}
 
 
 def _pivoted_qr_labels(V: np.ndarray) -> np.ndarray:
@@ -50,40 +37,40 @@ def _pivoted_qr_labels(V: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(V @ (u @ vt)), axis=1)
 
 
-def detect_geometry(g: Graph) -> GeometryEstimate:
-    """Community count and block fractions s from the Bethe Hessian.
+def detect_geometry(g: Graph) -> np.ndarray:
+    """The block fractions s of g from the Bethe Hessian, non-increasing;
+    the community count is len(s).
 
-    H is built in a new n x n float array in Fortran order, the layout
-    LAPACK reads, so ``eigh`` solves H in place instead of copying it.  Its
-    zeros are written as -0.0, the product -r * 0, which is what -r A with
-    its diagonal then set holds: the sign of a zero can steer LAPACK's
-    Householder reflections, and with them the rounding.
+    H is -r times the adjacency, its diagonal then set to r^2 - 1 + d.  The
+    adjacency is taken transposed, which for a symmetric matrix is the same
+    matrix in Fortran order, the layout LAPACK reads, so ``eigh`` solves H
+    in place instead of copying it.  Its zeros are -0.0, the product -r * 0:
+    the sign of a zero can steer LAPACK's Householder reflections, and with
+    them the rounding.
     """
-    one = GeometryEstimate(s=np.array([1.0]))
+    one = np.array([1.0])
     if g.m == 0:
         return one
     d = np.bincount(g.edges.ravel(), minlength=g.n).astype(float)
     r2 = d @ d / d.sum() - 1.0
     if r2 <= 1.0:
         return one
-    r = np.sqrt(r2)
-    H = np.full((g.n, g.n), -0.0, order="F")
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    H[i, j] = -r
-    H[j, i] = -r
+    H = g.adjacency().T
+    H *= -np.sqrt(r2)
     np.fill_diagonal(H, r2 - 1.0 + d)
     V = scipy.linalg.eigh(H, subset_by_value=(-np.inf, 0.0),
                           overwrite_a=True, check_finite=False)[1]
     if V.shape[1] < 2:
         return one
     counts = np.bincount(_pivoted_qr_labels(V))
-    return GeometryEstimate(s=np.sort(counts[counts > 0])[::-1] / g.n)
+    return np.sort(counts[counts > 0])[::-1] / g.n
 
 
 def cluster_by_community_count(
-        estimates: Sequence[GeometryEstimate]) -> dict[int, list[int]]:
-    """Partition corpus indices by detected community count."""
+        geometries: Sequence[np.ndarray]) -> dict[int, list[int]]:
+    """Partition corpus indices by community count, the length of each
+    graph's block-size vector s."""
     clusters: dict[int, list[int]] = {}
-    for idx, est in enumerate(estimates):
-        clusters.setdefault(est.community_count, []).append(idx)
+    for idx, s in enumerate(geometries):
+        clusters.setdefault(len(s), []).append(idx)
     return clusters

@@ -247,9 +247,9 @@ def run_contacts(seed: int, params: dict) -> dict:
 
     def counts():
         """The geometry pass, as (window, community count) pairs."""
-        for k, est in enumerate(map(detect_geometry, corpus)):
-            geoms.append(est)
-            yield k, est.community_count
+        for k, s in enumerate(map(detect_geometry, corpus)):
+            geoms.append(s)
+            yield k, len(s)
 
     rows = fork_map(lambda kc: _row(corpus[kc[0]], kc[1]), counts(),
                     usable_cpus() - 1)
@@ -260,8 +260,8 @@ def run_contacts(seed: int, params: dict) -> dict:
         if len(members) < p["min_cluster"]:
             continue
         mom = _table([rows[i] for i in members], count)
-        # a detected s has community_count entries, one per block
-        s_rows = np.vstack([geoms[i].s for i in members])
+        # each member's s has count entries, one per block
+        s_rows = np.vstack([geoms[i] for i in members])
         s_rows = s_rows / s_rows.sum(axis=1, keepdims=True)
         mix = fit_nonparametric(mom, s_per_graph=s_rows)
         new = compute_moments(sample_mixture(mix, mom.n, p["resample"], seed),

@@ -286,6 +286,25 @@ class TestFit:
                                  "--out", str(tmp_path / "o")])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("graphs, family, code, message", [
+        ([Graph.complete(4)], "uniform", 1,
+         "parametric fit needs at least two graphs"),
+        ([Graph.empty(5)] * 2, "dirac", 2,
+         "corpus density is zero; nothing to fit"),
+    ], ids=["one_graph", "two_empty_graphs"])
+    def test_corpus_that_admits_no_fit(self, runner, tmp_path, graphs, family,
+                                       code, message):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        for k, g in enumerate(graphs):
+            save_edgelist(g, d / f"graph_{k:04d}.txt")
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["fit", "--corpus", str(d), "-c", "1",
+                                 "--family", family, "--out", str(out)])
+        assert r.exit_code == code
+        assert f"error: {message}" in r.output
+        assert not out.exists()
+
     def test_fit_np(self, runner, tmp_path):
         corpus_dir = make_corpus_dir(tmp_path, count=8)
         out = tmp_path / "np"
@@ -338,6 +357,19 @@ class TestContactsCommand:
         out = tmp_path / "corpus"
         r = runner.invoke(main, ["contacts", "--file", str(contact),
                                  "--window", "100", "--step", "5",
+                                 "--out", str(out)])
+        assert r.exit_code == 1
+        assert "error: stream shorter than one window" in r.output
+        assert not out.exists()
+
+    def test_replicate_stream_shorter_than_one_window_exits_1(self, runner,
+                                                              tmp_path):
+        contact = tmp_path / "contacts.txt"
+        contact.write_text("0 1 2\n10 2 3\n20 1 3\n")
+        cfg = write_config(tmp_path / "cfg.json", "contacts", 0,
+                           {"file": str(contact), "window": 100, "step": 5})
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["replicate", "contacts", "--config", str(cfg),
                                  "--out", str(out)])
         assert r.exit_code == 1
         assert "error: stream shorter than one window" in r.output
@@ -789,6 +821,17 @@ WRONG_KIND = {
                                 "--corpus"], {},
                                "--bandwidth 'fixed:abc': the h of 'fixed:<h>' "
                                "must be a number"),
+    "bandwidth_unknown_rule": (["fit-np", "-c", "1", "--bandwidth", "bogus",
+                                "--corpus"], {},
+                               "--bandwidth 'bogus': unknown rule, not "
+                               "'silverman' or 'fixed:<h>'"),
+    "config_format_two": (["replicate", "recoverability", "--config"],
+                          {**_config("recoverability"), "format": 2},
+                          "unsupported config format"),
+    "p_values_ragged": (["replicate", "mixture-beta", "--config"],
+                        _config("mixture-beta", p_values=[[0.9, 0.5], [0.6]]),
+                        "mixture-beta params 'p_values' must be a list of "
+                        "numbers or of such lists"),
 }
 
 

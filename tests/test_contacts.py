@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 from rpsbm import (
     ContactStream,
     Graph,
+    cluster_by_community_count,
     compute_moments,
+    detect_geometry,
     load_contacts,
     replicate,
     window_contacts,
@@ -73,6 +75,14 @@ class TestLoad:
         path = write_stream(tmp_path, ["# only a comment"])
         with pytest.raises(ValueError, match="empty"):
             load_contacts(path)
+
+    @pytest.mark.parametrize("lines, lineno", [
+        (["100 1"], 1), (["# t i j", "100 1 2", "", "110 2"], 4)])
+    def test_short_line_names_the_line(self, tmp_path, lines, lineno):
+        path = write_stream(tmp_path, lines)
+        with pytest.raises(ValueError) as info:
+            load_contacts(path)
+        assert str(info.value) == f"{path}:{lineno}: expected 't i j'"
 
 
 class TestWindows:
@@ -234,3 +244,20 @@ class TestRunContactsRows:
             assert got.n == expect.n
             for name in ("spectra", "densities", "mean_spectrum", "cov"):
                 assert getattr(got, name).tobytes() == getattr(expect, name).tobytes()
+
+
+class TestRunContactsMinCluster:
+    def test_cluster_below_min_cluster_is_not_fitted(self, monkeypatch):
+        stream = planted_stream()
+        windows = window_contacts(stream, 600, 20)
+        clusters = cluster_by_community_count(list(map(detect_geometry, windows)))
+        (big, members), (_, others) = sorted(
+            clusters.items(), key=lambda kv: len(kv[1]), reverse=True)[:2]
+        assert len(members) > len(others)
+        monkeypatch.setattr(replicate, "load_contacts", lambda path: stream)
+        report = replicate.run_contacts(0, {
+            "file": "unread", "window": 600, "step": 20, "resample": 10,
+            "min_cluster": len(others) + 1})["report"]
+        assert report["clusters"] == clusters
+        assert set(report["fits"]) == {big}
+        assert report["fits"][big]["members"] == members

@@ -273,6 +273,22 @@ FIT_ERRORS = {
     "bandwidth_dimension": (
         lambda: fit_nonparametric(_two_index_moments(), Bandwidth(np.eye(3))),
         ValueError, "bandwidth dimension must equal truncation order"),
+    "bandwidth_not_square": (lambda: Bandwidth(np.ones((2, 3))),
+                             ValueError, "bandwidth matrix must be square"),
+    "bandwidth_not_psd": (lambda: Bandwidth(np.diag([1.0, -1.0])),
+                          ValueError, "bandwidth matrix must be PSD"),
+    "beta_mean_outside_range": (
+        lambda: fit_beta_product([0.95], [0.01], [0.1], [0.9]),
+        ValueError, "need a_i < mean_i < b_i"),
+    "beta_zero_variance": (lambda: fit_beta_product([0.5], [0.0], [0.1], [0.9]),
+                           ValueError, "beta fit needs positive variance"),
+    "silverman_no_graphs": (lambda: silverman_bandwidth(0, [1.0]),
+                            ValueError, "N must be positive"),
+    "silverman_negative_scale": (lambda: silverman_bandwidth(5, [1.0, -0.5]),
+                                 ValueError, "sigma must be non-negative"),
+    "critical_n_zero_threshold": (lambda: critical_n_for_threshold(1.0, 0.0),
+                                  ValueError,
+                                  "sigma and threshold must be positive"),
 }
 
 

@@ -246,6 +246,12 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
+def test_module_entry_point_prints_the_version():
+    out = run_fresh("import runpy\nsys.argv = ['rpsbm', '--version']\n"
+                    "runpy.run_module('rpsbm.cli', run_name='__main__')")
+    assert out.split()[-1] == rpsbm.__version__
+
+
 def test_package_import_leaves_out_scipy_stats():
     out = run_fresh("import rpsbm, rpsbm.cli\nprint('scipy.stats' in sys.modules)")
     assert out.split() == ["False"]

@@ -463,6 +463,7 @@ MODEL_ERRORS = {
                           "sd must be non-negative"),
     "graph_smaller_than_blocks": (lambda: sample_sbm(two_block(), 1, seed=0),
                                   "graph size smaller than community count"),
+    "law_not_object": (lambda: law_from_dict([]), "law must be a JSON object"),
 }
 
 

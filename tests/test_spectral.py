@@ -15,6 +15,7 @@ from rpsbm import (
     Graph,
     RpsbmModel,
     SbmParams,
+    SpectralSignature,
     UniformProductLaw,
     density,
     detect_geometry,
@@ -227,6 +228,47 @@ class TestGraph:
         x = np.random.default_rng(seed).standard_normal(g.n)
         np.testing.assert_allclose(_adjacency_operator(g).matvec(x),
                                    g.adjacency() @ x, rtol=0, atol=1e-12)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    return load_edgelist(path)
+
+
+# Each input check of the module: (call on a temporary directory, what it
+# returns, or the start of the ValueError message it raises).
+SPECTRAL_INPUT = {
+    "flat_pair_list": (lambda d: Graph(3, [0, 1, 1, 2]).edges.tolist(),
+                       [[0, 1], [1, 2]]),
+    "blank_line_skipped": (lambda d: _load_text(d, "n 4\n\n0 1\n \n2 3\n")
+                           .edges.tolist(), [[0, 1], [2, 3]]),
+    "graph_without_nodes": (lambda d: Graph(0, []),
+                            "graph needs at least one node"),
+    "signature_length": (lambda d: SpectralSignature([2.0], 2, 3),
+                         "signature length must equal truncation order"),
+    "signature_c_above_n": (lambda d: SpectralSignature([2.0, 1.0], 2, 1),
+                            "truncation order exceeds graph size"),
+    "signature_unsorted": (lambda d: SpectralSignature([1.0, 2.0], 2, 3),
+                           "eigenvalues must be sorted non-increasing"),
+    "eigenpairs_k_zero": (lambda d: eigenpairs(Graph.path(3), 0),
+                          "k out of range"),
+    "eigenpairs_k_above_n": (lambda d: eigenpairs(Graph.path(3), 4),
+                             "k out of range"),
+    "edgelist_one_id": (lambda d: _load_text(d, "0 1\n\n2\n"),
+                        "{path}:3: expected two node ids"),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_INPUT)
+def test_input_checks(case, tmp_path):
+    call, expect = SPECTRAL_INPUT[case]
+    if not isinstance(expect, str):
+        assert call(tmp_path) == expect
+        return
+    with pytest.raises(ValueError) as info:
+        call(tmp_path)
+    assert str(info.value).startswith(expect.format(path=tmp_path / "g.txt"))
 
 
 class TestSpectrum:
@@ -480,12 +522,12 @@ class TestSpectrumMemo:
         for k in range(10):
             edges = sample_sbm(params, n, 3, k).edges
             expect = detect_geometry(Graph(n, edges))
-            assert expect.community_count == len(s)
+            assert len(expect) == len(s)
             g = Graph(n, edges)
             spectrum(g, 2)
             got = detect_geometry(g)
-            assert got.community_count == expect.community_count
-            np.testing.assert_array_equal(got.s, expect.s)
+            assert len(got) == len(expect)
+            np.testing.assert_array_equal(got, expect)
 
 
 class TestDistance:

@@ -1,5 +1,7 @@
 """Predicted eigenvalue moments against independent oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from rpsbm import (
     sample_sbm,
     spectrum,
 )
-from rpsbm.theory import expected_spectrum
+from rpsbm.theory import correction_matrix, expected_spectrum
 from oracles import (
     covariance_block_integral,
     first_order_check,
@@ -35,6 +37,34 @@ def random_params(gen, c=None, eps_regime=False):
     else:
         q = float(gen.uniform(0.0, p.min()))
     return SbmParams(omega=0.5, s=s, p=p, q=q)
+
+
+# M = diag(s) P with p = (0.1, 0.1), q = 0.5 has eigenvalues 0.3 and -0.2
+NEGATIVE_NU = SbmParams(omega=1.0, s=[0.5, 0.5], p=[0.1, 0.1], q=0.5)
+
+# Each input check of the module: (call, the ValueError message).
+THEORY_ERRORS = {
+    "correction_at_negative_nu": (
+        lambda: correction_matrix(build_theory_matrices(NEGATIVE_NU), 1),
+        "correction undefined for a non-positive eigenvalue of M"),
+    "eigenvalue_index_zero": (
+        lambda: expected_eigenvalue(NEGATIVE_NU, 100, 0),
+        "eigenvalue index out of range"),
+    "eigenvalue_index_above_c": (
+        lambda: expected_eigenvalue(NEGATIVE_NU, 100, 3),
+        "eigenvalue index out of range"),
+    "no_draws": (
+        lambda: predict_eig_law_moments(
+            RpsbmModel(0.5, DiracLaw([0.5]), 0.0, [1.0]), 100, draws=0),
+        "need at least one draw"),
+}
+
+
+@pytest.mark.parametrize("case", THEORY_ERRORS)
+def test_theory_rejects_its_input(case):
+    call, message = THEORY_ERRORS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
 
 
 class TestTheoryMatrices:
