@@ -49,7 +49,6 @@ from .moments import (
     compute_moments,
 )
 from .fitting import (
-    Bandwidth,
     FitResult,
     GraphMixture,
     InfeasibleFitError,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .contacts import load_contacts, window_contacts
-from .fitting import Bandwidth, InfeasibleFitError, fit_nonparametric, fit_parametric
+from .fitting import InfeasibleFitError, fit_nonparametric, fit_parametric
 from .geometry import cluster_by_community_count, detect_geometry
 from .models import (LAWS, LazyCorpus, _read, iter_corpus, load_model,
                      model_to_dict)
@@ -222,13 +222,10 @@ def sample(seed, model_path, n, count):
 def spectra(seed, corpus_dir, trunc):
     """Top-c eigenvalues and density of every corpus graph (CSV), computed
     on every usable CPU; graph sizes may differ."""
-    rows = []
-    for k, (n, values, rho) in enumerate(_rows(_load_corpus(corpus_dir), trunc)):
-        if values is None:
-            raise ValueError(f"truncation order must satisfy 1 <= c <= {n}")
-        rows.append({"graph": k, **{f"lambda{i+1}": v for i, v in enumerate(values)},
-                     "density": rho})
-    return {"spectra.csv": rows}, {"corpus": corpus_dir, "c": trunc}, seed
+    rows = _rows(_load_corpus(corpus_dir), trunc)
+    table = [{"graph": k, **{f"lambda{i+1}": v for i, v in enumerate(values)},
+              "density": rho} for k, (_, values, rho) in enumerate(rows)]
+    return {"spectra.csv": table}, {"corpus": corpus_dir, "c": trunc}, seed
 
 
 @command
@@ -290,7 +287,7 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
         except ValueError:
             raise ValueError(f"--bandwidth {bandwidth!r}: the h of "
                              f"'fixed:<h>' must be a number") from None
-        bw = Bandwidth(np.diag(np.full(trunc, h)))
+        bw = np.full(trunc, h)
     elif bandwidth == "silverman":
         bw = None
     else:
@@ -352,7 +349,7 @@ def replicate(seed, scenario, config):
                     format=int, scenario=str, seed=(int, seed, 0),
                     params=(dict, {}))
         if cfg["format"] != 1:
-            raise ValueError("unsupported config format")
+            raise ValueError(f"config 'format' must be 1, not {cfg['format']}")
         if cfg["scenario"] != scenario:
             raise ValueError(f"config is for scenario {cfg['scenario']!r}, "
                              f"not {scenario!r}")

@@ -13,8 +13,9 @@ variance (``moments.inherent_variance``), omega = rho_bar, and epsilon
 is chosen so the expected sampled density matches the corpus density.
 Var P_i takes its sign from the excess that ``classify_regimes`` tests.  The
 nonparametric fit runs the same equations per corpus graph with a shared
-kernel bandwidth H in place of Sigma, falling back to a Dirac coordinate
-wherever the excess H_ii - inherent_variance_i is not positive.
+kernel bandwidth h, one variance h_i per index, in place of Sigma_ii,
+falling back to a Dirac coordinate wherever the excess
+h_i - inherent_variance_i is not positive.
 
 Both fits read the corpus only through its ``SampleMoments``: the per-graph
 spectra and densities and the moments taken from them.
@@ -64,23 +65,6 @@ class FitResult:
 
 
 @dataclass(frozen=True)
-class Bandwidth:
-    """Kernel covariance matrix H for graph-space density estimation."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        object.__setattr__(self, "H", H)
-        if H.shape[0] != H.shape[1]:
-            raise ValueError("bandwidth matrix must be square")
-        if not np.all(np.isfinite(H)):
-            raise ValueError("bandwidth matrix must be finite")
-        if np.any(np.linalg.eigvalsh((H + H.T) / 2) < -1e-10):
-            raise ValueError("bandwidth matrix must be PSD")
-
-
-@dataclass(frozen=True)
 class GraphMixture:
     """Uniform mixture of RPSBM components, one per corpus graph."""
 
@@ -105,7 +89,8 @@ def _j_moments(lam: np.ndarray, second: np.ndarray, n: int, omega: float,
                s: np.ndarray):
     """J-mean, J-covariance and the excess variance from eigenvalue moments.
 
-    ``second`` is the c x c eigenvalue covariance (corpus Sigma or kernel H).
+    ``second`` is the c x c eigenvalue covariance: the corpus Sigma, or the
+    kernel bandwidth h as the diagonal matrix diag(h).
     The excess is its diagonal less the inherent variance; the J-variance is
     the excess over (n omega s_i)^2, so the two share their sign.
     """
@@ -244,8 +229,9 @@ def fit_parametric(m: SampleMoments, family: str = "uniform",
 # Nonparametric graph-space kernel mixture
 # ---------------------------------------------------------------------------
 
-def silverman_bandwidth(N: int, sigma) -> Bandwidth:
-    """Diagonal H with h = ((4/3)^(1/5) N^(-1/5) sigma)^2 per coordinate."""
+def silverman_bandwidth(N: int, sigma) -> np.ndarray:
+    """Silverman's kernel variance h_i = ((4/3)^(1/5) N^(-1/5) sigma_i)^2 of
+    each coordinate, as a float array."""
     if N < 1:
         raise ValueError("N must be positive")
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
@@ -253,27 +239,30 @@ def silverman_bandwidth(N: int, sigma) -> Bandwidth:
         raise ValueError("sigma must be non-negative")
     if np.any(sigma == 0):
         warnings.warn("zero scale gives a degenerate (zero) bandwidth")
-    h = ((4.0 / 3.0) ** 0.2 * N ** (-0.2) * sigma) ** 2
-    return Bandwidth(np.diag(h))
+    return ((4.0 / 3.0) ** 0.2 * N ** (-0.2) * sigma) ** 2
 
 
-def fit_nonparametric(m: SampleMoments, bandwidth: Bandwidth | None = None,
+def fit_nonparametric(m: SampleMoments, bandwidth: np.ndarray | None = None,
                       s_per_graph: np.ndarray | None = None) -> GraphMixture:
     """Graph-space kernel mixture: one RPSBM component per corpus graph.
 
     Component k is fitted to row k of ``m.spectra``, with omega the graph's
     density ``m.densities[k]`` and s row k of ``s_per_graph`` (equal blocks
-    by default); each has a uniform product law.  The shared bandwidth H (by
-    default Silverman's rule on the corpus scale) plays the role of the
-    eigenvalue covariance when solving each component's J-moments.
-    Coordinates whose excess H_ii - inherent_variance_i is not positive fall
-    back to a Dirac marginal (local over-smoothing), recorded per component.
+    by default); each has a uniform product law.  The bandwidth h, one
+    kernel variance per eigenvalue index (by default Silverman's rule on the
+    corpus scale), plays the role of the eigenvalue variances Sigma_ii when
+    solving each component's J-moments; it must have length c and be finite
+    and non-negative.  Coordinates whose excess h_i - inherent_variance_i is
+    not positive fall back to a Dirac marginal (local over-smoothing),
+    recorded per component.
     """
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(m.N, np.sqrt(np.diag(m.cov)))
-    H = bandwidth.H
-    if H.shape != (m.c, m.c):
+    h = (silverman_bandwidth(m.N, np.sqrt(np.diag(m.cov))) if bandwidth is None
+         else np.asarray(bandwidth, dtype=float))
+    if h.shape != (m.c,):
         raise ValueError("bandwidth dimension must equal truncation order")
+    if not np.all((h >= 0) & (h < np.inf)):  # NaN fails both
+        raise ValueError("bandwidth must be finite and non-negative")
+    H = np.diag(h)
 
     components, fallbacks = [], []
     for k, (lam, rho_k) in enumerate(zip(m.spectra, m.densities.tolist())):
@@ -354,8 +343,7 @@ def critical_sample_size(p_values, n: int, omega: float, N_max: int,
         for k, g in enumerate(iter_corpus(components, n, N_max, seed + rep), 1):
             _, p_hat = _er_observables(_row(g, 1))
             max2p = max(max2p, 2.0 * p_hat)
-            h = float(silverman_bandwidth(k, sigma).H[0, 0])
-            if max2p > h:
+            if max2p > silverman_bandwidth(k, sigma)[0]:
                 hit = k
                 break
         if hit is None:
@@ -404,7 +392,7 @@ def run_er_mixture_pipeline(p_values, n: int, omega: float, N: int,
     hat_sds = np.sqrt(np.maximum(2.0 * p_hat, 1e-12))
     true_means = n * omega * p + 1.0
     true_sds = np.sqrt(2.0 * p)
-    h_N = float(silverman_bandwidth(N, oracle_sigma(p, n, omega)).H[0, 0])
+    h_N = float(silverman_bandwidth(N, oracle_sigma(p, n, omega))[0])
     silver_sd = np.full(N, np.sqrt(h_N))
 
     all_means = np.concatenate([true_means, hat_means])

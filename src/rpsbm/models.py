@@ -536,13 +536,12 @@ def model_to_dict(model: RpsbmModel | SbmParams) -> dict:
 
 def model_from_dict(d: dict) -> RpsbmModel | SbmParams:
     if isinstance(d, dict) and "law" in d:
-        m = _read("RPSBM model spec", d, format=int, omega=float, s=list,
-                  law=dict, epsilon=float)
+        what, spec = "RPSBM model spec", {"law": dict, "epsilon": float}
     else:
-        m = _read("fixed SBM model spec", d, format=int, omega=float, s=list,
-                  p=list, q=float)
+        what, spec = "fixed SBM model spec", {"p": list, "q": float}
+    m = _read(what, d, format=int, omega=float, s=list, **spec)
     if m["format"] != 1:
-        raise ValueError("unsupported model spec format")
+        raise ValueError(f"{what} 'format' must be 1, not {m['format']}")
     if "law" in m:
         return RpsbmModel(m["omega"], law_from_dict(m["law"]), m["epsilon"],
                           m["s"])

@@ -80,10 +80,8 @@ class RegimeReport:
 
 
 def _row(g: Graph, c: int):
-    """Graph g's row of the table: (n, top-c eigenvalues, density), with
-    neither reduction when c > n, which ``compute_moments`` reports."""
-    if c > g.n:
-        return g.n, None, None
+    """Graph g's row of the table: (n, top-c eigenvalues, density).  A c
+    outside [1, n] raises ``spectrum``'s ``ValueError``."""
     return g.n, spectrum(g, c).values, density(g)
 
 
@@ -292,16 +290,14 @@ def _rows(corpus: Sequence[Graph], c: int) -> list:
 
 def _table(rows: list, c: int) -> SampleMoments:
     """The table of graphs' rows (``_row`` at c), in corpus order, with the
-    mean spectrum and its unbiased covariance.  No rows, mixed graph sizes
-    and c > n raise ``ValueError``."""
+    mean spectrum and its unbiased covariance.  No rows and mixed graph
+    sizes raise ``ValueError``."""
     if not rows:
         raise ValueError("empty corpus")
     sizes = {row[0] for row in rows}
     if len(sizes) != 1:
         raise ValueError(f"mixed graph sizes in corpus: {sorted(sizes)}")
     (n,) = sizes
-    if c > n:
-        raise ValueError("truncation order exceeds graph size")
     spectra = np.vstack([values for _, values, _ in rows])
     densities = np.array([rho for _, _, rho in rows])
     N = len(spectra)
@@ -326,7 +322,9 @@ def compute_moments(corpus: Sequence[Graph], c: int) -> SampleMoments:
     and the table is the same whatever the number of workers.  Only each
     graph's row is kept, so with a lazy corpus no more graphs are alive than
     are being reduced, one per worker.  An empty corpus, mixed graph sizes and
-    c > n raise ``ValueError``; a graph with c > n is not reduced.
+    a c outside [1, n] raise ``ValueError``; the last is raised by the first
+    graph, in corpus order, that c does not fit, before the sizes are
+    compared.
     """
     return _table(_rows(corpus, c), c)
 

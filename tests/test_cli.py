@@ -187,6 +187,25 @@ class TestSpectraRoundTrip:
         assert "error:" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectra", "moments"])
+    def test_truncation_order_past_a_graph(self, runner, tmp_path, monkeypatch,
+                                           command):
+        # spectrum refuses c = 6 for the 5-node graph in the worker that
+        # reduces it, before the sizes of the rows are compared
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for k, g in enumerate([Graph.path(8), Graph.complete(5), Graph.path(8)]):
+            save_edgelist(g, corpus / f"graph_{k:04d}.txt")
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
+            out = tmp_path / f"out{cpus}"
+            r = runner.invoke(main, [command, "--corpus", str(corpus), "-c", "6",
+                                     "--out", str(out)])
+            assert r.exit_code == 1
+            assert isinstance(r.exception, SystemExit), r.exception
+            assert "error: truncation order must satisfy 1 <= c <= 5" in r.output
+            assert not out.exists()
+
     def test_missing_corpus_leaves_no_out(self, runner, tmp_path):
         out = tmp_path / "out"
         r = runner.invoke(main, ["spectra", "--corpus", str(tmp_path / "missing"),
@@ -827,7 +846,15 @@ WRONG_KIND = {
                                "'silverman' or 'fixed:<h>'"),
     "config_format_two": (["replicate", "recoverability", "--config"],
                           {**_config("recoverability"), "format": 2},
-                          "unsupported config format"),
+                          "config 'format' must be 1, not 2"),
+    "model_format_two": (["sample", "--n", "10", "--count", "1", "--model"],
+                         {"format": 2, "omega": 0.5, "s": [1.0], "p": [0.5],
+                          "q": 0.0},
+                         "fixed SBM model spec 'format' must be 1, not 2"),
+    "rpsbm_format_two": (["sample", "--n", "10", "--count", "1", "--model"],
+                         {"format": 2, "omega": 0.5, "s": [1.0], "epsilon": 0.0,
+                          "law": {"kind": "dirac", "center": [0.5]}},
+                         "RPSBM model spec 'format' must be 1, not 2"),
     "p_values_ragged": (["replicate", "mixture-beta", "--config"],
                         _config("mixture-beta", p_values=[[0.9, 0.5], [0.6]]),
                         "mixture-beta params 'p_values' must be a list of "
@@ -1044,11 +1071,11 @@ class TestInvalidJson:
         self.assert_clean_exit_1(r)
         assert f"error: {message}" in r.output
 
-    @pytest.mark.parametrize("h", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("h", ["nan", "inf", "-inf", "-1"])
     def test_fit_np_bandwidth_finite(self, runner, tmp_path, h):
         corpus_dir = make_corpus_dir(tmp_path, count=2, n=60)
         r = runner.invoke(main, ["fit-np", "--corpus", str(corpus_dir),
                                  "-c", "2", "--bandwidth", f"fixed:{h}",
                                  "--out", str(tmp_path / "o")])
         self.assert_clean_exit_1(r)
-        assert "error: bandwidth matrix must be finite" in r.output
+        assert "error: bandwidth must be finite and non-negative" in r.output

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rpsbm import (
-    Bandwidth,
     BetaProductLaw,
     Graph,
     InfeasibleFitError,
@@ -112,7 +111,7 @@ class TestBetaInversion:
 
 class TestSilverman:
     def test_frozen_value(self):
-        h = silverman_bandwidth(32, 1.0).H[0, 0]
+        h = silverman_bandwidth(32, 1.0)[0]
         expect = ((4.0 / 3.0) ** 0.2 * 32 ** (-0.2)) ** 2
         assert h == pytest.approx(expect, rel=1e-15)
         assert h == pytest.approx(0.2805, abs=5e-5)
@@ -120,10 +119,10 @@ class TestSilverman:
     def test_zero_scale_flagged(self):
         with pytest.warns(UserWarning, match="degenerate"):
             h = silverman_bandwidth(10, 0.0)
-        assert h.H[0, 0] == 0.0
+        assert h[0] == 0.0
 
     def test_monotone_in_n(self):
-        hs = [silverman_bandwidth(N, 2.0).H[0, 0] for N in (4, 16, 64, 256)]
+        hs = [silverman_bandwidth(N, 2.0)[0] for N in (4, 16, 64, 256)]
         assert all(a > b for a, b in zip(hs, hs[1:]))
 
 
@@ -137,7 +136,7 @@ class TestNonparametric:
         corpus = self.corpus(N=1)
         with pytest.warns(UserWarning):
             mix = fit_nonparametric(compute_moments(corpus, 2),
-                                    bandwidth=Bandwidth(np.eye(2)))
+                                    bandwidth=np.full(2, 1.0))
         from rpsbm import density, spectrum
         g = corpus[0]
         lam = spectrum(g, 2).values
@@ -147,7 +146,7 @@ class TestNonparametric:
     def test_tiny_bandwidth_forces_all_dirac(self):
         corpus = self.corpus()
         mix = fit_nonparametric(compute_moments(corpus, 2),
-                                bandwidth=Bandwidth(np.eye(2) * 1e-6))
+                                bandwidth=np.full(2, 1e-6))
         for comp, fb in zip(mix.components, mix.dirac_fallback):
             assert fb == (0, 1)
             np.testing.assert_array_equal(comp.law.width, [0.0, 0.0])
@@ -156,7 +155,7 @@ class TestNonparametric:
         corpus = self.corpus()
         h = 0.4  # between the two inherent-variance levels
         mix = fit_nonparametric(compute_moments(corpus, 2),
-                                bandwidth=Bandwidth(np.eye(2) * h))
+                                bandwidth=np.full(2, h))
         from rpsbm import spectrum
         for g, fb in zip(corpus, mix.dirac_fallback):
             lam = spectrum(g, 2).values
@@ -190,7 +189,7 @@ class TestMomentInversion:
     inherent variance, the quantity ``classify_regimes`` tests."""
 
     def test_kernel_width_finite_beside_the_boundary(self):
-        # H one ulp above each draw's own inherent variance 2 lambda/(n s):
+        # h one ulp above each draw's own inherent variance 2 lambda/(n s):
         # the excess is one ulp positive, so no coordinate falls back to a
         # Dirac marginal and every width must come out finite and positive
         truth = RpsbmModel(omega=0.3, law=UniformProductLaw([0.8, 0.5], [0.1, 0.1]),
@@ -199,9 +198,9 @@ class TestMomentInversion:
         for k in range(20):
             g = sample_rpsbm(truth, 200, seed=0, graph_index=k)
             lam = spectrum(g, 2).values
-            H = Bandwidth(np.diag(np.nextafter(2.0 * lam / (200 * s), np.inf)))
+            h = np.nextafter(2.0 * lam / (200 * s), np.inf)
             with pytest.warns(UserWarning, match="degenerate"):
-                mix = fit_nonparametric(compute_moments([g], 2), H,
+                mix = fit_nonparametric(compute_moments([g], 2), h,
                                         s_per_graph=[s])
             width = mix.components[0].law.width
             assert np.all(np.isfinite(width)) and np.all(width > 0), k
@@ -241,7 +240,7 @@ class TestMomentInversion:
         c = len(s)
         mom = SampleMoments(spectra=lam[None, :], densities=np.array([rho]),
                             n=n, mean_spectrum=lam, cov=np.zeros((c, c)))
-        mix = fit_nonparametric(mom, Bandwidth(np.diag(second)), s_per_graph=[s])
+        mix = fit_nonparametric(mom, second, s_per_graph=[s])
         width = mix.components[0].law.width
         assert np.all(np.isfinite(width))
         assert tuple(np.nonzero(width == 0)[0].tolist()) == mix.dirac_fallback[0]
@@ -271,12 +270,14 @@ FIT_ERRORS = {
         lambda: fit_parametric(_two_index_moments(), family="nope"),
         ValueError, "unknown family 'nope'"),
     "bandwidth_dimension": (
-        lambda: fit_nonparametric(_two_index_moments(), Bandwidth(np.eye(3))),
+        lambda: fit_nonparametric(_two_index_moments(), np.full(3, 1.0)),
         ValueError, "bandwidth dimension must equal truncation order"),
-    "bandwidth_not_square": (lambda: Bandwidth(np.ones((2, 3))),
-                             ValueError, "bandwidth matrix must be square"),
-    "bandwidth_not_psd": (lambda: Bandwidth(np.diag([1.0, -1.0])),
-                          ValueError, "bandwidth matrix must be PSD"),
+    "bandwidth_negative": (
+        lambda: fit_nonparametric(_two_index_moments(), [1.0, -1.0]),
+        ValueError, "bandwidth must be finite and non-negative"),
+    "bandwidth_nan": (
+        lambda: fit_nonparametric(_two_index_moments(), [1.0, float("nan")]),
+        ValueError, "bandwidth must be finite and non-negative"),
     "beta_mean_outside_range": (
         lambda: fit_beta_product([0.95], [0.01], [0.1], [0.9]),
         ValueError, "need a_i < mean_i < b_i"),

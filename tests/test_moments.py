@@ -254,7 +254,7 @@ class TestPool:
                     (iter_corpus(empty, 20, 4, 0), 1, "empty support after clamping"),
                     (tiny, 1, "density needs n >= 2"),
                     (iter_corpus(SbmParams(0.5, [1.0], [0.5], 0.0), 5, 3, 0), 6,
-                     "truncation order exceeds graph size")):
+                     "truncation order must satisfy 1 <= c <= 5")):
                 with pytest.raises(ValueError) as info:
                     compute_moments(corpus, c)
                 assert type(info.value) is ValueError
