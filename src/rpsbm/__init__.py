@@ -23,7 +23,6 @@ from .models import (
     DiracLaw,
     RpsbmModel,
     SbmParams,
-    TruncGaussianProductLaw,
     UniformProductLaw,
     iter_corpus,
     load_model,

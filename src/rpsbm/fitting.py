@@ -29,13 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (
+    LAWS,
     BetaProductLaw,
     DiracLaw,
     LazyCorpus,
     ParamLaw,
     RpsbmModel,
     SbmParams,
-    TruncGaussianProductLaw,
     UniformProductLaw,
     iter_corpus,
 )
@@ -135,22 +135,16 @@ def _geometry_guard(lam: np.ndarray, n: int, s: np.ndarray, what: str) -> None:
 
 def _solve_family(kind: str, mean: np.ndarray, var: np.ndarray,
                   scaled: np.ndarray | None, notes: list[str]) -> ParamLaw:
-    """The ``kind`` law with J-moments (mean, var); a beta law's support is
-    the range of ``scaled``, the per-graph spectra on the J scale."""
+    """The ``kind`` law, a key of ``models.LAWS``, with J-moments
+    (mean, var); a beta law's support is the range of ``scaled``, the
+    per-graph spectra on the J scale."""
     if kind == "dirac":
         if np.any(var > 1e-12):
             notes.append("dirac family ignores a nonzero fitted variance")
         return DiracLaw(mean)
     if kind == "uniform":
         return UniformProductLaw(mean, np.sqrt(12.0 * var))
-    if kind == "beta":
-        return fit_beta_product(mean, var, scaled.min(axis=0),
-                                scaled.max(axis=0))
-    if kind == "gauss":
-        if np.any(mean < 0) or np.any(mean > 1):
-            notes.append("gauss family truncated to [0,1] but fitted mean lies outside")
-        return TruncGaussianProductLaw(mean, np.sqrt(var))
-    raise ValueError(f"unknown family {kind!r}")
+    return fit_beta_product(mean, var, scaled.min(axis=0), scaled.max(axis=0))
 
 
 def fit_beta_product(mean, var, a, b) -> BetaProductLaw:
@@ -177,12 +171,15 @@ def fit_parametric(m: SampleMoments, family: str = "uniform",
                    s_override: np.ndarray | None = None) -> FitResult:
     """Fit an RPSBM to the corpus moments ``m`` (parametric J).
 
-    omega is rho_bar and s is ``s_override``, equal blocks by default.  The
-    J-variance is the excess over the SBM-inherent variance, and epsilon is
-    clamped to [0, EPSILON_MAX], each clamp noted in the result's warnings.
-    Raises ``InfeasibleFitError`` when any index is in the small-variance
-    regime or when a mean eigenvalue exceeds its block size.
+    ``family`` is a law kind of ``models.LAWS``.  omega is rho_bar and s is
+    ``s_override``, equal blocks by default.  The J-variance is the excess
+    over the SBM-inherent variance, and epsilon is clamped to
+    [0, EPSILON_MAX], each clamp noted in the result's warnings.  Raises
+    ``InfeasibleFitError`` when any index is in the small-variance regime or
+    when a mean eigenvalue exceeds its block size.
     """
+    if family not in LAWS:
+        raise ValueError(f"unknown family {family!r}")
     if m.N < 2:
         raise ValueError("parametric fit needs at least two graphs")
     s = block_sizes(s_override, m.c)
@@ -205,11 +202,6 @@ def fit_parametric(m: SampleMoments, family: str = "uniform",
     mean, cov, _ = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s)
     # negative only at small-regime indices, which only the Dirac family reaches
     var = np.maximum(np.diag(cov), 0.0)
-    in_unit = (mean >= 0) & (mean <= 1)
-    if not in_unit.all():
-        notes.append(
-            "fitted E[P] outside [0,1] (expected when omega=rho_bar absorbs "
-            "the kernel mass; products omega*E[P] remain valid)")
 
     law = _solve_family(family, mean, var, m.spectra / (m.n * omega * s), notes)
     eps_raw, eps = _epsilon(mean, s, notes)
@@ -217,12 +209,9 @@ def fit_parametric(m: SampleMoments, family: str = "uniform",
     for note in notes:
         warnings.warn(note)
     model = RpsbmModel(omega=omega, law=law, epsilon=eps, s=s)
-    feas = {
-        "support_in_unit": in_unit.tolist(),
-        "regimes": list(report.regimes),
-    }
     return FitResult(model=model, mean_J=mean, cov_J=cov, eps_raw=eps_raw,
-                     feasibility=feas, warnings=notes)
+                     feasibility={"regimes": list(report.regimes)},
+                     warnings=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def block_labels(s: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class ParamLaw:
-    """A law J of the density vector p, the base of the four laws below.
+    """A law J of the density vector p, the base of the three laws below.
 
     A law is a frozen dataclass with a class attribute ``kind``, its JSON
     name, and fields that are its JSON keys.  Its ``__post_init__`` calls
@@ -190,42 +190,8 @@ class BetaProductLaw(ParamLaw):
         return (self.b - self.a) ** 2 * self.alpha * self.beta / (ab**2 * (ab + 1))
 
 
-@dataclass(frozen=True)
-class TruncGaussianProductLaw(ParamLaw):
-    """Independent Gaussian(mean_i, sd_i) coordinates truncated to [0, 1]."""
-
-    mu: np.ndarray
-    sd: np.ndarray
-    kind = "gauss"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if np.any(self.sd < 0):
-            raise ValueError("sd must be non-negative")
-        # the frozen truncnorm, built once per law: building it takes about
-        # three times as long as a draw from it.  scipy.stats is imported
-        # here, not with the package: it is most of the package's import time
-        # and only this law uses it
-        import scipy.stats
-
-        sd = np.where(self.sd > 0, self.sd, 1.0)
-        object.__setattr__(self, "_dist", scipy.stats.truncnorm(
-            (0.0 - self.mu) / sd, (1.0 - self.mu) / sd, loc=self.mu, scale=sd))
-
-    def draw(self, gen: np.random.Generator) -> np.ndarray:
-        out = self._dist.rvs(size=self.c, random_state=gen)
-        return np.where(self.sd > 0, out, np.clip(self.mu, 0.0, 1.0))
-
-    def mean(self):
-        return np.where(self.sd > 0, self._dist.mean(), np.clip(self.mu, 0.0, 1.0))
-
-    def var(self):
-        return np.where(self.sd > 0, self._dist.var(), 0.0)
-
-
 #: Every parameter law by its JSON ``kind``.
-LAWS = {law.kind: law for law in (DiracLaw, UniformProductLaw, BetaProductLaw,
-                                  TruncGaussianProductLaw)}
+LAWS = {law.kind: law for law in (DiracLaw, UniformProductLaw, BetaProductLaw)}
 
 
 def law_from_dict(d: dict) -> ParamLaw:

@@ -290,8 +290,8 @@ def _rows(corpus: Sequence[Graph], c: int) -> list:
 
 def _table(rows: list, c: int) -> SampleMoments:
     """The table of graphs' rows (``_row`` at c), in corpus order, with the
-    mean spectrum and its unbiased covariance.  No rows and mixed graph
-    sizes raise ``ValueError``."""
+    mean spectrum and its unbiased covariance, zero for a single graph.  No
+    rows and mixed graph sizes raise ``ValueError``."""
     if not rows:
         raise ValueError("empty corpus")
     sizes = {row[0] for row in rows}
@@ -303,7 +303,6 @@ def _table(rows: list, c: int) -> SampleMoments:
     N = len(spectra)
     mean_spec = spectra.mean(axis=0)
     if N == 1:
-        warnings.warn("single-graph corpus: covariance degenerate (zeros)")
         cov = np.zeros((c, c))
     else:
         diff = spectra - mean_spec
@@ -367,7 +366,10 @@ def classify_regimes(m: SampleMoments, s=None) -> RegimeReport:
 def moments_report(m: SampleMoments) -> dict:
     """JSON-ready moments report with regime classification at equal
     block sizes; ``regime_ratio`` is ``RegimeReport.ratio``, with null where
-    it is infinite (a zero variance), so the report stays strict JSON."""
+    it is infinite (a zero variance), so the report stays strict JSON.  A
+    single-graph corpus warns that its covariance is degenerate."""
+    if m.N == 1:
+        warnings.warn("single-graph corpus: covariance degenerate (zeros)")
     reg = classify_regimes(m)
     return {
         "format": 1,

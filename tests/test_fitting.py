@@ -28,6 +28,7 @@ from rpsbm import (
     spectrum,
 )
 from rpsbm.fitting import GraphMixture, critical_n_for_threshold, oracle_sigma
+from rpsbm.models import LAWS
 from rpsbm.moments import MEDIUM, SMALL, inherent_variance
 from rpsbm import rng as rngmod
 
@@ -84,6 +85,27 @@ class TestParametricFit:
             fit_parametric(m, family="uniform")
 
 
+@pytest.fixture(scope="module")
+def two_block_moments():
+    truth = RpsbmModel(omega=0.4, law=UniformProductLaw([0.8, 0.5], [0.1, 0.1]),
+                       epsilon=0.05, s=np.array([0.5, 0.5]))
+    return compute_moments(sample_corpus(truth, 200, 12, seed=60), 2)
+
+
+@pytest.mark.parametrize("kind", LAWS)
+def test_every_family_has_the_fitted_moments(two_block_moments, kind):
+    # omega = rho_bar puts each E[P_i] above 1 here; the law keeps it there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # epsilon, dirac notes
+        fit = fit_parametric(two_block_moments, family=kind)
+    assert np.all(fit.mean_J > 1)
+    np.testing.assert_allclose(fit.model.law.mean(), fit.mean_J, rtol=1e-12)
+    if kind != "dirac":
+        np.testing.assert_allclose(fit.model.law.var(),
+                                   np.maximum(np.diag(fit.cov_J), 0.0),
+                                   rtol=1e-12)
+
+
 class TestBetaInversion:
     def test_symmetric_beta(self):
         law = fit_beta_product([0.5], [0.05], [0.0], [1.0])
@@ -134,9 +156,8 @@ class TestNonparametric:
 
     def test_single_graph_component_mean(self):
         corpus = self.corpus(N=1)
-        with pytest.warns(UserWarning):
-            mix = fit_nonparametric(compute_moments(corpus, 2),
-                                    bandwidth=np.full(2, 1.0))
+        mix = fit_nonparametric(compute_moments(corpus, 2),
+                                bandwidth=np.full(2, 1.0))
         from rpsbm import density, spectrum
         g = corpus[0]
         lam = spectrum(g, 2).values
@@ -199,9 +220,7 @@ class TestMomentInversion:
             g = sample_rpsbm(truth, 200, seed=0, graph_index=k)
             lam = spectrum(g, 2).values
             h = np.nextafter(2.0 * lam / (200 * s), np.inf)
-            with pytest.warns(UserWarning, match="degenerate"):
-                mix = fit_nonparametric(compute_moments([g], 2), h,
-                                        s_per_graph=[s])
+            mix = fit_nonparametric(compute_moments([g], 2), h, s_per_graph=[s])
             width = mix.components[0].law.width
             assert np.all(np.isfinite(width)) and np.all(width > 0), k
             assert mix.dirac_fallback == ((),), k
@@ -268,6 +287,11 @@ FIT_ERRORS = {
         ValueError, "geometry length must equal truncation order"),
     "unknown_family": (
         lambda: fit_parametric(_two_index_moments(), family="nope"),
+        ValueError, "unknown family 'nope'"),
+    # the family is checked before the regimes of the table
+    "unknown_family_small_regime": (
+        lambda: fit_parametric(compute_moments([Graph.complete(30)] * 5, 2),
+                               family="nope"),
         ValueError, "unknown family 'nope'"),
     "bandwidth_dimension": (
         lambda: fit_nonparametric(_two_index_moments(), np.full(3, 1.0)),

@@ -15,22 +15,19 @@ code may call ``os.fork``, ``os.forkpty`` or ``os.posix_spawn*``, or import
 ``multiprocessing``, ``concurrent.futures`` or ``subprocess``.
 
 Importing the package must not import ``scipy.stats``, which would be most of
-its import time; only the ``gauss`` law needs it, and imports it itself.  Nor
-may it import ``multiprocessing`` or an executor of ``concurrent.futures``,
-and a ``fork_map`` that forks workers must not import ``multiprocessing``
-either.  (The ``concurrent.futures`` package itself is loaded by
-``scipy.sparse``, through ``numpy.testing``, so only its executors are
-checked.)  A fresh interpreter checks each.
+its import time; no module of the package imports it.  Nor may it import
+``multiprocessing`` or an executor of ``concurrent.futures``, and a
+``fork_map`` that forks workers must not import ``multiprocessing`` either.
+(The ``concurrent.futures`` package itself is loaded by ``scipy.sparse``,
+through ``numpy.testing``, so only its executors are checked.)  A fresh
+interpreter checks each.
 """
 
 import ast
-import json
 import re
 import subprocess
 import sys
 from pathlib import Path
-
-import numpy as np
 
 import pytest
 
@@ -277,17 +274,3 @@ def test_pool_on_two_cpus_leaves_out_multiprocessing():
         "rpsbm.compute_moments([rpsbm.Graph.complete(6)] * 2, 2)\n"
         "print(len(forks), 'multiprocessing' in sys.modules)")
     assert out.split() == ["2", "False"]
-
-
-def test_gauss_law_builds_and_draws_in_a_fresh_process():
-    law = rpsbm.TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.0])
-    out = run_fresh(
-        "import json\nimport numpy as np\nimport rpsbm\n"
-        "law = rpsbm.TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.0])\n"
-        "draw = law.draw(np.random.default_rng(7))\n"
-        "print(json.dumps([draw.tolist(), law.mean().tolist(), law.var().tolist(),\n"
-        "                  'scipy.stats' in sys.modules]))")
-    draw, mean, var, loaded = json.loads(out)
-    assert draw == law.draw(np.random.default_rng(7)).tolist()
-    assert (mean, var) == (law.mean().tolist(), law.var().tolist())
-    assert loaded

@@ -8,7 +8,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import given, strategies as st
 
 from rpsbm import (
@@ -17,7 +16,6 @@ from rpsbm import (
     Graph,
     RpsbmModel,
     SbmParams,
-    TruncGaussianProductLaw,
     UniformProductLaw,
     density,
     sample_corpus,
@@ -309,17 +307,10 @@ class TestLaws:
         gen = np.random.default_rng(2)
         assert law.draw(gen)[0] == 0.4
 
-    def test_gauss_truncated_to_unit(self):
-        law = TruncGaussianProductLaw([0.95], [0.2])
-        gen = np.random.default_rng(3)
-        draws = np.array([law.draw(gen)[0] for _ in range(300)])
-        assert draws.min() >= 0.0 and draws.max() <= 1.0
-
     def test_law_moments_match_sampling(self):
         laws = [
             UniformProductLaw([0.5, 0.7], [0.2, 0.1]),
             BetaProductLaw([0.1, 0.2], [0.9, 0.8], [2.0, 3.0], [3.0, 2.0]),
-            TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.05]),
         ]
         gen = np.random.default_rng(4)
         for law in laws:
@@ -340,15 +331,6 @@ class TestLaws:
         mean[0] = 9.0
         np.testing.assert_array_equal(law.center, [0.5, 0.25])
 
-    def test_gauss_cached_dist_draws_like_a_fresh_one(self):
-        law = TruncGaussianProductLaw([0.5, 0.8], [0.1, 0.05])
-        cached, fresh = np.random.default_rng(5), np.random.default_rng(5)
-        for _ in range(3):
-            ref = scipy.stats.truncnorm(
-                (0.0 - law.mu) / law.sd, (1.0 - law.mu) / law.sd,
-                loc=law.mu, scale=law.sd).rvs(size=2, random_state=fresh)
-            np.testing.assert_array_equal(law.draw(cached), ref)
-
     def test_json_round_trip(self):
         cases = [
             (DiracLaw([0.5, 0.25]), {"kind": "dirac", "center": [0.5, 0.25]}),
@@ -357,8 +339,6 @@ class TestLaws:
             (BetaProductLaw([0.1], [0.9], [2.0], [3.0]),
              {"kind": "beta", "a": [0.1], "b": [0.9], "alpha": [2.0],
               "beta": [3.0]}),
-            (TruncGaussianProductLaw([0.5], [0.1]),
-             {"kind": "gauss", "mu": [0.5], "sd": [0.1]}),
         ]
         for law, as_dict in cases:
             d = law_to_dict(law)
@@ -451,19 +431,18 @@ MODEL_ERRORS = {
     "beta_lengths": (lambda: BetaProductLaw([0.1], [0.9], [2.0, 2.0], [3.0]),
                      "beta law parameters ['a', 'b', 'alpha', 'beta'] must "
                      "share one length"),
-    "gauss_lengths": (lambda: TruncGaussianProductLaw([0.5], [0.1, 0.1]),
-                      "gauss law parameters ['mu', 'sd'] must share one length"),
     "uniform_width_negative": (lambda: UniformProductLaw([0.5], [-0.1]),
                                "widths must be non-negative"),
     "beta_a_above_b": (lambda: BetaProductLaw([0.9], [0.1], [2.0], [3.0]),
                        "need a_i <= b_i"),
     "beta_shape_zero": (lambda: BetaProductLaw([0.1], [0.9], [0.0], [3.0]),
                         "shape parameters must be positive"),
-    "gauss_sd_negative": (lambda: TruncGaussianProductLaw([0.5], [-0.1]),
-                          "sd must be non-negative"),
     "graph_smaller_than_blocks": (lambda: sample_sbm(two_block(), 1, seed=0),
                                   "graph size smaller than community count"),
     "law_not_object": (lambda: law_from_dict([]), "law must be a JSON object"),
+    "law_kind_gauss": (lambda: law_from_dict({"kind": "gauss", "mu": [0.5],
+                                              "sd": [0.1]}),
+                       "unknown law kind 'gauss'"),
 }
 
 

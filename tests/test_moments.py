@@ -82,9 +82,14 @@ class TestComputeMoments:
             compute_moments([Graph.complete(4), Graph.complete(5)], 1)
 
     def test_single_graph_degenerate(self):
-        with pytest.warns(UserWarning, match="degenerate"):
+        # the table is silent; the report, which publishes the zero
+        # covariance, warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             m = compute_moments([Graph.complete(4)], 2)
         np.testing.assert_array_equal(m.cov, np.zeros((2, 2)))
+        with pytest.warns(UserWarning, match="covariance degenerate"):
+            moments_report(m)
 
     def test_order_invariance(self):
         gen = np.random.default_rng(20)
@@ -130,7 +135,7 @@ class TestTableContract:
     def test_table_rows_are_the_graphs(self, case):
         corpus, c = case
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # N = 1, zero scale
+            warnings.simplefilter("ignore", UserWarning)  # N = 1: zero scale
             m = compute_moments(corpus, c)
             mix = fit_nonparametric(m)
         for k, g in enumerate(corpus):
@@ -171,9 +176,7 @@ def moments_or_error(corpus, c):
     """The table bytes of ``compute_moments(corpus, c)``, or its ValueError
     message."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # N = 1
-            m = compute_moments(corpus, c)
+        m = compute_moments(corpus, c)
     except ValueError as exc:
         return str(exc)
     return [a.tobytes() for a in (m.spectra, m.densities, m.mean_spectrum, m.cov)]
