@@ -33,11 +33,8 @@ from .models import (
 )
 from .theory import (
     EigLawMoments,
-    TheoryMatrices,
-    build_theory_matrices,
-    eigenfunction_values,
     eigenvalue_covariance,
-    expected_eigenvalue,
+    expected_spectrum,
     limiting_covariance,
     predict_eig_law_moments,
 )

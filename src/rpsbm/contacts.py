@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LazyCorpus
-from .spectral import Graph, _parse_int
+from .spectral import INT64_BOUND, Graph, _parse_int
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,11 @@ def load_contacts(path) -> ContactStream:
     if not rows:
         raise ValueError("empty contact stream")
     arr = np.asarray(rows, dtype=np.int64)
+    # times are windowed relative to t_min in int64; each window's start and
+    # end lie within the span, so the span alone must fit
+    span = int(arr[:, 0].max()) - int(arr[:, 0].min())
+    if span >= INT64_BOUND:
+        raise ValueError(f"{path}: contact time span {span} reaches 2**63")
     ids = np.unique(arr[:, 1:3])
     node_map = {int(v): k for k, v in enumerate(ids)}
     remap = np.searchsorted(ids, arr[:, 1:3])

@@ -90,6 +90,10 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("graph needs at least one node")
+        # the largest pair key, (n - 2) n + n - 1, must fit int64
+        if int(self.n) * (int(self.n) - 1) > INT64_BOUND:
+            raise ValueError(f"{self.n} nodes exceed 3037000500, the most "
+                             "whose pair keys fit int64")
         e = np.asarray(self.edges, dtype=np.int64)
         # even a no-op reshape returns a view, which owns no memory
         if e.ndim != 2 or e.shape[1] != 2:
@@ -163,10 +167,10 @@ class SpectralSignature:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         v.setflags(write=False)
+        if not 1 <= self.c <= self.n:
+            raise ValueError(f"truncation order must satisfy 1 <= c <= {self.n}")
         if v.shape != (self.c,):
             raise ValueError("signature length must equal truncation order")
-        if self.c > self.n:
-            raise ValueError("truncation order exceeds graph size")
         if np.any(np.diff(v) > 1e-9):
             raise ValueError("eigenvalues must be sorted non-increasing")
 

@@ -8,7 +8,7 @@ matrices
 
 Eigenvalues/eigenvectors (nu_k, v_k) of M carry the operator spectrum
 (theta_k = nu_k) and the piecewise-constant eigenfunctions
-r_k(x) = v_k(i)/sqrt(s_i) on block i.  From these:
+r_k(x) = v_k(i)/sqrt(s_i) on block i.  From one decomposition of M:
 
  * the covariance of the centered, 1/sqrt(omega)-scaled top eigenvalues
    at density omega is 2 (v_i .* v_j)^T (Mf .* (1 - omega Mf)) (v_i .* v_j),
@@ -18,7 +18,7 @@ r_k(x) = v_k(i)/sqrt(s_i) on block i.  From these:
  * the expected i-th eigenvalue is the i-th largest eigenvalue of
    B*_i = diag(nu_j * n * omega) + B2(i), where B2 is an O(1) correction
    whose nu_i^{-2} prefactor is bound to the target index i (the source
-   formula leaves that index free; dropping B2 entirely is supported).
+   formula leaves that index free).
 """
 
 from __future__ import annotations
@@ -31,21 +31,6 @@ from .models import DiracLaw, RpsbmModel, SbmParams, draw_params
 
 
 @dataclass(frozen=True)
-class TheoryMatrices:
-    """M, Mf and the eigen-decomposition of M (nu non-increasing)."""
-
-    M: np.ndarray
-    Mf: np.ndarray
-    nu: np.ndarray
-    V: np.ndarray
-    s: np.ndarray
-
-    @property
-    def c(self) -> int:
-        return len(self.nu)
-
-
-@dataclass(frozen=True)
 class EigLawMoments:
     """Predicted mean vector and covariance of the top-c eigenvalue law."""
 
@@ -53,37 +38,42 @@ class EigLawMoments:
     cov: np.ndarray
 
 
-def build_theory_matrices(params: SbmParams) -> TheoryMatrices:
-    s, p, q = params.s, params.p, params.q
-    root_s = np.sqrt(s)
-    M = q * np.outer(root_s, root_s)
-    np.fill_diagonal(M, s * p)
-    Mf = np.full((params.c, params.c), float(q))
-    np.fill_diagonal(Mf, p)
+def _decompose(params: SbmParams) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, V): M's eigenvalues, non-increasing, and unit eigenvectors as
+    columns, each with its largest-|entry| coordinate positive."""
+    root_s = np.sqrt(params.s)
+    M = params.q * np.outer(root_s, root_s)
+    np.fill_diagonal(M, params.s * params.p)
     nu, V = np.linalg.eigh(M)
     nu, V = nu[::-1].copy(), V[:, ::-1].copy()
-    # deterministic eigenvector signs: largest-|entry| coordinate positive
     for k in range(V.shape[1]):
         idx = int(np.argmax(np.abs(V[:, k])))
         if V[idx, k] < 0:
             V[:, k] = -V[:, k]
-    return TheoryMatrices(M=M, Mf=Mf, nu=nu, V=V, s=np.asarray(s, float))
+    return nu, V
 
 
-def eigenfunction_values(tm: TheoryMatrices) -> np.ndarray:
-    """Table r[k, i] = value of the k-th operator eigenfunction on block i."""
-    return (tm.V / np.sqrt(tm.s)[:, None]).T
+def _kernel(params: SbmParams) -> np.ndarray:
+    """Mf: p on the diagonal, q off it."""
+    Mf = np.full((params.c, params.c), float(params.q))
+    np.fill_diagonal(Mf, params.p)
+    return Mf
 
 
-def _quadratic_covariance(tm: TheoryMatrices, kernel: np.ndarray) -> np.ndarray:
+def _quadratic_covariance(V: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Cov(Z_i, Z_j) = 2 (v_i .* v_j)^T kernel (v_i .* v_j)."""
-    c = tm.c
+    c = V.shape[1]
     cov = np.empty((c, c))
     for i in range(c):
         for j in range(i, c):
-            h = tm.V[:, i] * tm.V[:, j]
+            h = V[:, i] * V[:, j]
             cov[i, j] = cov[j, i] = 2.0 * h @ kernel @ h
     return cov
+
+
+def _bernoulli_covariance(params: SbmParams, V: np.ndarray) -> np.ndarray:
+    Mf = _kernel(params)
+    return _quadratic_covariance(V, Mf * (1.0 - params.omega * Mf))
 
 
 def eigenvalue_covariance(params: SbmParams) -> np.ndarray:
@@ -94,8 +84,7 @@ def eigenvalue_covariance(params: SbmParams) -> np.ndarray:
     with the Bernoulli factor 1 - omega Mf kept.  A single community gives
     2 p (1 - omega p); as omega -> 0 this tends to ``limiting_covariance``.
     """
-    tm = build_theory_matrices(params)
-    return _quadratic_covariance(tm, tm.Mf * (1.0 - params.omega * tm.Mf))
+    return _bernoulli_covariance(params, _decompose(params)[1])
 
 
 def limiting_covariance(params: SbmParams) -> np.ndarray:
@@ -105,16 +94,12 @@ def limiting_covariance(params: SbmParams) -> np.ndarray:
     1 - omega Mf; a single community gives 2 p.  At omega > 0 it overstates
     the eigenvalue variance (by 1/(1 - omega p) for one community).
     """
-    tm = build_theory_matrices(params)
-    return _quadratic_covariance(tm, tm.Mf)
+    return _quadratic_covariance(_decompose(params)[1], _kernel(params))
 
 
-def correction_matrix(tm: TheoryMatrices, target_index: int) -> np.ndarray:
-    """O(1) correction B2 with the nu^{-2} prefactor of ``target_index``."""
-    nu, V, s = tm.nu, tm.V, tm.s
-    c = tm.c
-    if nu[target_index] <= 0:
-        raise ValueError("correction undefined for a non-positive eigenvalue of M")
+def _correction(nu: np.ndarray, V: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """B2 without its prefactor: B2(i) is this divided by nu_i^2."""
+    c = len(nu)
     inv_sqrt_s = 1.0 / np.sqrt(s)
     sqrt_s = np.sqrt(s)
     # inner[k] = sum_w sqrt(s_w) v_k(w)
@@ -125,42 +110,34 @@ def correction_matrix(tm: TheoryMatrices, target_index: int) -> np.ndarray:
     for j in range(c):
         for l in range(j, c):
             core = np.sum(inv_sqrt_s * V[:, j] * V[:, l] * t)
-            val = np.sqrt(nu[j] * nu[l]) * core / nu[target_index] ** 2
-            b2[j, l] = b2[l, j] = val
+            b2[j, l] = b2[l, j] = np.sqrt(nu[j] * nu[l]) * core
     return b2
 
 
-def expected_eigenvalue(params: SbmParams, n: int, i: int,
-                        include_correction: bool = True) -> float:
-    """Predicted E[lambda_i] for an n-node draw (1-indexed i)."""
-    if not 1 <= i <= params.c:
-        raise ValueError("eigenvalue index out of range")
-    tm = build_theory_matrices(params)
-    if tm.nu[i - 1] <= 0:
-        raise ValueError("leading block matrix is not positive at this index")
-    b_star = np.diag(tm.nu * n * params.omega)
-    if include_correction:
-        b_star = b_star + correction_matrix(tm, i - 1)
-    w = np.linalg.eigvalsh(b_star)[::-1]
-    return float(w[i - 1])
+def _spectrum(params: SbmParams, n: int, nu: np.ndarray,
+              V: np.ndarray) -> np.ndarray:
+    if (nu <= 0).any():
+        raise ValueError("leading block matrix is not positive definite")
+    lead = np.diag(nu * n * params.omega)
+    b2 = _correction(nu, V, params.s)
+    return np.array([np.linalg.eigvalsh(lead + b2 / nu[i] ** 2)[::-1][i]
+                     for i in range(params.c)])
 
 
-def expected_spectrum(params: SbmParams, n: int,
-                      include_correction: bool = True) -> np.ndarray:
-    return np.array([
-        expected_eigenvalue(params, n, i, include_correction)
-        for i in range(1, params.c + 1)
-    ])
+def expected_spectrum(params: SbmParams, n: int) -> np.ndarray:
+    """Predicted E[lambda_1], ..., E[lambda_c] for an n-node draw, each the
+    matching eigenvalue of B*_i (B2 included)."""
+    return _spectrum(params, n, *_decompose(params))
 
 
 def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
                             seed: int = 0) -> EigLawMoments:
     """Law-of-total-moments prediction for the top-c eigenvalue law.
 
-    Per J-draw, the conditional mean is ``expected_spectrum`` (B2 included)
-    and the
-    conditional covariance omega * Cov(Z); a Dirac law is exact with one
-    draw.  Draw streams are independent of any graph-sampling stream.
+    Per J-draw, the conditional mean is ``expected_spectrum`` and the
+    conditional covariance omega * ``eigenvalue_covariance``, both from one
+    decomposition of M; a Dirac law is exact with one draw.  Draw streams
+    are independent of any graph-sampling stream.
     """
     if draws < 1:
         raise ValueError("need at least one draw")
@@ -171,8 +148,9 @@ def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
     cond_cov = np.zeros((c, c))
     for t in range(draws):
         params = draw_params(model, seed, t)
-        means[t] = expected_spectrum(params, n)
-        cond_cov += model.omega * limiting_covariance(params)
+        nu, V = _decompose(params)
+        means[t] = _spectrum(params, n, nu, V)
+        cond_cov += model.omega * _bernoulli_covariance(params, V)
     cond_cov /= draws
     mean = means.mean(axis=0)
     if draws > 1:

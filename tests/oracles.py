@@ -13,10 +13,8 @@ from rpsbm import (
     Graph,
     SbmParams,
     SpectralSignature,
-    build_theory_matrices,
     compute_moments,
-    eigenfunction_values,
-    expected_eigenvalue,
+    expected_spectrum,
     limiting_covariance,
     spectrum,
 )
@@ -52,18 +50,31 @@ def canonical_kernel_value(params: SbmParams, x: float, y: float) -> float:
     return float(params.p[bx]) if bx == by else float(params.q)
 
 
+def block_kernel(params: SbmParams) -> np.ndarray:
+    """f(x_m*, x_w*) on the c x c block grid: p_m where m = w, q elsewhere."""
+    return np.array([[params.p[m] if m == w else params.q
+                      for w in range(params.c)] for m in range(params.c)])
+
+
+def block_matrix(params: SbmParams) -> np.ndarray:
+    """M = diag(sqrt(s)) f diag(sqrt(s)): s_i p_i on the diagonal,
+    sqrt(s_i s_j) q off it."""
+    return np.sqrt(np.outer(params.s, params.s)) * block_kernel(params)
+
+
 def covariance_block_integral(params: SbmParams) -> np.ndarray:
     """Block-sum evaluation of 2 iint r_i r_i r_j r_j f dx dy.
 
     Independent path: sums the kernel over the c x c block grid with weights
-    s_m s_w and eigenfunction values r_k(x_m*), for cross-checking
-    ``limiting_covariance``.
+    s_m s_w and eigenfunction values r_k(x_m*) = v_k(m)/sqrt(s_m), from its
+    own decomposition of M, for cross-checking ``limiting_covariance``.  The
+    covariance does not depend on the eigenvectors' signs.
     """
-    tm = build_theory_matrices(params)
-    r = eigenfunction_values(tm)          # r[k, m]
-    s = tm.s
-    c = tm.c
-    f = tm.Mf                             # f(x_m*, x_w*) on the block grid
+    V = np.linalg.eigh(block_matrix(params))[1]
+    s = params.s
+    r = (V[:, ::-1] / np.sqrt(s)[:, None]).T    # r[k, m], nu non-increasing
+    f = block_kernel(params)
+    c = params.c
     cov = np.empty((c, c))
     for i in range(c):
         for j in range(c):
@@ -90,15 +101,12 @@ def kernel_operator_eigenvalues(params: SbmParams, grid: int = 512) -> np.ndarra
     x = (np.arange(grid) + 0.5) / grid
     cum = np.cumsum(params.s)
     lab = np.searchsorted(cum, x, side="right").clip(0, params.c - 1)
-    f = np.full((params.c, params.c), params.q)
-    np.fill_diagonal(f, params.p)
-    T = f[np.ix_(lab, lab)] / grid
+    T = block_kernel(params)[np.ix_(lab, lab)] / grid
     w = np.linalg.eigvalsh(T)
     return w[::-1][: params.c]
 
 
-def first_order_check(params: SbmParams, n: int,
-                      include_correction: bool = True) -> dict:
+def first_order_check(params: SbmParams, n: int) -> dict:
     """Per-index errors of the first-order approximations.
 
     Assumes the q = epsilon * min(p) regime with blocks ordered so that
@@ -106,12 +114,9 @@ def first_order_check(params: SbmParams, n: int,
     and |Cov(Z_i, Z_i) - 2 p_i|.
     """
     cov = limiting_covariance(params)
-    mean_err = np.empty(params.c)
-    cov_err = np.empty(params.c)
-    for i in range(params.c):
-        lam = expected_eigenvalue(params, n, i + 1, include_correction)
-        mean_err[i] = abs(lam / (n * params.omega * params.s[i]) - params.p[i])
-        cov_err[i] = abs(cov[i, i] - 2.0 * params.p[i])
+    lam = expected_spectrum(params, n)
+    mean_err = np.abs(lam / (n * params.omega * params.s) - params.p)
+    cov_err = np.abs(np.diag(cov) - 2.0 * params.p)
     return {"mean_error": mean_err, "cov_error": cov_err}
 
 

@@ -954,6 +954,27 @@ class TestInvalidJson:
         self.assert_clean_exit_1(r)
         assert f"error: {corpus / 'graph_0001.txt'}{message}\n" in r.output
 
+    def test_edgelist_node_count_past_key_bound(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        graph = corpus / "graph_0000.txt"
+        graph.write_text("n 4000000000\n3999999998 3999999999\n0 1\n")
+        r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "1",
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert (f"error: {graph}: 4000000000 nodes exceed 3037000500, the most "
+                "whose pair keys fit int64\n" in r.output)
+
+    def test_contacts_time_span_past_int64(self, runner, tmp_path):
+        stream = tmp_path / "contacts.txt"
+        stream.write_text(f"{-5 * 10**18} 0 1\n0 1 2\n{5 * 10**18} 2 3\n")
+        r = runner.invoke(main, ["contacts", "--file", str(stream),
+                                 "--window", str(10**18), "--step", str(10**18),
+                                 "--out", str(tmp_path / "o")])
+        self.assert_clean_exit_1(r)
+        assert (f"error: {stream}: contact time span {10**19} reaches 2**63\n"
+                in r.output)
+
     def test_contacts_error_names_the_file(self, runner, tmp_path):
         stream = tmp_path / "contacts.txt"
         stream.write_text("0 1 2\n20 1 x\n")

@@ -76,6 +76,20 @@ class TestLoad:
         with pytest.raises(ValueError, match="empty"):
             load_contacts(path)
 
+    def test_time_span_past_int64_rejected(self, tmp_path):
+        # each time fits int64, but t - t_min would wrap for the last one
+        path = write_stream(tmp_path, [f"{-5 * 10**18} 0 1", "0 1 2",
+                                       f"{5 * 10**18} 2 3"])
+        with pytest.raises(ValueError) as info:
+            load_contacts(path)
+        assert str(info.value) == (f"{path}: contact time span {10**19} "
+                                   "reaches 2**63")
+
+    def test_time_span_just_below_int64_accepted(self, tmp_path):
+        path = write_stream(tmp_path, [f"{-2**62} 0 1", f"{2**62 - 1} 1 2"])
+        stream = load_contacts(path)
+        assert stream.t_max - stream.t_min == 2**63 - 1
+
     @pytest.mark.parametrize("lines, lineno", [
         (["100 1"], 1), (["# t i j", "100 1 2", "", "110 2"], 4)])
     def test_short_line_names_the_line(self, tmp_path, lines, lineno):

@@ -245,10 +245,18 @@ SPECTRAL_INPUT = {
                            .edges.tolist(), [[0, 1], [2, 3]]),
     "graph_without_nodes": (lambda d: Graph(0, []),
                             "graph needs at least one node"),
+    # the most nodes whose largest pair key, (n - 2) n + n - 1, fits int64
+    "nodes_at_key_bound": (
+        lambda d: Graph(3037000500, [[3037000498, 3037000499], [0, 1]])
+        .edges.tolist(), [[0, 1], [3037000498, 3037000499]]),
+    "nodes_past_key_bound": (lambda d: Graph(3037000501, [[1, 2], [0, 1]]),
+                             "3037000501 nodes exceed 3037000500"),
     "signature_length": (lambda d: SpectralSignature([2.0], 2, 3),
                          "signature length must equal truncation order"),
     "signature_c_above_n": (lambda d: SpectralSignature([2.0, 1.0], 2, 1),
-                            "truncation order exceeds graph size"),
+                            "truncation order must satisfy 1 <= c <= 1"),
+    "signature_c_zero": (lambda d: SpectralSignature([], 0, 3),
+                         "truncation order must satisfy 1 <= c <= 3"),
     "signature_unsorted": (lambda d: SpectralSignature([1.0, 2.0], 2, 3),
                            "eigenvalues must be sorted non-increasing"),
     "eigenpairs_k_zero": (lambda d: eigenpairs(Graph.path(3), 0),

@@ -4,23 +4,23 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from rpsbm import (
     DiracLaw,
     RpsbmModel,
     SbmParams,
     UniformProductLaw,
-    build_theory_matrices,
-    eigenfunction_values,
     eigenvalue_covariance,
-    expected_eigenvalue,
+    expected_spectrum,
     limiting_covariance,
     predict_eig_law_moments,
     sample_sbm,
     spectrum,
 )
-from rpsbm.theory import correction_matrix, expected_spectrum
+from rpsbm.theory import _decompose
 from oracles import (
+    block_matrix,
     covariance_block_integral,
     first_order_check,
     kernel_operator_eigenvalues,
@@ -39,20 +39,22 @@ def random_params(gen, c=None, eps_regime=False):
     return SbmParams(omega=0.5, s=s, p=p, q=q)
 
 
+def eigenfunctions(params):
+    """Table r[k, i] = v_k(i)/sqrt(s_i), the k-th operator eigenfunction on
+    block i."""
+    V = _decompose(params)[1]
+    return (V / np.sqrt(params.s)[:, None]).T
+
+
 # M = diag(s) P with p = (0.1, 0.1), q = 0.5 has eigenvalues 0.3 and -0.2
 NEGATIVE_NU = SbmParams(omega=1.0, s=[0.5, 0.5], p=[0.1, 0.1], q=0.5)
 
 # Each input check of the module: (call, the ValueError message).
 THEORY_ERRORS = {
+    # B2 takes sqrt(nu_j nu_l) and divides by nu_i^2
     "correction_at_negative_nu": (
-        lambda: correction_matrix(build_theory_matrices(NEGATIVE_NU), 1),
-        "correction undefined for a non-positive eigenvalue of M"),
-    "eigenvalue_index_zero": (
-        lambda: expected_eigenvalue(NEGATIVE_NU, 100, 0),
-        "eigenvalue index out of range"),
-    "eigenvalue_index_above_c": (
-        lambda: expected_eigenvalue(NEGATIVE_NU, 100, 3),
-        "eigenvalue index out of range"),
+        lambda: expected_spectrum(NEGATIVE_NU, 100),
+        "leading block matrix is not positive definite"),
     "no_draws": (
         lambda: predict_eig_law_moments(
             RpsbmModel(0.5, DiracLaw([0.5]), 0.0, [1.0]), 100, draws=0),
@@ -67,53 +69,57 @@ def test_theory_rejects_its_input(case):
         call()
 
 
-class TestTheoryMatrices:
+class TestDecompose:
     def test_diagonal_case(self):
         params = SbmParams(omega=1.0, s=[0.5, 0.5], p=[0.8, 0.6], q=0.0)
-        tm = build_theory_matrices(params)
-        np.testing.assert_allclose(tm.M, np.diag([0.4, 0.3]), atol=1e-15)
-        np.testing.assert_allclose(tm.nu, [0.4, 0.3], atol=1e-14)
+        np.testing.assert_allclose(block_matrix(params), np.diag([0.4, 0.3]),
+                                   atol=1e-15)
+        nu, V = _decompose(params)
+        np.testing.assert_allclose(nu, [0.4, 0.3], atol=1e-14)
+        np.testing.assert_allclose(V, np.eye(2), atol=1e-15)
 
     def test_single_community(self):
-        tm = build_theory_matrices(SbmParams(omega=1.0, s=[1.0], p=[0.7], q=0.0))
-        np.testing.assert_allclose(tm.nu, [0.7], atol=1e-15)
+        nu, V = _decompose(SbmParams(omega=1.0, s=[1.0], p=[0.7], q=0.0))
+        np.testing.assert_allclose(nu, [0.7], atol=1e-15)
+        np.testing.assert_allclose(V, [[1.0]], atol=1e-15)
 
     def test_coupled_two_block_closed_form(self):
         # eigenvalues of [[0.4, 0.05], [0.05, 0.3]] in closed form
-        tm = build_theory_matrices(
+        nu, _ = _decompose(
             SbmParams(omega=1.0, s=[0.5, 0.5], p=[0.8, 0.6], q=0.1))
         mid, rad = 0.35, np.sqrt(0.05**2 + 0.05**2)
-        np.testing.assert_allclose(tm.nu, [mid + rad, mid - rad], atol=1e-12)
-        np.testing.assert_allclose(np.round(tm.nu, 4), [0.4207, 0.2793])
+        np.testing.assert_allclose(nu, [mid + rad, mid - rad], atol=1e-12)
+        np.testing.assert_allclose(np.round(nu, 4), [0.4207, 0.2793])
 
     def test_invariants_on_random_params(self):
         gen = np.random.default_rng(10)
         for _ in range(50):
-            tm = build_theory_matrices(random_params(gen))
-            np.testing.assert_allclose(tm.M, tm.M.T, atol=1e-14)
-            np.testing.assert_allclose(tm.V.T @ tm.V, np.eye(tm.c), atol=1e-10)
-            np.testing.assert_allclose(tm.M @ tm.V, tm.V @ np.diag(tm.nu),
-                                       atol=1e-10)
-            assert np.all(np.diff(tm.nu) <= 1e-14)
+            params = random_params(gen)
+            nu, V = _decompose(params)
+            np.testing.assert_allclose(V.T @ V, np.eye(params.c), atol=1e-10)
+            np.testing.assert_allclose(block_matrix(params) @ V,
+                                       V @ np.diag(nu), atol=1e-10)
+            assert np.all(np.diff(nu) <= 1e-14)
+            # each column's largest-|entry| coordinate is positive
+            top = np.argmax(np.abs(V), axis=0)
+            assert np.all(V[top, np.arange(params.c)] > 0)
 
 
 class TestEigenfunctions:
     def test_diagonal_two_block(self):
-        tm = build_theory_matrices(
+        r = eigenfunctions(
             SbmParams(omega=1.0, s=[0.5, 0.5], p=[0.8, 0.6], q=0.0))
-        r = eigenfunction_values(tm)
         np.testing.assert_allclose(r[0], [np.sqrt(2.0), 0.0], atol=1e-12)
 
     def test_single_block_is_unit(self):
-        tm = build_theory_matrices(SbmParams(omega=1.0, s=[1.0], p=[0.7], q=0.0))
-        np.testing.assert_allclose(eigenfunction_values(tm), [[1.0]], atol=1e-14)
+        r = eigenfunctions(SbmParams(omega=1.0, s=[1.0], p=[0.7], q=0.0))
+        np.testing.assert_allclose(r, [[1.0]], atol=1e-14)
 
     def test_orthonormality_under_s_weights(self):
         gen = np.random.default_rng(11)
         for _ in range(20):
             params = random_params(gen)
-            tm = build_theory_matrices(params)
-            r = eigenfunction_values(tm)
+            r = eigenfunctions(params)
             gram = (r * params.s) @ r.T
             np.testing.assert_allclose(gram, np.eye(params.c), atol=1e-10)
 
@@ -121,9 +127,9 @@ class TestEigenfunctions:
         # midpoint-discretized kernel operator converges to nu
         params = SbmParams(omega=1.0, s=[1 / 3, 1 / 3, 1 / 3],
                            p=[0.9, 0.7, 0.5], q=0.05)
-        tm = build_theory_matrices(params)
-        err512 = np.max(np.abs(kernel_operator_eigenvalues(params, 512) - tm.nu))
-        err1024 = np.max(np.abs(kernel_operator_eigenvalues(params, 1024) - tm.nu))
+        nu, _ = _decompose(params)
+        err512 = np.max(np.abs(kernel_operator_eigenvalues(params, 512) - nu))
+        err1024 = np.max(np.abs(kernel_operator_eigenvalues(params, 1024) - nu))
         assert err512 < 1e-3
         assert err1024 <= err512
 
@@ -171,40 +177,71 @@ class TestExpectedEigenvalue:
         # single community: prediction is exactly n*omega*p + 1
         for n, omega, p in ((500, 0.1, 0.5), (1000, 2 / np.sqrt(1000), 0.75)):
             params = SbmParams(omega=omega, s=[1.0], p=[p], q=0.0)
-            got = expected_eigenvalue(params, n, 1)
-            assert got == pytest.approx(n * omega * p + 1.0, abs=1e-9)
+            got = expected_spectrum(params, n)
+            assert got == pytest.approx([n * omega * p + 1.0], abs=1e-9)
 
     def test_frozen_er_value(self):
         params = SbmParams(omega=2 / np.sqrt(1000), s=[1.0], p=[0.75], q=0.0)
-        got = expected_eigenvalue(params, 1000, 1)
-        assert round(got, 4) == 48.4342
+        got = expected_spectrum(params, 1000)
+        assert round(float(got[0]), 4) == 48.4342
 
     def test_decoupled_leading_term(self):
         params = SbmParams(omega=0.3, s=[0.5, 0.5], p=[0.8, 0.6], q=0.0)
         n = 1000
-        for i in (1, 2):
-            lead = n * 0.3 * 0.5 * params.p[i - 1]
-            got = expected_eigenvalue(params, n, i)
-            assert got == pytest.approx(lead + 1.0, abs=1e-9)
+        lead = n * 0.3 * 0.5 * params.p
+        assert expected_spectrum(params, n) == pytest.approx(lead + 1.0,
+                                                             abs=1e-9)
 
     def test_refuses_indefinite(self):
         params = SbmParams(omega=0.5, s=[0.5, 0.5], p=[0.1, 0.1], q=0.9)
-        with pytest.raises(ValueError):
-            expected_eigenvalue(params, 100, 2)
+        with pytest.raises(ValueError, match="not positive definite"):
+            expected_spectrum(params, 100)
 
-    def test_correction_flag(self):
-        params = SbmParams(omega=0.3, s=[0.5, 0.5], p=[0.8, 0.6], q=0.03)
-        with_corr = expected_eigenvalue(params, 1000, 1, include_correction=True)
-        without = expected_eigenvalue(params, 1000, 1, include_correction=False)
-        assert abs(with_corr - without) < 5.0
-        assert with_corr != without
+    # B2 included: without it the values would read n omega nu
+    @pytest.mark.parametrize("params, n, expect", [
+        (SbmParams(0.3, [0.5, 0.5], [0.8, 0.6], 0.03), 1000,
+         [121.68706768098016, 90.40428563423447]),
+        (SbmParams(0.3, [0.4, 0.3, 0.3], [0.9, 0.7, 0.5], 0.025), 800,
+         [87.65011413345859, 51.55396882977723, 36.846004834850056]),
+    ], ids=["two_block", "three_block"])
+    def test_pinned_values(self, params, n, expect):
+        np.testing.assert_allclose(expected_spectrum(params, n), expect,
+                                   rtol=1e-12)
+
+
+@st.composite
+def permuted_blocks(draw):
+    """Random SBM parameters, and the same blocks in a permuted order."""
+    c = draw(st.integers(1, 5))
+    s = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=c, max_size=c)))
+    s = s / s.sum()
+    p = np.array(draw(st.lists(st.floats(0.2, 0.95), min_size=c, max_size=c)))
+    q = draw(st.floats(0.0, 1.0)) * p.min()
+    perm = draw(st.permutations(range(c)))
+    return SbmParams(0.5, s, p, q), SbmParams(0.5, s[perm], p[perm], q)
+
+
+@given(permuted_blocks())
+def test_block_permutation_invariance(pair):
+    params, permuted = pair
+    # at a repeated nu the covariance depends on the chosen eigenbasis
+    nu = np.linalg.eigvalsh(block_matrix(params))[::-1]
+    assume(nu[-1] > 0 and np.all(-np.diff(nu) > 1e-3 * nu[0]))
+    np.testing.assert_allclose(expected_spectrum(permuted, 1000),
+                               expected_spectrum(params, 1000), rtol=1e-10)
+    cov = eigenvalue_covariance(params)
+    # entries at rounding level (q near 0) compare against the largest one
+    np.testing.assert_allclose(eigenvalue_covariance(permuted), cov,
+                               rtol=1e-10, atol=1e-10 * np.abs(cov).max())
 
 
 class TestFirstOrder:
     def test_exact_at_zero_coupling(self):
         params = SbmParams(omega=0.3, s=[0.5, 0.5], p=[0.8, 0.6], q=0.0)
-        rep = first_order_check(params, 1000, include_correction=False)
-        np.testing.assert_allclose(rep["mean_error"], 0.0, atol=1e-12)
+        rep = first_order_check(params, 1000)
+        # the mean carries exactly the O(1) shift of one: n omega s p + 1
+        np.testing.assert_allclose(rep["mean_error"],
+                                   1.0 / (1000 * 0.3 * params.s), atol=1e-12)
         np.testing.assert_allclose(rep["cov_error"], 0.0, atol=1e-12)
 
     def test_covariance_error_quadratic_in_eps(self):
@@ -230,7 +267,7 @@ class TestPredictedLaw:
         params = SbmParams(omega=0.3, s=[0.5, 0.5], p=p_star, q=0.0)
         np.testing.assert_allclose(out.mean, expected_spectrum(params, 1000),
                                    atol=1e-12)
-        np.testing.assert_allclose(out.cov, 0.3 * limiting_covariance(params),
+        np.testing.assert_allclose(out.cov, 0.3 * eigenvalue_covariance(params),
                                    atol=1e-12)
 
     def test_zero_width_uniform_equals_dirac(self):
@@ -245,7 +282,9 @@ class TestPredictedLaw:
         np.testing.assert_allclose(a.cov, b.cov, atol=1e-12)
 
     def test_uniform_variance_identity(self):
-        # decoupled blocks: Var(lambda_i) = (n omega s_i)^2 w_i^2/12 + 2 omega c_i
+        # decoupled blocks, p_i ~ U(c_i -+ w_i/2):
+        # Var(lambda_i) = (n omega s_i)^2 w_i^2/12 + omega E[2 p_i (1 - omega p_i)]
+        # with E[p_i^2] = c_i^2 + w_i^2/12
         n, omega = 1000, 0.3
         s = np.array([0.5, 0.5])
         center = np.array([0.8, 0.6])
@@ -253,7 +292,8 @@ class TestPredictedLaw:
         model = RpsbmModel(omega=omega, law=UniformProductLaw(center, width),
                            epsilon=0.0, s=s)
         out = predict_eig_law_moments(model, n, draws=6000, seed=1)
-        expect = (n * omega * s) ** 2 * width**2 / 12 + omega * 2 * center
+        expect = ((n * omega * s) ** 2 * width**2 / 12
+                  + 2 * omega * (center - omega * (center**2 + width**2 / 12)))
         np.testing.assert_allclose(np.diag(out.cov), expect, rtol=0.06)
 
     def test_cov_psd_and_mean_sorted(self):
@@ -276,10 +316,10 @@ class TestMonteCarloAgreement:
             g = sample_sbm(params, n, seed=42, graph_index=k)
             lams[k] = spectrum(g, 2).values
         cov_z = eigenvalue_covariance(params)
+        pred = expected_spectrum(params, n)
         for i in range(2):
-            pred = expected_eigenvalue(params, n, i + 1)
             se = np.sqrt(omega * cov_z[i, i] / reps)
-            tol = 3 * se + 0.01 * abs(pred)
-            assert abs(lams[:, i].mean() - pred) < tol
+            tol = 3 * se + 0.01 * abs(pred[i])
+            assert abs(lams[:, i].mean() - pred[i]) < tol
             emp_var = lams[:, i].var(ddof=1) / omega
             assert abs(emp_var - cov_z[i, i]) < 0.25 * cov_z[i, i]
