@@ -29,7 +29,6 @@ from .models import (
     sample_corpus,
     sample_rpsbm,
     sample_sbm,
-    save_model,
 )
 from .theory import (
     EigLawMoments,

@@ -1,16 +1,18 @@
 """Command-line interface.
 
-Every subcommand is registered by ``command``, which adds --seed/--out and is
-the one output path: a command body only computes, and returns its files by
-name with the manifest's args and its seed.  The wrapper then creates --out,
-writes each file through ``_write`` (edge list, CSV or JSON, picked by the
-payload) and writes manifest.json recording the exact invocation.  The
-graphs of ``sample`` and ``contacts`` are made as their files are written,
-one at a time, and a command that fails removes what it wrote, so it leaves
-no --out behind.  Every command is bit-reproducible for a fixed seed.  Exit
-codes: 0 success, 1 I/O, validation or out-of-memory failure, 2
-infeasibility (small-variance regime or geometry violations); the wrapper
-maps exceptions to them.
+Every subcommand is registered by ``command``, which adds --out and is the
+one output path: a command body only computes, and returns its files by name
+with the manifest's args and its seed.  Only the two commands that draw,
+``sample`` and ``replicate``, take --seed (``seed_option``); the others
+record a null seed.  The wrapper then creates --out, writes each file
+through ``_write`` (edge list, CSV or JSON, picked by the payload) and
+writes manifest.json recording the exact invocation.  The graphs of
+``sample`` and ``contacts`` are made as their files are written, one at a
+time, and a command that fails removes what it wrote, so it leaves no --out
+behind.  Every command is bit-reproducible, for a fixed seed where it
+takes one.  Exit codes: 0 success, 1 I/O, validation or out-of-memory
+failure, 2 infeasibility (small-variance regime, geometry violations or
+moments no beta law has); the wrapper maps exceptions to them.
 
 Only ``replicate`` takes --config, its experiment config.  Both JSON inputs
 (the model spec and the experiment config) are read by ``models._read``, so
@@ -75,7 +77,7 @@ def _config_hash(path: str | None, fallback: dict) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(out: Path, command: str, args: dict, seed: int,
+def _write_manifest(out: Path, command: str, args: dict, seed: int | None,
                     config_path: str | None, outputs: list[str]) -> None:
     import scipy
 
@@ -151,28 +153,29 @@ def _discard(made: Path | None, written: list[Path]) -> None:
 
 
 def command(body):
-    """Register ``body`` as a subcommand of ``main`` with --seed/--out.
+    """Register ``body`` as a subcommand of ``main`` with --out; only the
+    commands that draw also take --seed, from ``seed_option``.
 
-    The body writes nothing: called with the seed and its own options, it
-    returns ``(files, args, seed)``, its outputs by file name (a payload or
-    a call that makes it, see ``_write``), the manifest's args and the seed
-    it ran with.  Only then is --out created, each file written and
-    manifest.json written last; its command is the subcommand and its
-    positional arguments, and its config hash is that of the file --config
-    names, on the command that has it.  A payload made as it is written can
-    still fail; then ``_discard`` removes what the run wrote.  Infeasible
-    fits exit 2; I/O, validation and out-of-memory errors, and a negative
-    --seed, which is checked before the body runs, exit 1.
+    The body writes nothing: called with its own options, it returns
+    ``(files, args, seed)``, its outputs by file name (a payload or a call
+    that makes it, see ``_write``), the manifest's args and the seed it ran
+    with, None for a command that draws nothing.  Only then is --out
+    created, each file written and manifest.json written last; its command
+    is the subcommand and its positional arguments, and its config hash is
+    that of the file --config names, on the command that has it.  A payload
+    made as it is written can still fail; then ``_discard`` removes what the
+    run wrote.  Infeasible fits exit 2; I/O, validation and out-of-memory
+    errors, and a negative --seed (checked before the body runs), exit 1.
     """
 
     @functools.wraps(body)
-    def fn(seed, out, **options):
+    def fn(out, **options):
         outdir = Path(out)
         made, written = None, []
         try:
-            if seed < 0:
+            if (seed := options.get("seed", 0)) < 0:
                 raise ValueError(f"--seed must be at least 0, not {seed}")
-            files, args, seed = body(seed, **options)
+            files, args, seed = body(**options)
             # the outermost directory this run creates, if any
             made = next((d for d in [*reversed(outdir.parents), outdir]
                          if not d.exists()), None)
@@ -196,14 +199,17 @@ def command(body):
         click.echo(f"wrote {', '.join(sorted([*files, 'manifest.json']))} "
                    f"to {outdir}")
 
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Master seed; all randomness derives from it.")(fn)
     fn = click.option("--out", "out", required=True,
                       help="Output directory.")(fn)
     return main.command()(fn)
 
 
+seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                           help="Master seed; all randomness derives from it.")
+
+
 @command
+@seed_option
 @click.option("--model", "model_path", required=True, help="Model spec JSON.")
 @click.option("--n", type=int, required=True, help="Graph size.")
 @click.option("--count", type=int, required=True, help="Number of graphs.")
@@ -219,23 +225,23 @@ def sample(seed, model_path, n, count):
 @command
 @click.option("--corpus", "corpus_dir", required=True, help="Corpus directory.")
 @click.option("-c", "trunc", type=int, required=True, help="Truncation order.")
-def spectra(seed, corpus_dir, trunc):
+def spectra(corpus_dir, trunc):
     """Top-c eigenvalues and density of every corpus graph (CSV), computed
     on every usable CPU; graph sizes may differ."""
     rows = _rows(_load_corpus(corpus_dir), trunc)
     table = [{"graph": k, **{f"lambda{i+1}": v for i, v in enumerate(values)},
               "density": rho} for k, (_, values, rho) in enumerate(rows)]
-    return {"spectra.csv": table}, {"corpus": corpus_dir, "c": trunc}, seed
+    return {"spectra.csv": table}, {"corpus": corpus_dir, "c": trunc}, None
 
 
 @command
 @click.option("--corpus", "corpus_dir", required=True)
 @click.option("-c", "trunc", type=int, required=True)
-def moments(seed, corpus_dir, trunc):
+def moments(corpus_dir, trunc):
     """Corpus moments report (mean spectrum, covariance, regimes)."""
     m = compute_moments(_load_corpus(corpus_dir), trunc)
     return ({"moments.json": moments_report(m)},
-            {"corpus": corpus_dir, "c": trunc}, seed)
+            {"corpus": corpus_dir, "c": trunc}, None)
 
 
 def _geometry_s(corpus, trunc):
@@ -255,7 +261,7 @@ def _geometry_s(corpus, trunc):
               default="uniform", show_default=True)
 @click.option("--s-from-geometry", is_flag=True,
               help="Estimate the geometry vector from the Bethe Hessian.")
-def fit(seed, corpus_dir, trunc, family, s_from_geometry):
+def fit(corpus_dir, trunc, family, s_from_geometry):
     """Parametric moment-matching fit of a random-parameter block model."""
     m = compute_moments(_load_corpus(corpus_dir), trunc)
     s_override = (_geometry_s(_load_corpus(corpus_dir), trunc)
@@ -271,7 +277,7 @@ def fit(seed, corpus_dir, trunc, family, s_from_geometry):
     }
     return ({"fit.json": payload},
             {"corpus": corpus_dir, "c": trunc, "family": family,
-             "s_from_geometry": s_from_geometry}, seed)
+             "s_from_geometry": s_from_geometry}, None)
 
 
 @command
@@ -279,7 +285,7 @@ def fit(seed, corpus_dir, trunc, family, s_from_geometry):
 @click.option("-c", "trunc", type=int, required=True)
 @click.option("--bandwidth", default="silverman", show_default=True,
               help="'silverman' or 'fixed:<h>'.")
-def fit_np(seed, corpus_dir, trunc, bandwidth):
+def fit_np(corpus_dir, trunc, bandwidth):
     """Nonparametric graph-space kernel-mixture fit."""
     if bandwidth.startswith("fixed:"):
         try:
@@ -302,12 +308,12 @@ def fit_np(seed, corpus_dir, trunc, bandwidth):
         "dirac_fallback": [list(f) for f in mix.dirac_fallback],
     }
     return ({"mixture.json": payload},
-            {"corpus": corpus_dir, "c": trunc, "bandwidth": bandwidth}, seed)
+            {"corpus": corpus_dir, "c": trunc, "bandwidth": bandwidth}, None)
 
 
 @command
 @click.option("--corpus", "corpus_dir", required=True)
-def geometry(seed, corpus_dir):
+def geometry(corpus_dir):
     """Per-graph geometry estimates and clustering by community count."""
     geometries = list(map(detect_geometry, _load_corpus(corpus_dir)))
     payload = {
@@ -315,14 +321,14 @@ def geometry(seed, corpus_dir):
         "graphs": [{"s": s, "community_count": len(s)} for s in geometries],
         "clusters": cluster_by_community_count(geometries),
     }
-    return {"geometry.json": payload}, {"corpus": corpus_dir}, seed
+    return {"geometry.json": payload}, {"corpus": corpus_dir}, None
 
 
 @command
 @click.option("--file", "contact_file", required=True, help="Contact stream file.")
 @click.option("--window", type=int, default=2700, show_default=True)
 @click.option("--step", type=int, default=20, show_default=True)
-def contacts(seed, contact_file, window, step):
+def contacts(contact_file, window, step):
     """Window a temporal contact stream into a corpus of graphs."""
     for name, value in (("--window", window), ("--step", step)):
         if value < 1:
@@ -333,10 +339,11 @@ def contacts(seed, contact_file, window, step):
     if not graphs:
         raise ValueError("stream shorter than one window")
     return (_graph_files(graphs),
-            {"file": contact_file, "window": window, "step": step}, seed)
+            {"file": contact_file, "window": window, "step": step}, None)
 
 
 @command
+@seed_option
 @click.argument("scenario", type=click.Choice(SCENARIOS))
 @click.option("--config", "config", default=None,
               help="Experiment config JSON: format, scenario, seed (default "

@@ -152,18 +152,20 @@ def fit_beta_product(mean, var, a, b) -> BetaProductLaw:
 
     With m = (mean-a)/(b-a) and v = var/(b-a)^2:
         alpha = m (m(1-m)/v - 1),  beta = (1-m) (m(1-m)/v - 1).
+    Moments that no beta law on [a, b] has raise ``InfeasibleFitError``.
     """
     mean, var = np.asarray(mean, float), np.asarray(var, float)
     a, b = np.asarray(a, float), np.asarray(b, float)
     if np.any(a >= mean) or np.any(mean >= b):
-        raise ValueError("need a_i < mean_i < b_i")
+        raise InfeasibleFitError("need a_i < mean_i < b_i")
     if np.any(var <= 0):
-        raise ValueError("beta fit needs positive variance")
+        raise InfeasibleFitError("beta fit needs positive variance")
     m = (mean - a) / (b - a)
     v = var / (b - a) ** 2
     t = m * (1 - m) / v - 1.0
     if np.any(t <= 0):
-        raise ValueError("variance too large for the range (no beta solution)")
+        raise InfeasibleFitError(
+            "variance too large for the range (no beta solution)")
     return BetaProductLaw(a, b, m * t, (1 - m) * t)
 
 

@@ -514,12 +514,6 @@ def model_from_dict(d: dict) -> RpsbmModel | SbmParams:
     return SbmParams(m["omega"], m["s"], m["p"], m["q"])
 
 
-def save_model(model: RpsbmModel | SbmParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_model(path) -> RpsbmModel | SbmParams:
     with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh))

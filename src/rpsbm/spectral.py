@@ -80,8 +80,9 @@ class Graph:
     operator is built.  Input already in that form is checked in O(m)
     without a sort.  It is then kept as it is when it is a read-only (m, 2)
     int64 array that owns its memory, as ``sample_sbm`` emits it, and copied
-    otherwise; any other pair list is canonicalised.  Instances are immutable
-    and safe to share.
+    otherwise; any other pair list of integers is canonicalised, and
+    endpoints of any other type are refused.  Instances are immutable and
+    safe to share.
     """
 
     n: int
@@ -94,7 +95,10 @@ class Graph:
         if int(self.n) * (int(self.n) - 1) > INT64_BOUND:
             raise ValueError(f"{self.n} nodes exceed 3037000500, the most "
                              "whose pair keys fit int64")
-        e = np.asarray(self.edges, dtype=np.int64)
+        e = np.asarray(self.edges)
+        if e.size and not np.issubdtype(e.dtype, np.integer):
+            raise ValueError("edge endpoints must be integers below 2**63")
+        e = e.astype(np.int64, copy=False)
         # even a no-op reshape returns a view, which owns no memory
         if e.ndim != 2 or e.shape[1] != 2:
             e = e.reshape(-1, 2)
@@ -134,25 +138,6 @@ class Graph:
         a[i, j] = 1.0
         a[j, i] = 1.0
         return a
-
-    def relabel(self, perm: np.ndarray) -> "Graph":
-        """Graph with node k renamed to perm[k]."""
-        perm = np.asarray(perm)
-        return Graph(self.n, perm[self.edges])
-
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, np.empty((0, 2), dtype=np.int64))
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        i, j = np.triu_indices(n, 1)
-        return cls(n, np.column_stack((i, j)))
-
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        k = np.arange(n - 1)
-        return cls(n, np.column_stack((k, k + 1)))
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,8 @@ def _correction(nu: np.ndarray, V: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _spectrum(params: SbmParams, n: int, nu: np.ndarray,
               V: np.ndarray) -> np.ndarray:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     if (nu <= 0).any():
         raise ValueError("leading block matrix is not positive definite")
     lead = np.diag(nu * n * params.omega)

@@ -1,8 +1,9 @@
 """Reference computations the tests compare the package against.
 
 Each is an independent route to a quantity the package computes another way
-(a block sum, a discretized operator, a pointwise kernel), or a diagnostic
-only the tests read (the full spectrum, the total Frechet variance).
+(a block sum, a discretized operator, a pointwise kernel), a diagnostic only
+the tests read (the full spectrum, the total Frechet variance), or a fixture
+graph (complete, path).
 """
 
 import math
@@ -20,6 +21,18 @@ from rpsbm import (
 )
 from rpsbm import rng
 from rpsbm.models import block_labels
+
+
+def complete_graph(n: int) -> Graph:
+    """K_n."""
+    i, j = np.triu_indices(n, 1)
+    return Graph(n, np.column_stack((i, j)))
+
+
+def path_graph(n: int) -> Graph:
+    """The path 0 - 1 - ... - (n-1)."""
+    k = np.arange(n - 1)
+    return Graph(n, np.column_stack((k, k + 1)))
 
 
 def full_spectrum(g: Graph) -> SpectralSignature:

@@ -17,10 +17,16 @@ import pytest
 from click.testing import CliRunner
 
 import rpsbm
-from rpsbm import Graph, SbmParams, UniformProductLaw, RpsbmModel, __version__, save_model
+from rpsbm import Graph, SbmParams, UniformProductLaw, RpsbmModel, __version__
 from rpsbm.cli import main
-from rpsbm.models import sample_corpus
+from rpsbm.models import model_to_dict, sample_corpus
 from rpsbm.spectral import save_edgelist, spectrum, density
+
+from oracles import complete_graph, path_graph
+
+
+def save_model(model, path):
+    Path(path).write_text(json.dumps(model_to_dict(model)))
 
 
 @pytest.fixture
@@ -159,7 +165,7 @@ class TestSpectraRoundTrip:
         # which takes graphs of any size; one or two workers write one table
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        graphs = [Graph.path(7), Graph.complete(5), Graph.path(9)]
+        graphs = [path_graph(7), complete_graph(5), path_graph(9)]
         for k, g in enumerate(graphs):
             save_edgelist(g, corpus / f"graph_{k:04d}.txt")
         expected = ["graph,lambda1,lambda2,density"] + [
@@ -178,8 +184,8 @@ class TestSpectraRoundTrip:
         # the n = 5 graph can take c = 4, the n = 3 one cannot
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        save_edgelist(Graph.complete(5), corpus / "graph_0000.txt")
-        save_edgelist(Graph.complete(3), corpus / "graph_0001.txt")
+        save_edgelist(complete_graph(5), corpus / "graph_0000.txt")
+        save_edgelist(complete_graph(3), corpus / "graph_0001.txt")
         out = tmp_path / "out"
         r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "4",
                                  "--out", str(out)])
@@ -195,7 +201,7 @@ class TestSpectraRoundTrip:
         # reduces it, before the sizes of the rows are compared
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        for k, g in enumerate([Graph.path(8), Graph.complete(5), Graph.path(8)]):
+        for k, g in enumerate([path_graph(8), complete_graph(5), path_graph(8)]):
             save_edgelist(g, corpus / f"graph_{k:04d}.txt")
         for cpus in (1, 2):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)))
@@ -297,16 +303,16 @@ class TestFit:
         d = tmp_path / "flat"
         d.mkdir()
         for k in range(5):
-            save_edgelist(Graph.complete(40), d / f"graph_{k:04d}.txt")
+            save_edgelist(complete_graph(40), d / f"graph_{k:04d}.txt")
         r = runner.invoke(main, ["fit", "--corpus", str(d), "-c", "2",
                                  "--family", "uniform",
                                  "--out", str(tmp_path / "o")])
         assert r.exit_code == 2
 
     @pytest.mark.parametrize("graphs, family, code, message", [
-        ([Graph.complete(4)], "uniform", 1,
+        ([complete_graph(4)], "uniform", 1,
          "parametric fit needs at least two graphs"),
-        ([Graph.empty(5)] * 2, "dirac", 2,
+        ([Graph(5, [])] * 2, "dirac", 2,
          "corpus density is zero; nothing to fit"),
     ], ids=["one_graph", "two_empty_graphs"])
     def test_corpus_that_admits_no_fit(self, runner, tmp_path, graphs, family,
@@ -325,6 +331,26 @@ class TestFit:
         assert not out.exists()
         # the zero covariance of one graph is never published, so not warned of
         assert not [w for w in caught if "covariance" in str(w.message)]
+
+    def test_beta_fit_of_two_graphs_exits_2(self, runner, tmp_path):
+        # the unbiased variance of two points, (b - a)^2 / 2, is twice the
+        # most that any law on [a, b] has, so no beta law matches it
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": 1, "omega": 0.3, "s": [0.5, 0.5], "epsilon": 0.05,
+            "law": {"kind": "uniform", "center": [0.8, 0.5],
+                    "width": [0.4, 0.3]}}))
+        corpus = tmp_path / "corpus"
+        r = runner.invoke(main, ["sample", "--model", str(model), "--n", "200",
+                                 "--count", "2", "--out", str(corpus)])
+        assert r.exit_code == 0, r.output
+        out = tmp_path / "fit"
+        r = runner.invoke(main, ["fit", "--corpus", str(corpus), "-c", "2",
+                                 "--family", "beta", "--out", str(out)])
+        assert r.exit_code == 2
+        assert "error: variance too large for the range (no beta solution)" \
+            in r.output
+        assert not out.exists()
 
     def test_fit_np(self, runner, tmp_path):
         corpus_dir = make_corpus_dir(tmp_path, count=8)
@@ -480,6 +506,20 @@ class TestOptions:
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert [a.arg for a in fn.args.args if a.arg not in read] == []
 
+    def test_seed_only_on_the_commands_that_draw(self):
+        assert {name for name, cmd in main.commands.items()
+                if any(p.name == "seed" for p in cmd.params)} == \
+            {"sample", "replicate"}
+
+    def test_seed_refused_where_nothing_is_drawn(self, runner, tmp_path):
+        corpus = make_corpus_dir(tmp_path, count=4, n=60)
+        out = tmp_path / "o"
+        r = runner.invoke(main, ["spectra", "--corpus", str(corpus), "-c", "2",
+                                 "--seed", "1", "--out", str(out)])
+        assert r.exit_code == 1
+        assert "No such option" in r.output and "--seed" in r.output
+        assert not out.exists()
+
     def test_config_only_on_replicate(self, runner, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", "recoverability", 3, {})
         corpus = make_corpus_dir(tmp_path, count=4, n=60)
@@ -599,25 +639,27 @@ def contract_inputs(tmp_path) -> dict:
             "stream": stream, "cfg": cfg}
 
 
-# (command line before --seed/--out, manifest command, manifest seed); the
-# run passes --seed 7, which replicate overrides with its config's seed 3
+# (command line before --out, manifest command, manifest seed); the commands
+# that draw are passed --seed 7, which replicate overrides with its config's
+# seed 3, and the others take no seed and record none
 CONTRACT = {
     "sample": (lambda i: ["sample", "--model", i["model"], "--n", "40",
-                          "--count", "2"], "sample", 7),
+                          "--count", "2", "--seed", "7"], "sample", 7),
     "spectra": (lambda i: ["spectra", "--corpus", i["corpus"], "-c", "2"],
-                "spectra", 7),
+                "spectra", None),
     "moments": (lambda i: ["moments", "--corpus", i["corpus"], "-c", "2"],
-                "moments", 7),
-    "fit": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2"], "fit", 7),
+                "moments", None),
+    "fit": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2"], "fit", None),
     "fit-geometry": (lambda i: ["fit", "--corpus", i["corpus"], "-c", "2",
-                                "--s-from-geometry"], "fit", 7),
+                                "--s-from-geometry"], "fit", None),
     "fit-np": (lambda i: ["fit-np", "--corpus", i["corpus"], "-c", "2"],
-               "fit-np", 7),
-    "geometry": (lambda i: ["geometry", "--corpus", i["corpus"]], "geometry", 7),
+               "fit-np", None),
+    "geometry": (lambda i: ["geometry", "--corpus", i["corpus"]], "geometry",
+                 None),
     "contacts": (lambda i: ["contacts", "--file", i["stream"], "--window", "1000",
-                            "--step", "200"], "contacts", 7),
-    "replicate": (lambda i: ["replicate", "recoverability", "--config", i["cfg"]],
-                  "replicate recoverability", 3),
+                            "--step", "200"], "contacts", None),
+    "replicate": (lambda i: ["replicate", "recoverability", "--config", i["cfg"],
+                             "--seed", "7"], "replicate recoverability", 3),
 }
 
 
@@ -628,7 +670,7 @@ class TestOutputContract:
         args = [str(a) for a in argv(contract_inputs(tmp_path))]
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
-            r = runner.invoke(main, args + ["--seed", "7", "--out", str(out)])
+            r = runner.invoke(main, args + ["--out", str(out)])
             assert r.exit_code == 0, r.output
         files = read_bytes(outs[0])
         assert files == read_bytes(outs[1])
@@ -810,6 +852,11 @@ WRONG_KIND = {
     # a negative seed is refused before the stream is loaded
     "seed_option_negative": (["replicate", "contacts", "--seed", "-1", "--config"],
                              _config("contacts", file="absent.txt"),
+                             "--seed must be at least 0, not -1"),
+    "sample_seed_negative": (["sample", "--n", "10", "--count", "1", "--seed",
+                              "-1", "--model"],
+                             {"format": 1, "omega": 0.5, "s": [1.0], "p": [0.5],
+                              "q": 0.0},
                              "--seed must be at least 0, not -1"),
     "config_seed_negative": (["replicate", "contacts", "--config"],
                              {**_config("contacts", file="absent.txt"), "seed": -1},

@@ -32,6 +32,8 @@ from rpsbm.models import LAWS
 from rpsbm.moments import MEDIUM, SMALL, inherent_variance
 from rpsbm import rng as rngmod
 
+from oracles import complete_graph
+
 
 def synthetic_moments(lam, sigma_diag, n, rho, N=10, spectra_pad=0.0):
     lam = np.asarray(lam, dtype=float)
@@ -66,13 +68,13 @@ class TestParametricFit:
         assert fit.model.epsilon == 0.0
 
     def test_small_regime_raises_for_variance_families(self):
-        corpus = [Graph.complete(30)] * 5
+        corpus = [complete_graph(30)] * 5
         m = compute_moments(corpus, 2)
         with pytest.raises(InfeasibleFitError, match="small-variance"):
             fit_parametric(m, family="uniform")
 
     def test_zero_variance_dirac_returns_step7_means(self):
-        corpus = [Graph.complete(30)] * 5
+        corpus = [complete_graph(30)] * 5
         m = compute_moments(corpus, 1)
         fit = fit_parametric(m, family="dirac")
         expect = m.mean_spectrum / (30 * m.mean_density * 1.0)
@@ -273,7 +275,7 @@ def _two_index_moments():
 FIT_ERRORS = {
     "empty_graph": (
         lambda: fit_nonparametric(
-            compute_moments([Graph.complete(6), Graph.empty(6)], 1)),
+            compute_moments([complete_graph(6), Graph(6, [])], 1)),
         InfeasibleFitError, "graph 1 is empty"),
     "s_override_length": (
         lambda: fit_parametric(_two_index_moments(), s_override=[0.2, 0.3, 0.5]),
@@ -290,7 +292,7 @@ FIT_ERRORS = {
         ValueError, "unknown family 'nope'"),
     # the family is checked before the regimes of the table
     "unknown_family_small_regime": (
-        lambda: fit_parametric(compute_moments([Graph.complete(30)] * 5, 2),
+        lambda: fit_parametric(compute_moments([complete_graph(30)] * 5, 2),
                                family="nope"),
         ValueError, "unknown family 'nope'"),
     "bandwidth_dimension": (
@@ -304,9 +306,16 @@ FIT_ERRORS = {
         ValueError, "bandwidth must be finite and non-negative"),
     "beta_mean_outside_range": (
         lambda: fit_beta_product([0.95], [0.01], [0.1], [0.9]),
-        ValueError, "need a_i < mean_i < b_i"),
+        InfeasibleFitError, "need a_i < mean_i < b_i"),
     "beta_zero_variance": (lambda: fit_beta_product([0.5], [0.0], [0.1], [0.9]),
-                           ValueError, "beta fit needs positive variance"),
+                           InfeasibleFitError, "beta fit needs positive variance"),
+    # the unbiased variance of two rows, (b - a)^2 / 2, is twice the most
+    # that any law on their range [a, b] has
+    "beta_two_graphs": (
+        lambda: fit_parametric(
+            synthetic_moments([10.0, 5.0], [2.0, 2.0], n=100, rho=0.2, N=2,
+                              spectra_pad=1.0), family="beta"),
+        InfeasibleFitError, r"variance too large for the range \(no beta"),
     "silverman_no_graphs": (lambda: silverman_bandwidth(0, [1.0]),
                             ValueError, "N must be positive"),
     "silverman_negative_scale": (lambda: silverman_bandwidth(5, [1.0, -0.5]),

@@ -271,6 +271,6 @@ def test_pool_on_two_cpus_leaves_out_multiprocessing():
         "fork, forks = os.fork, []\n"
         "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
         "import rpsbm\n"
-        "rpsbm.compute_moments([rpsbm.Graph.complete(6)] * 2, 2)\n"
+        "rpsbm.compute_moments([rpsbm.Graph(3, [(0, 1), (1, 2), (0, 2)])] * 2, 2)\n"
         "print(len(forks), 'multiprocessing' in sys.modules)")
     assert out.split() == ["2", "False"]

@@ -41,7 +41,7 @@ from rpsbm.moments import (
     moments_report,
 )
 from rpsbm.replicate import run_scenario
-from oracles import frechet_total_variance, full_spectrum
+from oracles import complete_graph, frechet_total_variance, full_spectrum
 from test_imports import run_fresh
 
 
@@ -63,7 +63,7 @@ def random_corpus(gen, n, count, p=0.3):
 
 class TestComputeMoments:
     def test_identical_corpus(self):
-        g = Graph.complete(5)
+        g = complete_graph(5)
         m = compute_moments([g] * 4, 3)
         np.testing.assert_allclose(m.cov, 0.0, atol=1e-12)
         np.testing.assert_allclose(m.mean_spectrum,
@@ -72,21 +72,21 @@ class TestComputeMoments:
     def test_hand_arithmetic(self):
         # single edge on 4 nodes: lambda_1 = 1; K4: lambda_1 = 3
         a = Graph(4, [(0, 1)])
-        b = Graph.complete(4)
+        b = complete_graph(4)
         m = compute_moments([a, b], 1)
         assert m.mean_spectrum[0] == pytest.approx(2.0)
         assert m.cov[0, 0] == pytest.approx(2.0)
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):
-            compute_moments([Graph.complete(4), Graph.complete(5)], 1)
+            compute_moments([complete_graph(4), complete_graph(5)], 1)
 
     def test_single_graph_degenerate(self):
         # the table is silent; the report, which publishes the zero
         # covariance, warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m = compute_moments([Graph.complete(4)], 2)
+            m = compute_moments([complete_graph(4)], 2)
         np.testing.assert_array_equal(m.cov, np.zeros((2, 2)))
         with pytest.warns(UserWarning, match="covariance degenerate"):
             moments_report(m)
@@ -197,8 +197,8 @@ class TestStream:
     @example([3, 3], 4)
     @example([3, 5, 3, 6], 4)
     def test_stream_raises_what_a_list_raises(self, sizes, c):
-        corpus = [Graph.complete(n) for n in sizes]
-        assert (moments_or_error(LazyCorpus(Graph.complete, sizes), c)
+        corpus = [complete_graph(n) for n in sizes]
+        assert (moments_or_error(LazyCorpus(complete_graph, sizes), c)
                 == moments_or_error(corpus, c))
 
     def test_stream_holds_one_graph_at_a_time(self, monkeypatch):
@@ -251,7 +251,7 @@ class TestPool:
 
     def test_worker_error_keeps_type_and_message(self):
         empty = RpsbmModel(omega=0.5, law=DiracLaw([0.0]), epsilon=0.0, s=[1.0])
-        tiny = [Graph.complete(1)] * 3
+        tiny = [complete_graph(1)] * 3
         with on_cpus(2):
             for corpus, c, message in (
                     (iter_corpus(empty, 20, 4, 0), 1, "empty support after clamping"),
@@ -532,16 +532,16 @@ class TestBackgroundSearch:
 
 class TestTotalVariance:
     def test_identical_corpus_is_zero(self):
-        assert frechet_total_variance([Graph.complete(5)] * 3, 2) == 0.0
+        assert frechet_total_variance([complete_graph(5)] * 3, 2) == 0.0
 
     def test_hand_arithmetic(self):
         a = Graph(4, [(0, 1)])
-        b = Graph.complete(4)
+        b = complete_graph(4)
         assert frechet_total_variance([a, b], 1) == pytest.approx(2.0)
 
     def test_needs_two_graphs(self):
         with pytest.raises(ValueError):
-            frechet_total_variance([Graph.complete(4)], 1)
+            frechet_total_variance([complete_graph(4)], 1)
 
     def test_equals_covariance_trace(self):
         gen = np.random.default_rng(22)

@@ -55,6 +55,14 @@ THEORY_ERRORS = {
     "correction_at_negative_nu": (
         lambda: expected_spectrum(NEGATIVE_NU, 100),
         "leading block matrix is not positive definite"),
+    "spectrum_n_negative": (
+        lambda: expected_spectrum(
+            SbmParams(0.3, [0.5, 0.5], [0.8, 0.5], 0.02), -100),
+        "n must be at least 1, not -100"),
+    "predicted_moments_n_zero": (
+        lambda: predict_eig_law_moments(
+            RpsbmModel(0.5, DiracLaw([0.5]), 0.0, [1.0]), 0),
+        "n must be at least 1, not 0"),
     "no_draws": (
         lambda: predict_eig_law_moments(
             RpsbmModel(0.5, DiracLaw([0.5]), 0.0, [1.0]), 100, draws=0),

@@ -10,6 +10,8 @@ two:
  * ``replicate`` on the configs of the workloads of CHANGE's
    ``bench/workloads.py``, written at seeds 0 and 1 as ``bench/run.py``
    writes them;
+ * ``contacts`` on the stream the ``contacts`` workload wrote at seed 0,
+   with that workload's window and step;
  * ``sample`` of a 24-graph corpus at n = 300 from ``MODEL``, and on the
    corpus PARENT sampled: ``spectra``, ``moments``, ``fit`` for each
    family and with ``--s-from-geometry``, and ``fit-np`` (Silverman's rule
@@ -91,7 +93,7 @@ def main(argv: list[str]) -> int:
     change = Path(argv[1] if len(argv) == 2 else Path(__file__).parent.parent).resolve()
     sys.dont_write_bytecode = True  # leave bench/ as it is
     sys.path.insert(0, str(change / "bench"))
-    from workloads import WORKLOADS
+    from workloads import STEP, WINDOW, WORKLOADS
 
     usable = sorted(os.sched_getaffinity(0))
     pins = [set(usable[:1])] + ([set(usable[:2])] if len(usable) > 1 else [])
@@ -125,6 +127,10 @@ def main(argv: list[str]) -> int:
                 compare(f"{name} seed {seed}",
                         ["replicate", spec.scenario, "--config", str(config)],
                         workdir / name)
+        compare("contacts", ["contacts", "--file",
+                             str(Path(tmp) / "seed0" / "contacts.txt"),
+                             "--window", str(WINDOW), "--step", str(STEP)],
+                Path(tmp) / "contacts")
         model = Path(tmp) / "model.json"
         model.write_text(json.dumps(MODEL))
         corpus = compare("sample", ["sample", "--model", str(model), "--n", "300",
