@@ -31,7 +31,6 @@ from .models import (
     sample_sbm,
 )
 from .theory import (
-    EigLawMoments,
     eigenvalue_covariance,
     expected_spectrum,
     limiting_covariance,
@@ -45,7 +44,6 @@ from .moments import (
 )
 from .fitting import (
     FitResult,
-    GraphMixture,
     InfeasibleFitError,
     critical_sample_size,
     fit_beta_product,

@@ -303,9 +303,10 @@ def fit_np(corpus_dir, trunc, bandwidth):
                             bandwidth=bw)
     payload = {
         "format": 1,
-        "weights": mix.weights,
-        "components": [model_to_dict(comp) for comp in mix.components],
-        "dirac_fallback": [list(f) for f in mix.dirac_fallback],
+        "weights": np.full(len(mix), 1.0 / len(mix)),
+        "components": [model_to_dict(comp) for comp in mix],
+        "dirac_fallback": [np.flatnonzero(comp.law.width == 0).tolist()
+                           for comp in mix],
     }
     return ({"mixture.json": payload},
             {"corpus": corpus_dir, "c": trunc, "bandwidth": bandwidth}, None)

@@ -11,11 +11,11 @@ the corpus spectral moments:
 where inherent_variance_i = 2 lambda_bar_i / (n s_i) is the SBM-inherent
 variance (``moments.inherent_variance``), omega = rho_bar, and epsilon
 is chosen so the expected sampled density matches the corpus density.
-Var P_i takes its sign from the excess that ``classify_regimes`` tests.  The
-nonparametric fit runs the same equations per corpus graph with a shared
-kernel bandwidth h, one variance h_i per index, in place of Sigma_ii,
-falling back to a Dirac coordinate wherever the excess
-h_i - inherent_variance_i is not positive.
+Var P_i takes its sign from the excess that ``classify_regimes`` tests; a
+law gets variance 0 where that excess is not positive.  The nonparametric
+fit runs the same equations per corpus graph with a shared kernel bandwidth
+h, one variance h_i per index, in place of Sigma_ii, so a component gets a
+Dirac coordinate wherever h_i - inherent_variance_i is not positive.
 
 Both fits read the corpus only through its ``SampleMoments``: the per-graph
 spectra and densities and the moments taken from them.
@@ -64,41 +64,26 @@ class FitResult:
     warnings: list[str]
 
 
-@dataclass(frozen=True)
-class GraphMixture:
-    """Uniform mixture of RPSBM components, one per corpus graph."""
-
-    components: tuple[RpsbmModel, ...]
-    dirac_fallback: tuple[tuple[int, ...], ...] = ()
-
-    def __post_init__(self):
-        if len(self.components) == 0:
-            raise ValueError("empty mixture")
-
-    @property
-    def weights(self) -> np.ndarray:
-        k = len(self.components)
-        return np.full(k, 1.0 / k)
-
-
 # ---------------------------------------------------------------------------
 # Moment equations (Alg. steps shared by both fits)
 # ---------------------------------------------------------------------------
 
 def _j_moments(lam: np.ndarray, second: np.ndarray, n: int, omega: float,
                s: np.ndarray):
-    """J-mean, J-covariance and the excess variance from eigenvalue moments.
+    """J-mean, J-covariance and a law's J-variance from eigenvalue moments.
 
     ``second`` is the c x c eigenvalue covariance: the corpus Sigma, or the
     kernel bandwidth h as the diagonal matrix diag(h).
-    The excess is its diagonal less the inherent variance; the J-variance is
-    the excess over (n omega s_i)^2, so the two share their sign.
+    The excess is its diagonal less the inherent variance; the covariance's
+    diagonal is the excess over (n omega s_i)^2, so the two share their
+    sign.  The J-variance is that diagonal where the excess is positive and
+    0 elsewhere: a law with no variance left to match is a Dirac there.
     """
     scale = n * omega * s
     excess = np.diag(second) - inherent_variance(lam, n, s)
     cov = second / (n**2 * omega**2 * np.outer(s, s))
     np.fill_diagonal(cov, excess / scale**2)
-    return lam / scale, cov, excess
+    return lam / scale, cov, np.where(excess > 0, np.diag(cov), 0.0)
 
 
 def _epsilon(mean: np.ndarray, s: np.ndarray,
@@ -107,12 +92,15 @@ def _epsilon(mean: np.ndarray, s: np.ndarray,
 
     The raw value makes the J-scale density sum_i E[P_i] s_i^2 +
     epsilon min E[P] (1 - sum_i s_i^2) equal 1, so that a model with
-    omega = rho_bar has the corpus density.  A single community leaves it
-    undefined and it is set to 0; that and each clamp go to ``notes``.
+    omega = rho_bar has the corpus density.  A single community, or a block
+    whose mean density E[P_i] is 0, leaves it undefined and it is set to 0;
+    that and each clamp go to ``notes``.
     """
     denom = float(mean.min()) * (1.0 - float(np.sum(s**2)))
     if denom == 0.0:
-        notes.append("single community: epsilon undefined, set to 0")
+        cause = ("single community" if len(s) == 1 else
+                 f"zero mean density at indices {np.flatnonzero(mean == 0).tolist()}")
+        notes.append(f"{cause}: epsilon undefined, set to 0")
         return 0.0, 0.0
     raw = (1.0 - float(np.sum(mean * s**2))) / denom
     eps = min(max(raw, 0.0), EPSILON_MAX)
@@ -201,10 +189,7 @@ def fit_parametric(m: SampleMoments, family: str = "uniform",
     if omega <= 0:
         raise InfeasibleFitError("corpus density is zero; nothing to fit")
 
-    mean, cov, _ = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s)
-    # negative only at small-regime indices, which only the Dirac family reaches
-    var = np.maximum(np.diag(cov), 0.0)
-
+    mean, cov, var = _j_moments(m.mean_spectrum, m.cov, m.n, omega, s)
     law = _solve_family(family, mean, var, m.spectra / (m.n * omega * s), notes)
     eps_raw, eps = _epsilon(mean, s, notes)
 
@@ -234,18 +219,20 @@ def silverman_bandwidth(N: int, sigma) -> np.ndarray:
 
 
 def fit_nonparametric(m: SampleMoments, bandwidth: np.ndarray | None = None,
-                      s_per_graph: np.ndarray | None = None) -> GraphMixture:
-    """Graph-space kernel mixture: one RPSBM component per corpus graph.
+                      s_per_graph: np.ndarray | None = None
+                      ) -> tuple[RpsbmModel, ...]:
+    """Graph-space kernel mixture: one RPSBM component per corpus graph, as
+    the tuple that ``sample_mixture`` reads as their uniform mixture.
 
     Component k is fitted to row k of ``m.spectra``, with omega the graph's
-    density ``m.densities[k]`` and s row k of ``s_per_graph`` (equal blocks
-    by default); each has a uniform product law.  The bandwidth h, one
-    kernel variance per eigenvalue index (by default Silverman's rule on the
-    corpus scale), plays the role of the eigenvalue variances Sigma_ii when
-    solving each component's J-moments; it must have length c and be finite
-    and non-negative.  Coordinates whose excess h_i - inherent_variance_i is
-    not positive fall back to a Dirac marginal (local over-smoothing),
-    recorded per component.
+    density ``m.densities[k]`` and s row k of ``s_per_graph`` (one row per
+    graph; equal blocks by default); each has a uniform product law.  The
+    bandwidth h, one kernel variance per eigenvalue index (by default
+    Silverman's rule on the corpus scale), plays the role of the eigenvalue
+    variances Sigma_ii when solving each component's J-moments; it must have
+    length c and be finite and non-negative.  A coordinate whose excess
+    h_i - inherent_variance_i is not positive gets a zero kernel width, a
+    Dirac marginal (local over-smoothing).
     """
     h = (silverman_bandwidth(m.N, np.sqrt(np.diag(m.cov))) if bandwidth is None
          else np.asarray(bandwidth, dtype=float))
@@ -253,30 +240,30 @@ def fit_nonparametric(m: SampleMoments, bandwidth: np.ndarray | None = None,
         raise ValueError("bandwidth dimension must equal truncation order")
     if not np.all((h >= 0) & (h < np.inf)):  # NaN fails both
         raise ValueError("bandwidth must be finite and non-negative")
+    if s_per_graph is not None and len(s_per_graph) != m.N:
+        raise ValueError(f"s_per_graph has {len(s_per_graph)} rows, not one "
+                         f"per graph ({m.N})")
     H = np.diag(h)
 
-    components, fallbacks = [], []
+    components = []
     for k, (lam, rho_k) in enumerate(zip(m.spectra, m.densities.tolist())):
         if rho_k <= 0:
             raise InfeasibleFitError(f"graph {k} is empty; cannot set omega")
         s = block_sizes(None if s_per_graph is None else s_per_graph[k], m.c)
         _geometry_guard(lam, m.n, s, f"graph {k}: eigenvalue")
-        mean, cov, excess = _j_moments(lam, H, m.n, rho_k, s)
-        dirac = excess <= 0
-        var = np.where(dirac, 0.0, np.diag(cov))
+        mean, _, var = _j_moments(lam, H, m.n, rho_k, s)
         law = _solve_family("uniform", mean, var, None, [])
         _, eps = _epsilon(mean, s, [])
         components.append(RpsbmModel(omega=rho_k, law=law, epsilon=eps, s=s))
-        fallbacks.append(tuple(np.nonzero(dirac)[0].tolist()))
-    return GraphMixture(components=tuple(components),
-                        dirac_fallback=tuple(fallbacks))
+    return tuple(components)
 
 
-def sample_mixture(mix: GraphMixture, n: int, count: int, seed: int) -> LazyCorpus:
-    """Ancestral sampling: uniform component choice, then the RPSBM draw,
-    as a lazy corpus (``models.iter_corpus``) that draws a graph when it is
-    read."""
-    return iter_corpus(mix.components, n, count, seed)
+def sample_mixture(components, n: int, count: int, seed: int) -> LazyCorpus:
+    """Ancestral sampling from the uniform mixture of ``components``, a
+    non-empty sequence of RPSBMs such as ``fit_nonparametric`` returns:
+    uniform component choice, then the RPSBM draw, as a lazy corpus
+    (``models.iter_corpus``) that draws a graph when it is read."""
+    return iter_corpus(components, n, count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +312,8 @@ def critical_sample_size(p_values, n: int, omega: float, N_max: int,
     oracle-sigma Silverman bandwidth h_N; returns the repetition average
     (rounded).  Raises if no repetition crosses by N_max.
     """
+    if repetitions < 1:
+        raise ValueError(f"need at least one repetition, not {repetitions}")
     sigma = oracle_sigma(p_values, n, omega)
     components = [er_params(p, omega) for p in np.asarray(p_values, dtype=float)]
     crossings = []

@@ -466,8 +466,10 @@ def iter_corpus(model, n: int, count: int, seed: int,
 
     ``model`` is an ``RpsbmModel``, an ``SbmParams`` or a sequence of them
     read as their uniform mixture: graph g is drawn from the component that
-    the (g, MIX) stream picks.
+    the (g, MIX) stream picks.  An empty sequence raises ``ValueError``.
     """
+    if not isinstance(model, (RpsbmModel, SbmParams)) and len(model) == 0:
+        raise ValueError("empty mixture")
     return LazyCorpus(functools.partial(_draw, model, n, seed),
                       range(start_index, start_index + count))
 

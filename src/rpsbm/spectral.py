@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -72,7 +73,7 @@ ARPACK_MAXITER = 300
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on nodes 0..n-1.
+    """Simple undirected graph on nodes 0..n-1, n of an integer type.
 
     ``edges`` is an (m, 2) int array with i < j per row, lexicographically
     sorted and deduplicated, so the rows are also the entries of the upper
@@ -89,6 +90,8 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"node count must be an integer, not {self.n!r}")
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         # the largest pair key, (n - 2) n + n - 1, must fit int64

@@ -23,19 +23,9 @@ r_k(x) = v_k(i)/sqrt(s_i) on block i.  From one decomposition of M:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .models import DiracLaw, RpsbmModel, SbmParams, draw_params
-
-
-@dataclass(frozen=True)
-class EigLawMoments:
-    """Predicted mean vector and covariance of the top-c eigenvalue law."""
-
-    mean: np.ndarray
-    cov: np.ndarray
 
 
 def _decompose(params: SbmParams) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +123,8 @@ def expected_spectrum(params: SbmParams, n: int) -> np.ndarray:
 
 
 def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
-                            seed: int = 0) -> EigLawMoments:
-    """Law-of-total-moments prediction for the top-c eigenvalue law.
+                            seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, cov) of the top-c eigenvalue law, by the law of total moments.
 
     Per J-draw, the conditional mean is ``expected_spectrum`` and the
     conditional covariance omega * ``eigenvalue_covariance``, both from one
@@ -159,4 +149,4 @@ def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
         between = np.cov(means.T, ddof=1).reshape(c, c)
     else:
         between = np.zeros((c, c))
-    return EigLawMoments(mean=mean, cov=between + cond_cov)
+    return mean, between + cond_cov

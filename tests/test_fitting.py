@@ -20,6 +20,7 @@ from rpsbm import (
     fit_beta_product,
     fit_nonparametric,
     fit_parametric,
+    iter_corpus,
     run_er_mixture_pipeline,
     sample_corpus,
     sample_mixture,
@@ -27,7 +28,7 @@ from rpsbm import (
     silverman_bandwidth,
     spectrum,
 )
-from rpsbm.fitting import GraphMixture, critical_n_for_threshold, oracle_sigma
+from rpsbm.fitting import critical_n_for_threshold, oracle_sigma
 from rpsbm.models import LAWS
 from rpsbm.moments import MEDIUM, SMALL, inherent_variance
 from rpsbm import rng as rngmod
@@ -63,9 +64,23 @@ class TestParametricFit:
 
     def test_single_community_epsilon_zero(self):
         m = synthetic_moments([40.0], [2.0], n=100, rho=1.0)
-        with pytest.warns(UserWarning, match="epsilon"):
+        with pytest.warns(UserWarning,
+                          match="single community: epsilon undefined"):
             fit = fit_parametric(m, family="uniform")
         assert fit.model.epsilon == 0.0
+
+    def test_zero_mean_density_named_by_index(self):
+        # two blocks, the second with E[P_2] = 0: epsilon is undefined, and
+        # the note names that block rather than a single community
+        m = synthetic_moments([10.0, 0.0], [1.0, 1.0], n=100, rho=0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_parametric(m, family="dirac")
+        assert fit.warnings == [
+            "dirac family ignores a nonzero fitted variance",
+            "zero mean density at indices [1]: epsilon undefined, set to 0"]
+        assert [str(w.message) for w in caught] == fit.warnings
+        assert (fit.model.epsilon, fit.eps_raw) == (0.0, 0.0)
 
     def test_small_regime_raises_for_variance_families(self):
         corpus = [complete_graph(30)] * 5
@@ -164,14 +179,13 @@ class TestNonparametric:
         g = corpus[0]
         lam = spectrum(g, 2).values
         expect = lam / (g.n * density(g) * 0.5)
-        np.testing.assert_allclose(mix.components[0].law.center, expect, atol=1e-12)
+        np.testing.assert_allclose(mix[0].law.center, expect, atol=1e-12)
 
     def test_tiny_bandwidth_forces_all_dirac(self):
         corpus = self.corpus()
         mix = fit_nonparametric(compute_moments(corpus, 2),
                                 bandwidth=np.full(2, 1e-6))
-        for comp, fb in zip(mix.components, mix.dirac_fallback):
-            assert fb == (0, 1)
+        for comp in mix:
             np.testing.assert_array_equal(comp.law.width, [0.0, 0.0])
 
     def test_fallback_exactly_where_condition_fails(self):
@@ -180,16 +194,15 @@ class TestNonparametric:
         mix = fit_nonparametric(compute_moments(corpus, 2),
                                 bandwidth=np.full(2, h))
         from rpsbm import spectrum
-        for g, fb in zip(corpus, mix.dirac_fallback):
+        for g, comp in zip(corpus, mix):
             lam = spectrum(g, 2).values
-            expect = tuple(i for i in range(2)
-                           if h - 2 * lam[i] / (g.n * 0.5) <= 0)
-            assert fb == expect
+            expect = [i for i in range(2) if h - 2 * lam[i] / (g.n * 0.5) <= 0]
+            assert np.flatnonzero(comp.law.width == 0).tolist() == expect
 
     def test_silverman_rule_from_corpus_scale(self):
         corpus = self.corpus()
         mix = fit_nonparametric(compute_moments(corpus, 2))
-        assert len(mix.components) == len(corpus)
+        assert len(mix) == len(corpus)
 
 
 @st.composite
@@ -223,9 +236,8 @@ class TestMomentInversion:
             lam = spectrum(g, 2).values
             h = np.nextafter(2.0 * lam / (200 * s), np.inf)
             mix = fit_nonparametric(compute_moments([g], 2), h, s_per_graph=[s])
-            width = mix.components[0].law.width
+            width = mix[0].law.width
             assert np.all(np.isfinite(width)) and np.all(width > 0), k
-            assert mix.dirac_fallback == ((),), k
 
     def test_medium_regime_fits_at_the_boundary(self):
         m = synthetic_moments([592.31, 289.761],
@@ -261,10 +273,13 @@ class TestMomentInversion:
         c = len(s)
         mom = SampleMoments(spectra=lam[None, :], densities=np.array([rho]),
                             n=n, mean_spectrum=lam, cov=np.zeros((c, c)))
-        mix = fit_nonparametric(mom, second, s_per_graph=[s])
-        width = mix.components[0].law.width
+        (comp,) = fit_nonparametric(mom, second, s_per_graph=[s])
+        width = comp.law.width
         assert np.all(np.isfinite(width))
-        assert tuple(np.nonzero(width == 0)[0].tolist()) == mix.dirac_fallback[0]
+        # a zero width exactly where the excess over the inherent variance
+        # is not positive
+        np.testing.assert_array_equal(
+            width == 0, second - inherent_variance(lam, n, s) <= 0)
 
 
 def _two_index_moments():
@@ -295,6 +310,14 @@ FIT_ERRORS = {
         lambda: fit_parametric(compute_moments([complete_graph(30)] * 5, 2),
                                family="nope"),
         ValueError, "unknown family 'nope'"),
+    "s_per_graph_too_few_rows": (
+        lambda: fit_nonparametric(_two_index_moments(),
+                                  s_per_graph=[[0.5, 0.5]] * 9),
+        ValueError, r"s_per_graph has 9 rows, not one per graph \(10\)"),
+    "s_per_graph_too_many_rows": (
+        lambda: fit_nonparametric(_two_index_moments(),
+                                  s_per_graph=np.full((11, 2), 0.5)),
+        ValueError, r"s_per_graph has 11 rows, not one per graph \(10\)"),
     "bandwidth_dimension": (
         lambda: fit_nonparametric(_two_index_moments(), np.full(3, 1.0)),
         ValueError, "bandwidth dimension must equal truncation order"),
@@ -323,6 +346,11 @@ FIT_ERRORS = {
     "critical_n_zero_threshold": (lambda: critical_n_for_threshold(1.0, 0.0),
                                   ValueError,
                                   "sigma and threshold must be positive"),
+    # refused before any draw, where numpy would warn and then fail on a NaN
+    "critical_zero_repetitions": (
+        lambda: critical_sample_size([0.75], n=60, omega=0.5, N_max=6,
+                                     repetitions=0),
+        ValueError, "need at least one repetition, not 0"),
 }
 
 
@@ -337,18 +365,13 @@ class TestMixtureSampling:
     def test_single_component_matches_rpsbm_stream(self):
         comp = RpsbmModel(omega=0.4, law=UniformProductLaw([0.7], [0.1]),
                           epsilon=0.0, s=np.array([1.0]))
-        mix = GraphMixture(components=(comp,))
-        graphs = sample_mixture(mix, 60, 3, seed=34)
+        graphs = sample_mixture((comp,), 60, 3, seed=34)
         for k, g in enumerate(graphs):
             direct = sample_rpsbm(comp, 60, seed=34, graph_index=k)
             np.testing.assert_array_equal(g.edges, direct.edges)
 
     def test_component_frequencies_uniform(self):
-        comps = tuple(
-            RpsbmModel(omega=0.5, law=UniformProductLaw([0.5], [0.0]),
-                       epsilon=0.0, s=np.array([1.0]))
-            for _ in range(4))
-        mix = GraphMixture(components=comps)
+        # the (g, MIX) stream picks graph g's component of four
         draws = 10000
         counts = np.zeros(4)
         for g in range(draws):
@@ -357,8 +380,10 @@ class TestMixtureSampling:
         assert np.all(np.abs(counts - draws / 4) < 3 * se)
 
     def test_empty_mixture_rejected(self):
-        with pytest.raises(ValueError):
-            GraphMixture(components=())
+        with pytest.raises(ValueError, match="empty mixture"):
+            sample_mixture((), 60, 3, seed=34)
+        with pytest.raises(ValueError, match="empty mixture"):
+            iter_corpus([], 60, 3, seed=34)
 
 
 class TestErPipeline:

@@ -141,10 +141,10 @@ class TestTableContract:
         for k, g in enumerate(corpus):
             assert m.spectra[k].tobytes() == spectrum(g, c).values.tobytes()
             assert m.densities[k] == density(g)
-            assert mix.components[k].omega == m.densities[k]
+            assert mix[k].omega == m.densities[k]
         assert (m.N, m.c, m.n) == (len(corpus), c, corpus[0].n)
         assert m.mean_density == np.mean([density(g) for g in corpus])
-        assert len(mix.components) == m.N
+        assert len(mix) == m.N
 
 
 @st.composite

@@ -254,6 +254,13 @@ SPECTRAL_INPUT = {
                      "edge endpoints must be integers below 2**63"),
     "graph_without_nodes": (lambda d: Graph(0, []),
                             "graph needs at least one node"),
+    "float_node_count": (lambda d: Graph(2.5, []),
+                         "node count must be an integer, not 2.5"),
+    # an integral value is not enough: the count must have an integer type
+    "numpy_float_node_count": (lambda d: Graph(np.float64(3.0), [(0, 1)]),
+                               "node count must be an integer, not "),
+    "numpy_int_node_count": (lambda d: Graph(np.int64(3), [(0, 1)])
+                             .edges.tolist(), [[0, 1]]),
     # the most nodes whose largest pair key, (n - 2) n + n - 1, fits int64
     "nodes_at_key_bound": (
         lambda d: Graph(3037000500, [[3037000498, 3037000499], [0, 1]])

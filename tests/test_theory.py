@@ -271,11 +271,11 @@ class TestPredictedLaw:
         p_star = np.array([0.8, 0.6])
         model = RpsbmModel(omega=0.3, law=DiracLaw(p_star), epsilon=0.0,
                            s=np.array([0.5, 0.5]))
-        out = predict_eig_law_moments(model, 1000, draws=1)
+        mean, cov = predict_eig_law_moments(model, 1000, draws=1)
         params = SbmParams(omega=0.3, s=[0.5, 0.5], p=p_star, q=0.0)
-        np.testing.assert_allclose(out.mean, expected_spectrum(params, 1000),
+        np.testing.assert_allclose(mean, expected_spectrum(params, 1000),
                                    atol=1e-12)
-        np.testing.assert_allclose(out.cov, 0.3 * eigenvalue_covariance(params),
+        np.testing.assert_allclose(cov, 0.3 * eigenvalue_covariance(params),
                                    atol=1e-12)
 
     def test_zero_width_uniform_equals_dirac(self):
@@ -284,10 +284,10 @@ class TestPredictedLaw:
         dirac = RpsbmModel(omega=0.3, law=DiracLaw(center), epsilon=0.02, s=s)
         uni = RpsbmModel(omega=0.3, law=UniformProductLaw(center, [0.0, 0.0]),
                          epsilon=0.02, s=s)
-        a = predict_eig_law_moments(dirac, 500, draws=1)
-        b = predict_eig_law_moments(uni, 500, draws=64)
-        np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
-        np.testing.assert_allclose(a.cov, b.cov, atol=1e-12)
+        mean_a, cov_a = predict_eig_law_moments(dirac, 500, draws=1)
+        mean_b, cov_b = predict_eig_law_moments(uni, 500, draws=64)
+        np.testing.assert_allclose(mean_a, mean_b, atol=1e-12)
+        np.testing.assert_allclose(cov_a, cov_b, atol=1e-12)
 
     def test_uniform_variance_identity(self):
         # decoupled blocks, p_i ~ U(c_i -+ w_i/2):
@@ -299,18 +299,18 @@ class TestPredictedLaw:
         width = np.array([0.1, 0.05])
         model = RpsbmModel(omega=omega, law=UniformProductLaw(center, width),
                            epsilon=0.0, s=s)
-        out = predict_eig_law_moments(model, n, draws=6000, seed=1)
+        _, cov = predict_eig_law_moments(model, n, draws=6000, seed=1)
         expect = ((n * omega * s) ** 2 * width**2 / 12
                   + 2 * omega * (center - omega * (center**2 + width**2 / 12)))
-        np.testing.assert_allclose(np.diag(out.cov), expect, rtol=0.06)
+        np.testing.assert_allclose(np.diag(cov), expect, rtol=0.06)
 
     def test_cov_psd_and_mean_sorted(self):
         model = RpsbmModel(
             omega=0.3, law=UniformProductLaw([0.9, 0.7, 0.5], [0.1, 0.1, 0.1]),
             epsilon=0.05, s=np.array([0.4, 0.3, 0.3]))
-        out = predict_eig_law_moments(model, 800, draws=300, seed=2)
-        assert np.linalg.eigvalsh(out.cov).min() > -1e-10
-        assert np.all(np.diff(out.mean) <= 0)
+        mean, cov = predict_eig_law_moments(model, 800, draws=300, seed=2)
+        assert np.linalg.eigvalsh(cov).min() > -1e-10
+        assert np.all(np.diff(mean) <= 0)
 
 
 @pytest.mark.slow

@@ -14,8 +14,10 @@ two:
    with that workload's window and step;
  * ``sample`` of a 24-graph corpus at n = 300 from ``MODEL``, and on the
    corpus PARENT sampled: ``spectra``, ``moments``, ``fit`` for each
-   family and with ``--s-from-geometry``, and ``fit-np`` (Silverman's rule
-   and ``fixed:2.5``), all at c = 2, and ``geometry``.
+   family and with ``--s-from-geometry``, and ``fit-np`` (Silverman's rule,
+   ``fixed:2.5`` and ``fixed:0.3``, whose components have zero kernel
+   widths at some coordinates and not at others), all at c = 2, and
+   ``geometry``.
 
 Every output file but manifest.json is compared, and so are the exit status
 and the stderr, with each warning's ``file:line`` masked.  Each difference is
@@ -78,7 +80,7 @@ def standalone(corpus: Path) -> dict[str, list[str]]:
         commands[f"fit {family}"] = ["fit", "-c", "2", "--family", family, *on]
     commands["fit --s-from-geometry"] = ["fit", "-c", "2", "--s-from-geometry",
                                          *on]
-    for bandwidth in ("silverman", "fixed:2.5"):
+    for bandwidth in ("silverman", "fixed:2.5", "fixed:0.3"):
         commands[f"fit-np {bandwidth}"] = ["fit-np", "-c", "2", "--bandwidth",
                                            bandwidth, *on]
     commands["geometry"] = ["geometry", *on]
