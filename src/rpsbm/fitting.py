@@ -211,8 +211,8 @@ def silverman_bandwidth(N: int, sigma) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be positive")
     sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    if np.any(sigma < 0):
-        raise ValueError("sigma must be non-negative")
+    if not np.all((sigma >= 0) & (sigma < np.inf)):  # NaN fails too
+        raise ValueError("sigma must be finite and non-negative")
     if np.any(sigma == 0):
         warnings.warn("zero scale gives a degenerate (zero) bandwidth")
     return ((4.0 / 3.0) ** 0.2 * N ** (-0.2) * sigma) ** 2
@@ -314,6 +314,8 @@ def critical_sample_size(p_values, n: int, omega: float, N_max: int,
     """
     if repetitions < 1:
         raise ValueError(f"need at least one repetition, not {repetitions}")
+    if len(p_values) == 0:
+        raise ValueError("p_values must not be empty")
     sigma = oracle_sigma(p_values, n, omega)
     components = [er_params(p, omega) for p in np.asarray(p_values, dtype=float)]
     crossings = []

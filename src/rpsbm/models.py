@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import rng as rngmod
-from .spectral import INT64_BOUND, Graph
+from .spectral import INT64_BOUND, Graph, check_node_count
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -30,18 +30,23 @@ def _as_vector(x, name: str) -> np.ndarray:
     return v
 
 
+def check_block_sizes(s: np.ndarray) -> np.ndarray:
+    """Refuse sizes unless positive and summing to 1 within 1e-12 (NaN fails)."""
+    if not (np.all(s > 0) and abs(s.sum() - 1.0) <= 1e-12):
+        raise ValueError("community sizes must be positive and sum to 1")
+    return s
+
+
 def _block_geometry(model) -> np.ndarray:
     """Store ``model.s`` as a read-only 1-D float vector and check the block
     geometry that ``SbmParams`` and ``RpsbmModel`` share: at least one
-    community, sizes positive and summing to 1 (within 1e-12), and omega in
-    (0, 1].  Each test is written so that NaN fails it.  Returns ``s``."""
+    community, ``check_block_sizes`` and omega in (0, 1], NaN failing each."""
     s = _as_vector(model.s, "s")
     object.__setattr__(model, "s", s)
     s.setflags(write=False)
     if len(s) < 1:
         raise ValueError("need at least one community")
-    if not (np.all(s > 0) and abs(s.sum() - 1.0) <= 1e-12):
-        raise ValueError("community sizes must be positive and sum to 1")
+    check_block_sizes(s)
     if not 0 < model.omega <= 1:
         raise ValueError("omega must lie in (0, 1]")
     return s
@@ -356,6 +361,7 @@ def sample_sbm(params: SbmParams, n: int, seed: int, graph_index: int = 0) -> Gr
     them all, and the edges reach ``Graph`` canonical, where an O(m) check
     replaces the sort.
     """
+    check_node_count(n)
     if n < params.c:
         raise ValueError("graph size smaller than community count")
     # SbmParams holds every omega*f within 1e-12 of [0, 1]; min(., 1) below

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import check_block_sizes
 from .spectral import Graph, density, spectrum
 
 SMALL = "small"
@@ -335,14 +336,14 @@ def inherent_variance(lam: np.ndarray, n: int, s: np.ndarray) -> np.ndarray:
 
 
 def block_sizes(s, c: int) -> np.ndarray:
-    """The geometry vector ``s`` as a float array of length c; equal blocks
-    1/c when ``s`` is None."""
+    """The geometry vector ``s`` as a float array of length c, checked by
+    ``models.check_block_sizes``; equal blocks 1/c when ``s`` is None."""
     if s is None:
         return np.full(c, 1.0 / c)
     s = np.asarray(s, dtype=float)
     if s.shape != (c,):
         raise ValueError("geometry length must equal truncation order")
-    return s
+    return check_block_sizes(s)
 
 
 def classify_regimes(m: SampleMoments, s=None) -> RegimeReport:

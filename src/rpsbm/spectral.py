@@ -71,9 +71,15 @@ ARPACK_START_WEIGHT = 0.1
 ARPACK_MAXITER = 300
 
 
+def check_node_count(n) -> None:
+    """Refuse a node count that is not an integer; a bool is not a count."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"node count must be an integer, not {n!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on nodes 0..n-1, n of an integer type.
+    """Simple undirected graph on nodes 0..n-1, n an integer but not a bool.
 
     ``edges`` is an (m, 2) int array with i < j per row, lexicographically
     sorted and deduplicated, so the rows are also the entries of the upper
@@ -90,8 +96,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"node count must be an integer, not {self.n!r}")
+        check_node_count(self.n)
         if self.n < 1:
             raise ValueError("graph needs at least one node")
         # the largest pair key, (n - 2) n + n - 1, must fit int64

@@ -1,24 +1,24 @@
 """Predicted eigenvalue moments for (random-parameter) SBM graphs.
 
-The block structure reduces the kernel integral operator to the c x c
-matrices
+The block structure reduces the kernel integral operator to the c x c matrices
 
     M_ij  = s_i p_i on the diagonal, sqrt(s_i s_j) q off it,
     Mf_ij = p_i on the diagonal, q off it.
 
 Eigenvalues/eigenvectors (nu_k, v_k) of M carry the operator spectrum
 (theta_k = nu_k) and the piecewise-constant eigenfunctions
-r_k(x) = v_k(i)/sqrt(s_i) on block i.  From one decomposition of M:
+r_k(x) = v_k(i)/sqrt(s_i) on block i.  Both moments read one decomposition
+of M and the kernel K(omega) = Mf .* (1 - omega Mf), which keeps the
+Bernoulli factor of each edge variance at density omega (K(0) = Mf):
 
- * the covariance of the centered, 1/sqrt(omega)-scaled top eigenvalues
-   at density omega is 2 (v_i .* v_j)^T (Mf .* (1 - omega Mf)) (v_i .* v_j),
-   which keeps the Bernoulli factor 1 - omega Mf of each edge variance; for
-   a single community it is 2 p (1 - omega p);
- * its omega -> 0 limit 2 (v_i .* v_j)^T Mf (v_i .* v_j) drops that factor;
+ * the covariance of the centered, 1/sqrt(omega)-scaled top eigenvalues is
+   2 (v_i .* v_j)^T K(omega) (v_i .* v_j), 2 p (1 - omega p) for a single
+   community; its omega -> 0 limit reads K(0);
  * the expected i-th eigenvalue is the i-th largest eigenvalue of
-   B*_i = diag(nu_j * n * omega) + B2(i), where B2 is an O(1) correction
-   whose nu_i^{-2} prefactor is bound to the target index i (the source
-   formula leaves that index free).
+   B*_i = diag(nu_j * n * omega) + B2 / nu_i^2, with the O(1) shift
+   B2 = sqrt(nu nu^T) .* (V^T diag(K(0) s) V): (K(0) s)_m is block m's
+   expected degree over n omega.  The nu_i^{-2} prefactor is bound to the
+   target index i (the source formula leaves that index free).
 """
 
 from __future__ import annotations
@@ -30,40 +30,26 @@ from .models import DiracLaw, RpsbmModel, SbmParams, draw_params
 
 def _decompose(params: SbmParams) -> tuple[np.ndarray, np.ndarray]:
     """(nu, V): M's eigenvalues, non-increasing, and unit eigenvectors as
-    columns, each with its largest-|entry| coordinate positive."""
+    columns, each with its (first) largest-|entry| coordinate positive."""
     root_s = np.sqrt(params.s)
     M = params.q * np.outer(root_s, root_s)
     np.fill_diagonal(M, params.s * params.p)
     nu, V = np.linalg.eigh(M)
-    nu, V = nu[::-1].copy(), V[:, ::-1].copy()
-    for k in range(V.shape[1]):
-        idx = int(np.argmax(np.abs(V[:, k])))
-        if V[idx, k] < 0:
-            V[:, k] = -V[:, k]
-    return nu, V
+    nu, V = nu[::-1].copy(), V[:, ::-1]
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(params.c)]
+    return nu, V * np.where(top < 0, -1.0, 1.0)
 
 
-def _kernel(params: SbmParams) -> np.ndarray:
-    """Mf: p on the diagonal, q off it."""
-    Mf = np.full((params.c, params.c), float(params.q))
-    np.fill_diagonal(Mf, params.p)
-    return Mf
+def _kernel(params: SbmParams, omega: float) -> np.ndarray:
+    """K(omega) = Mf .* (1 - omega Mf); Mf is p on the diagonal, q off it."""
+    Mf = np.where(np.eye(params.c, dtype=bool), params.p, float(params.q))
+    return Mf * (1.0 - omega * Mf)
 
 
-def _quadratic_covariance(V: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Cov(Z_i, Z_j) = 2 (v_i .* v_j)^T kernel (v_i .* v_j)."""
-    c = V.shape[1]
-    cov = np.empty((c, c))
-    for i in range(c):
-        for j in range(i, c):
-            h = V[:, i] * V[:, j]
-            cov[i, j] = cov[j, i] = 2.0 * h @ kernel @ h
-    return cov
-
-
-def _bernoulli_covariance(params: SbmParams, V: np.ndarray) -> np.ndarray:
-    Mf = _kernel(params)
-    return _quadratic_covariance(V, Mf * (1.0 - params.omega * Mf))
+def _covariance(V: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """2 (v_i .* v_j)^T K (v_i .* v_j) for every pair (i, j) at once."""
+    H = V[:, :, None] * V[:, None, :]  # H[w, i, j] = v_i(w) v_j(w)
+    return 2.0 * np.einsum("wij,wu,uij->ij", H, K, H)
 
 
 def eigenvalue_covariance(params: SbmParams) -> np.ndarray:
@@ -74,7 +60,7 @@ def eigenvalue_covariance(params: SbmParams) -> np.ndarray:
     with the Bernoulli factor 1 - omega Mf kept.  A single community gives
     2 p (1 - omega p); as omega -> 0 this tends to ``limiting_covariance``.
     """
-    return _bernoulli_covariance(params, _decompose(params)[1])
+    return _covariance(_decompose(params)[1], _kernel(params, params.omega))
 
 
 def limiting_covariance(params: SbmParams) -> np.ndarray:
@@ -84,24 +70,7 @@ def limiting_covariance(params: SbmParams) -> np.ndarray:
     1 - omega Mf; a single community gives 2 p.  At omega > 0 it overstates
     the eigenvalue variance (by 1/(1 - omega p) for one community).
     """
-    return _quadratic_covariance(_decompose(params)[1], _kernel(params))
-
-
-def _correction(nu: np.ndarray, V: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """B2 without its prefactor: B2(i) is this divided by nu_i^2."""
-    c = len(nu)
-    inv_sqrt_s = 1.0 / np.sqrt(s)
-    sqrt_s = np.sqrt(s)
-    # inner[k] = sum_w sqrt(s_w) v_k(w)
-    inner = sqrt_s @ V
-    # t[m] = sum_k nu_k v_k(m) inner[k]
-    t = V @ (nu * inner)
-    b2 = np.empty((c, c))
-    for j in range(c):
-        for l in range(j, c):
-            core = np.sum(inv_sqrt_s * V[:, j] * V[:, l] * t)
-            b2[j, l] = b2[l, j] = np.sqrt(nu[j] * nu[l]) * core
-    return b2
+    return _covariance(_decompose(params)[1], _kernel(params, 0.0))
 
 
 def _spectrum(params: SbmParams, n: int, nu: np.ndarray,
@@ -110,10 +79,11 @@ def _spectrum(params: SbmParams, n: int, nu: np.ndarray,
         raise ValueError(f"n must be at least 1, not {n}")
     if (nu <= 0).any():
         raise ValueError("leading block matrix is not positive definite")
-    lead = np.diag(nu * n * params.omega)
-    b2 = _correction(nu, V, params.s)
-    return np.array([np.linalg.eigvalsh(lead + b2 / nu[i] ** 2)[::-1][i]
-                     for i in range(params.c)])
+    degree = _kernel(params, 0.0) @ params.s
+    b2 = np.sqrt(np.outer(nu, nu)) * ((V.T * degree) @ V)
+    # B*_i for every target i, then the i-th largest eigenvalue of each
+    stack = np.diag(nu * n * params.omega) + b2 / nu[:, None, None] ** 2
+    return np.linalg.eigvalsh(stack)[:, ::-1].diagonal().copy()
 
 
 def expected_spectrum(params: SbmParams, n: int) -> np.ndarray:
@@ -142,11 +112,9 @@ def predict_eig_law_moments(model: RpsbmModel, n: int, draws: int = 2000,
         params = draw_params(model, seed, t)
         nu, V = _decompose(params)
         means[t] = _spectrum(params, n, nu, V)
-        cond_cov += model.omega * _bernoulli_covariance(params, V)
+        cond_cov += model.omega * _covariance(V, _kernel(params, params.omega))
     cond_cov /= draws
     mean = means.mean(axis=0)
-    if draws > 1:
-        between = np.cov(means.T, ddof=1).reshape(c, c)
-    else:
-        between = np.zeros((c, c))
+    between = (np.cov(means.T, ddof=1).reshape(c, c) if draws > 1
+               else np.zeros((c, c)))
     return mean, between + cond_cov

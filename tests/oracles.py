@@ -104,6 +104,30 @@ def covariance_block_integral(params: SbmParams) -> np.ndarray:
     return cov
 
 
+def expected_spectrum_elementwise(params: SbmParams, n: int) -> np.ndarray:
+    """E[lambda_i] from the source's element-wise B2 sum, one target at a time.
+
+    Independent path for ``expected_spectrum``: its own decomposition of M,
+    the vector t = V (nu .* (V^T sqrt(s))), and
+    B2[j, l] = sqrt(nu_j nu_l) sum_m v_j(m) v_l(m) t_m / sqrt(s_m), one pair
+    at a time; then one eigvalsh of B*_i = diag(n omega nu) + B2 / nu_i^2 per
+    target i.  B*_i's eigenvalues do not depend on the eigenvectors' signs.
+    """
+    nu, V = np.linalg.eigh(block_matrix(params))
+    nu, V = nu[::-1], V[:, ::-1]
+    sqrt_s = np.sqrt(params.s)
+    t = V @ (nu * (sqrt_s @ V))
+    c = params.c
+    b2 = np.empty((c, c))
+    for j in range(c):
+        for l in range(c):
+            core = np.sum(V[:, j] * V[:, l] * t / sqrt_s)
+            b2[j, l] = np.sqrt(nu[j] * nu[l]) * core
+    lead = np.diag(n * params.omega * nu)
+    return np.array([np.linalg.eigvalsh(lead + b2 / nu[i] ** 2)[::-1][i]
+                     for i in range(c)])
+
+
 def kernel_operator_eigenvalues(params: SbmParams, grid: int = 512) -> np.ndarray:
     """Top-c eigenvalues of the midpoint-discretized kernel operator.
 

@@ -1,5 +1,6 @@
 """Moment-matching fits, bandwidths, mixtures, and the ER pipeline."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -342,7 +343,12 @@ FIT_ERRORS = {
     "silverman_no_graphs": (lambda: silverman_bandwidth(0, [1.0]),
                             ValueError, "N must be positive"),
     "silverman_negative_scale": (lambda: silverman_bandwidth(5, [1.0, -0.5]),
-                                 ValueError, "sigma must be non-negative"),
+                                 ValueError,
+                                 "sigma must be finite and non-negative"),
+    "silverman_nan_scale": (lambda: silverman_bandwidth(10, [np.nan]),
+                            ValueError, "sigma must be finite and non-negative"),
+    "silverman_inf_scale": (lambda: silverman_bandwidth(10, [np.inf]),
+                            ValueError, "sigma must be finite and non-negative"),
     "critical_n_zero_threshold": (lambda: critical_n_for_threshold(1.0, 0.0),
                                   ValueError,
                                   "sigma and threshold must be positive"),
@@ -351,7 +357,25 @@ FIT_ERRORS = {
         lambda: critical_sample_size([0.75], n=60, omega=0.5, N_max=6,
                                      repetitions=0),
         ValueError, "need at least one repetition, not 0"),
+    # refused before oracle_sigma would warn of the mean of an empty slice
+    "critical_no_p_values": (
+        lambda: critical_sample_size([], n=100, omega=0.2, N_max=10),
+        ValueError, "p_values must not be empty"),
 }
+# a geometry vector with a NaN, a zero or a negative size, through each
+# function that reads one
+_SIZE_READERS = {
+    "s_override": lambda s: fit_parametric(_two_index_moments(), s_override=s),
+    "s_per_graph": lambda s: fit_nonparametric(_two_index_moments(),
+                                               s_per_graph=[s] * 10),
+    "regimes_s": lambda s: classify_regimes(_two_index_moments(), s),
+}
+FIT_ERRORS.update({
+    f"{name}_{kind}_size": (functools.partial(read, s), ValueError,
+                            "community sizes must be positive and sum to 1")
+    for kind, s in (("nan", [np.nan, np.nan]), ("zero", [1.0, 0.0]),
+                    ("negative", [1.5, -0.5]))
+    for name, read in _SIZE_READERS.items()})
 
 
 @pytest.mark.parametrize("case", FIT_ERRORS)

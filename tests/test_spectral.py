@@ -261,6 +261,19 @@ SPECTRAL_INPUT = {
                                "node count must be an integer, not "),
     "numpy_int_node_count": (lambda d: Graph(np.int64(3), [(0, 1)])
                              .edges.tolist(), [[0, 1]]),
+    # bool is an Integral to Python, but not a count
+    "bool_node_count": (lambda d: Graph(True, []),
+                        "node count must be an integer, not True"),
+    # the sampler checks the count before numpy casts it
+    "sampler_float_node_count": (
+        lambda d: sample_sbm(SbmParams(0.3, [1.0], [0.5], 0.0), 10.0, 0),
+        "node count must be an integer, not 10.0"),
+    "sampler_bool_node_count": (
+        lambda d: sample_sbm(SbmParams(0.3, [1.0], [0.5], 0.0), True, 0),
+        "node count must be an integer, not True"),
+    "sampler_numpy_int_node_count": (
+        lambda d: sample_sbm(SbmParams(0.3, [1.0], [0.5], 0.0), np.int64(10),
+                             0).n, 10),
     # the most nodes whose largest pair key, (n - 2) n + n - 1, fits int64
     "nodes_at_key_bound": (
         lambda d: Graph(3037000500, [[3037000498, 3037000499], [0, 1]])

@@ -22,6 +22,7 @@ from rpsbm.theory import _decompose
 from oracles import (
     block_matrix,
     covariance_block_integral,
+    expected_spectrum_elementwise,
     first_order_check,
     kernel_operator_eigenvalues,
 )
@@ -215,6 +216,15 @@ class TestExpectedEigenvalue:
     def test_pinned_values(self, params, n, expect):
         np.testing.assert_allclose(expected_spectrum(params, n), expect,
                                    rtol=1e-12)
+
+    def test_matches_elementwise_b2_oracle(self):
+        gen = np.random.default_rng(14)
+        for _ in range(200):
+            params = random_params(gen)
+            n = int(gen.integers(10, 5000))
+            np.testing.assert_allclose(expected_spectrum(params, n),
+                                       expected_spectrum_elementwise(params, n),
+                                       rtol=1e-12)
 
 
 @st.composite
