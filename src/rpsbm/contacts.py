@@ -1,10 +1,19 @@
 """Temporal contact streams and sliding-window graph extraction.
 
 Input format: whitespace-separated "t i j" lines (seconds, two node ids);
-extra columns are ignored with a warning.  Windows are half-open
-[start, start + window) and anchored at the stream's earliest timestamp;
-window k (1-indexed) starts at step*(k-1).  Only fully observed windows are
-emitted: the count is floor((t_max - window)/step) + 1, clipped at 0.
+extra columns are ignored with a warning, a line whose first token starts
+with "#" is a comment, and self-contacts are dropped with a warning.  A
+clean file is read by ``np.loadtxt`` (see the notes on the edge-list format
+in ``spectral``): an ASCII file where every "#" follows nothing but
+whitespace on its line, and every other non-blank line holds the same
+number (at least 3) of int64 values in decimal digits with an optional
+sign.  Any other file goes to the line reader, which names the line of an
+error.
+
+Windows are half-open [start, start + window) and anchored at the stream's
+earliest timestamp; window k (1-indexed) starts at step*(k-1).  Only fully
+observed windows are emitted: the count is floor((t_max - window)/step) + 1,
+clipped at 0.
 
 ``window_contacts`` returns the windows as a lazy corpus: each window is
 known by its slice of the time-sorted records, and its graph is cut from
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LazyCorpus
-from .spectral import INT64_BOUND, Graph, _parse_int
+from .spectral import INT64_BOUND, Graph, _loadtxt, _parse_int
 
 
 @dataclass(frozen=True)
@@ -49,10 +58,39 @@ class ContactStream:
         return int(self.records[-1, 0])
 
 
-def load_contacts(path) -> ContactStream:
+def _comments_lead_their_lines(raw: bytes) -> bool:
+    """Whether every ``#`` in ``raw`` comes after nothing but ASCII
+    whitespace on its line, so that the line is a comment to both readers.
+    ``np.loadtxt`` would cut a line at a later ``#`` that the line reader
+    reads as a column."""
+    raw = raw.replace(b"\r", b"\n")
+    at = raw.find(b"#")
+    while at >= 0:
+        if raw[raw.rfind(b"\n", 0, at) + 1:at].strip():
+            return False
+        end = raw.find(b"\n", at)
+        at = -1 if end < 0 else raw.find(b"#", end)
+    return True
+
+
+def _read_clean(path) -> tuple[np.ndarray, bool] | None:
+    """The (t, i, j) rows and whether the lines have extra columns, from
+    ``np.loadtxt`` (see ``spectral._loadtxt``); None for a file the line
+    reader must read."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if not _comments_lead_their_lines(raw):
+        return None
+    with open(path, encoding="ascii") as fh:
+        arr = _loadtxt(fh, 3, "#")
+    return None if arr is None else (arr[:, :3], arr.shape[1] > 3)
+
+
+def _read_lines(path) -> tuple[np.ndarray, bool]:
+    """The (t, i, j) rows and whether any line has extra columns, one line
+    at a time; an error names its ``path:line``."""
     rows = []
     extra_seen = False
-    dropped = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             parts = line.split()
@@ -61,22 +99,24 @@ def load_contacts(path) -> ContactStream:
             try:
                 if len(parts) < 3:
                     raise ValueError("expected 't i j'")
-                t, i, j = map(_parse_int, parts[:3])
+                rows.append(tuple(map(_parse_int, parts[:3])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if len(parts) > 3:
-                extra_seen = True
-            if i == j:
-                dropped += 1
-                continue
-            rows.append((t, i, j))
+            extra_seen |= len(parts) > 3
+    return np.array(rows, dtype=np.int64).reshape(-1, 3), extra_seen
+
+
+def load_contacts(path) -> ContactStream:
+    arr, extra_seen = _read_clean(path) or _read_lines(path)
     if extra_seen:
         warnings.warn("contact file has extra columns; ignored")
+    self_contact = arr[:, 1] == arr[:, 2]
+    dropped = int(np.count_nonzero(self_contact))
     if dropped:
         warnings.warn(f"dropped {dropped} self-contact records")
-    if not rows:
+        arr = arr[~self_contact]
+    if not len(arr):
         raise ValueError("empty contact stream")
-    arr = np.asarray(rows, dtype=np.int64)
     # times are windowed relative to t_min in int64; each window's start and
     # end lie within the span, so the span alone must fit
     span = int(arr[:, 0].max()) - int(arr[:, 0].min())

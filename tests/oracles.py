@@ -1,12 +1,13 @@
 """Reference computations the tests compare the package against.
 
 Each is an independent route to a quantity the package computes another way
-(a block sum, a discretized operator, a pointwise kernel), a diagnostic only
-the tests read (the full spectrum, the total Frechet variance), or a fixture
-graph (complete, path).
+(a block sum, a discretized operator, a pointwise kernel, a text file read
+one line at a time), a diagnostic only the tests read (the full spectrum,
+the total Frechet variance), or a fixture graph (complete, path).
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from rpsbm import (
     limiting_covariance,
     spectrum,
 )
-from rpsbm import rng
+from rpsbm import ContactStream, rng
 from rpsbm.models import block_labels
+from rpsbm.spectral import INT64_BOUND, _parse_int
 
 
 def complete_graph(n: int) -> Graph:
@@ -205,3 +207,73 @@ def contract_edges(params: SbmParams, n: int, seed: int, graph_index: int) -> np
                 i, j = np.divmod(t, nb)
             edges += zip((starts[a] + i).tolist(), (starts[b] + j).tolist())
     return np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+
+
+def load_contacts_lines(path) -> ContactStream:
+    """``load_contacts`` as one Python loop over the lines of any file: the
+    reference for both of its reading paths."""
+    rows = []
+    extra_seen = False
+    dropped = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            try:
+                if len(parts) < 3:
+                    raise ValueError("expected 't i j'")
+                t, i, j = map(_parse_int, parts[:3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(parts) > 3:
+                extra_seen = True
+            if i == j:
+                dropped += 1
+                continue
+            rows.append((t, i, j))
+    if extra_seen:
+        warnings.warn("contact file has extra columns; ignored")
+    if dropped:
+        warnings.warn(f"dropped {dropped} self-contact records")
+    if not rows:
+        raise ValueError("empty contact stream")
+    arr = np.asarray(rows, dtype=np.int64)
+    span = int(arr[:, 0].max()) - int(arr[:, 0].min())
+    if span >= INT64_BOUND:
+        raise ValueError(f"{path}: contact time span {span} reaches 2**63")
+    ids = np.unique(arr[:, 1:3])
+    node_map = {int(v): k for k, v in enumerate(ids)}
+    remap = np.searchsorted(ids, arr[:, 1:3])
+    arr = np.column_stack([arr[:, 0], remap])
+    arr = arr[np.argsort(arr[:, 0], kind="stable")]
+    return ContactStream(records=arr, node_map=node_map)
+
+
+def load_edgelist_lines(path) -> Graph:
+    """``load_edgelist`` as one Python loop over the lines of any file,
+    without its rules on a second "n" header and on extra columns."""
+    n_header = None
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts:
+                continue
+            try:
+                if parts[0] == "n":
+                    if len(parts) != 2:
+                        raise ValueError("expected 'n <count>'")
+                    n_header = _parse_int(parts[1])
+                elif len(parts) < 2:
+                    raise ValueError("expected two node ids")
+                else:
+                    pairs.append((_parse_int(parts[0]), _parse_int(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    n = n_header if n_header is not None else (int(arr.max()) + 1 if arr.size else 1)
+    try:
+        return Graph(n, arr)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

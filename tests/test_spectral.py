@@ -2,6 +2,7 @@
 
 import contextlib
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -236,6 +237,15 @@ def _load_text(tmp_path, text):
     return load_edgelist(path)
 
 
+def _warned(call):
+    """(the messages of the warnings ``call()`` issues, in order, and what
+    it returns)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = call()
+    return [str(w.message) for w in caught], value
+
+
 # Each input check of the module: (call on a temporary directory, what it
 # returns, or the start of the ValueError message it raises).
 SPECTRAL_INPUT = {
@@ -294,6 +304,20 @@ SPECTRAL_INPUT = {
                              "k out of range"),
     "edgelist_one_id": (lambda d: _load_text(d, "0 1\n\n2\n"),
                         "{path}:3: expected two node ids"),
+    # one header at most, wherever the first one stands
+    "edgelist_second_header": (lambda d: _load_text(d, "n 5\n0 1\nn 3\n1 2\n"),
+                               "{path}:3: second 'n' header"),
+    "edgelist_second_header_later": (
+        lambda d: _load_text(d, "0 1\nn 5\n\nn 5\n"),
+        "{path}:4: second 'n' header"),
+    # the line reader (one line) and np.loadtxt (every line) both warn
+    "edgelist_extra_column_on_one_line": (
+        lambda d: _warned(lambda: _load_text(d, "0 1 7\n1 2\n").edges.tolist()),
+        (["edge-list file has extra columns; ignored"], [[0, 1], [1, 2]])),
+    "edgelist_extra_column_on_every_line": (
+        lambda d: _warned(lambda: _load_text(d, "n 4\n0 1 7\n1 2 7\n")
+                          .edges.tolist()),
+        (["edge-list file has extra columns; ignored"], [[0, 1], [1, 2]])),
 }
 
 

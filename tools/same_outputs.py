@@ -11,7 +11,8 @@ two:
    ``bench/workloads.py``, written at seeds 0 and 1 as ``bench/run.py``
    writes them;
  * ``contacts`` on the stream the ``contacts`` workload wrote at seed 0,
-   with that workload's window and step;
+   with that workload's window and step, and on a copy of it that only the
+   line reader takes (``messy_copy``);
  * ``sample`` of a 24-graph corpus at n = 300 from ``MODEL``, and on the
    corpus PARENT sampled: ``spectra``, ``moments``, ``fit`` for each
    family and with ``--s-from-geometry``, and ``fit-np`` (Silverman's rule,
@@ -69,6 +70,18 @@ def differences(parent: tuple, change: tuple) -> list[str]:
         elif files_a[name] != files_b[name]:
             found.append(f"{name} differs")
     return found
+
+
+def messy_copy(clean: Path, messy: Path) -> None:
+    """``clean``, a contact stream with a header comment, rewritten so that
+    only the line reader takes it: CRLF endings, an indented comment, an
+    inline "#", one four-column line and a self-contact."""
+    head, *data = clean.read_text(encoding="utf-8").splitlines()
+    t, i, _ = data[0].split()
+    data[0] += " # first record"
+    data[1] += " 7"
+    data.insert(2, f"{t} {i} {i}")
+    messy.write_bytes("\r\n".join(["  " + head, *data, ""]).encode())
 
 
 def standalone(corpus: Path) -> dict[str, list[str]]:
@@ -129,10 +142,13 @@ def main(argv: list[str]) -> int:
                 compare(f"{name} seed {seed}",
                         ["replicate", spec.scenario, "--config", str(config)],
                         workdir / name)
-        compare("contacts", ["contacts", "--file",
-                             str(Path(tmp) / "seed0" / "contacts.txt"),
-                             "--window", str(WINDOW), "--step", str(STEP)],
-                Path(tmp) / "contacts")
+        stream = Path(tmp) / "seed0" / "contacts.txt"
+        messy = Path(tmp) / "messy.txt"
+        messy_copy(stream, messy)
+        for label, path in (("contacts", stream), ("contacts messy", messy)):
+            compare(label, ["contacts", "--file", str(path), "--window",
+                            str(WINDOW), "--step", str(STEP)],
+                    Path(tmp) / label.replace(" ", "-"))
         model = Path(tmp) / "model.json"
         model.write_text(json.dumps(MODEL))
         corpus = compare("sample", ["sample", "--model", str(model), "--n", "300",
